@@ -69,15 +69,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, cast
 
-from repro.checker.constants import (
-    MASK64,
-    SPLITMIX_GAMMA,
-    SPLITMIX_MULT1,
-    SPLITMIX_MULT2,
-    SPLITMIX_SHIFT1,
-    SPLITMIX_SHIFT2,
-    SPLITMIX_SHIFT3,
-)
+from repro.checker.constants import MASK64, SPLITMIX_GAMMA
 from repro.checker.fast_snapshot import (
     _PHASE_DONE,
     _PHASE_SCAN,
@@ -86,9 +78,9 @@ from repro.checker.fast_snapshot import (
     FastExplorationResult,
     FastSnapshotSpec,
 )
-from repro.checker.fingerprint import fingerprint_int
+from repro.checker.fingerprint import fingerprint_int, splitmix64_many
 from repro.checker.por import FootprintTables, PORCounters
-from repro.store.base import StoreConfig
+from repro.store.base import StoreConfig, sorted_member
 from repro.store.checkpoint import RunCheckpointer
 from repro.store.ram import RamStore
 
@@ -127,21 +119,8 @@ def require_numpy() -> None:
 
 
 # ----------------------------------------------------------------------
-# Batched splitmix64
+# Batched fingerprints
 # ----------------------------------------------------------------------
-def splitmix64_many(values: "U64Array") -> "U64Array":
-    """The splitmix64 finalizer over a whole u64 array.
-
-    numpy uint64 arithmetic wraps modulo 2**64 — the same semantics the
-    scalar implementation gets from its explicit ``& MASK64`` — so the
-    output is element-wise identical to
-    :func:`repro.checker.fingerprint.splitmix64`.
-    """
-    mixed = (values ^ (values >> SPLITMIX_SHIFT1)) * SPLITMIX_MULT1
-    mixed = (mixed ^ (mixed >> SPLITMIX_SHIFT2)) * SPLITMIX_MULT2
-    return mixed ^ (mixed >> SPLITMIX_SHIFT3)
-
-
 def fingerprint_many(states: "U64Array") -> "U64Array":
     """Batched :func:`~repro.checker.fingerprint.fingerprint_int`.
 
@@ -154,15 +133,6 @@ def fingerprint_many(states: "U64Array") -> "U64Array":
 # ----------------------------------------------------------------------
 # Sorted-array set helpers (the raw-successor memoization cache)
 # ----------------------------------------------------------------------
-def _in_sorted(sorted_keys: "U64Array", values: "U64Array") -> "BoolArray":
-    """Membership of ``values`` in an ascending-sorted key array."""
-    if sorted_keys.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    at = np.searchsorted(sorted_keys, values)
-    at = np.minimum(at, sorted_keys.size - 1)
-    return cast("BoolArray", sorted_keys[at] == values)
-
-
 def _unique_first(keys: "U64Array") -> Tuple["U64Array", "I64Array"]:
     """``(sorted distinct keys, minimal position of each)``.
 
@@ -925,11 +895,9 @@ def explore_batch(
 
     def _in_visited(keys: "U64Array") -> "BoolArray":
         if store_obj is not None:
-            return np.asarray(
-                store_obj.contains_many(keys.tolist()), dtype=bool
-            )
+            return store_obj.contains_many(keys)
         assert fast_visited is not None
-        return _in_sorted(fast_visited, keys)
+        return sorted_member(fast_visited, keys)
 
     try:
         initial = spec.initial_state()
@@ -950,7 +918,7 @@ def explore_batch(
                 covered = resumed.counter("covered")
             if selector is not None:
                 selector.counters.load(resumed.counters)
-            frontier = np.fromiter(resumed.frontier(), dtype=np.uint64)
+            frontier = np.array(resumed.frontier(), dtype=np.uint64)
         else:
             if check_safety:
                 violation = spec.check_outputs(initial)
@@ -1012,9 +980,7 @@ def explore_batch(
                     counters["covered"] = covered
                 if selector is not None:
                     counters.update(selector.counters.as_dict())
-                checkpointer.write(
-                    iter(frontier.tolist()), counters, iter(store_obj)
-                )
+                checkpointer.write(frontier, counters, store_obj.key_arrays())
 
             if selector is not None:
                 selected = selector.select(frontier, _key_of, _in_visited)
@@ -1067,9 +1033,7 @@ def explore_batch(
             unique_keys, first_occurrence = level_kernel.unique_first(keys)
             visited_at: Optional["I64Array"] = None
             if store_obj is not None:
-                present = np.asarray(
-                    store_obj.contains_many(unique_keys.tolist()), dtype=bool
-                )
+                present = store_obj.contains_many(unique_keys)
             else:
                 assert fast_visited is not None
                 present, visited_at = level_kernel.probe_sorted(
@@ -1112,9 +1076,7 @@ def explore_batch(
                 bad_parent = int(parents[int(admitted_gen[violating_rank])])
                 transitions += int(parent_ends[bad_parent])
                 if store_obj is not None:
-                    store_obj.add_many(
-                        admitted_keys[:admitted_now].tolist()
-                    )
+                    store_obj.add_many(admitted_keys[:admitted_now])
                 n_seen += admitted_now
                 if symmetric:
                     assert batch_canon is not None
@@ -1174,7 +1136,7 @@ def explore_batch(
                 inverse = np.searchsorted(unique_keys, keys[window])
                 truncated += int(unadmitted[inverse].sum())
                 if store_obj is not None:
-                    store_obj.add_many(admitted_keys.tolist())
+                    store_obj.add_many(admitted_keys)
                 n_seen += admit_count
                 if symmetric:
                     assert batch_canon is not None
@@ -1185,7 +1147,7 @@ def explore_batch(
 
             transitions += level_size
             if store_obj is not None:
-                store_obj.add_many(admitted_keys.tolist())
+                store_obj.add_many(admitted_keys)
             else:
                 assert fast_visited is not None and visited_at is not None
                 fast_visited = _insert_sorted(

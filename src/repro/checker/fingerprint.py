@@ -30,7 +30,7 @@ packed states (the common case in BFS) spread uniformly.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.checker.constants import (
     MASK64,
@@ -41,6 +41,10 @@ from repro.checker.constants import (
     SPLITMIX_SHIFT2,
     SPLITMIX_SHIFT3,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 # The constants live in repro.checker.constants, shared bit for bit
 # with the batched numpy mix (repro.checker.batch); the historical
@@ -57,6 +61,19 @@ def splitmix64(value: int) -> int:
     value = ((value ^ (value >> SPLITMIX_SHIFT1)) * SPLITMIX_MULT1) & MASK64
     value = ((value ^ (value >> SPLITMIX_SHIFT2)) * SPLITMIX_MULT2) & MASK64
     return value ^ (value >> SPLITMIX_SHIFT3)
+
+
+def splitmix64_many(values: "NDArray[np.uint64]") -> "NDArray[np.uint64]":
+    """The splitmix64 finalizer over a whole numpy u64 array.
+
+    numpy uint64 arithmetic wraps modulo 2**64 — the same semantics the
+    scalar :func:`splitmix64` gets from its explicit ``& MASK64`` — so
+    the output is element-wise identical to it.  Only operators are
+    applied, so this module never imports numpy itself.
+    """
+    mixed = (values ^ (values >> SPLITMIX_SHIFT1)) * SPLITMIX_MULT1
+    mixed = (mixed ^ (mixed >> SPLITMIX_SHIFT2)) * SPLITMIX_MULT2
+    return mixed ^ (mixed >> SPLITMIX_SHIFT3)
 
 
 def fingerprint_int(state: int) -> int:

@@ -462,10 +462,7 @@ class ShardEngine:
             else self.kernel.fingerprint_many(keys)
         )
         foreign = (fps % np.uint64(self.n_shards)) != np.uint64(self.shard)
-        present = np.asarray(
-            self.seen.contains_many(keys.tolist()), dtype=bool
-        )
-        return foreign | present
+        return foreign | self.seen.contains_many(keys)
 
     def _is_new(self, successor: int) -> bool:
         # Sharded C3: only a locally-owned, locally-unvisited successor
@@ -481,8 +478,9 @@ class ShardEngine:
     # -- checkpoint plumbing -------------------------------------------
 
     def dump_to(self, path: Path) -> int:
-        """Stream the shard's visited keys to ``path`` as a u64 array."""
-        return write_u64_file(Path(path), iter(self.seen))
+        """Write the shard's visited keys to ``path`` as a u64 array, in
+        ascending order for the ram and spill stores."""
+        return write_u64_file(Path(path), self.seen.key_arrays())
 
     def load_from(self, path: Path) -> int:
         """Bulk-load a previous :meth:`dump_to` file (resume)."""
@@ -532,12 +530,10 @@ class ShardEngine:
             else states
         )
         unique_keys, first_occ = kernel.unique_first(keys)
-        present = np.asarray(
-            self.seen.contains_many(unique_keys.tolist()), dtype=bool
-        )
+        present = self.seen.contains_many(unique_keys)
         admit_pos = np.sort(first_occ[~present])
         admitted_arr = states[admit_pos]
-        self.seen.add_many(keys[admit_pos].tolist())
+        self.seen.add_many(keys[admit_pos])
         n_admitted = int(admitted_arr.size)
         covered = None
         if self.symmetry:
@@ -822,6 +818,20 @@ def explore_sharded(
     use_batch_workers = worker_engine == "batch"
     if use_batch_workers:
         import numpy as np
+
+        from repro.checker.batch import make_kernel
+
+        # Load the shard kernel once here, before forking: the workers
+        # then find its library already open (native.loader._loaded)
+        # instead of each importing cffi, parsing the cdef and calling
+        # dlopen.  ShardEngine passes the same spec and drops a trivial
+        # canonicalizer, so both calls resolve to one library.
+        make_kernel(
+            spec,
+            kernel,
+            None if canonicalizer is None or canonicalizer.trivial
+            else canonicalizer,
+        )
 
     def _died(shard: int) -> RuntimeError:
         hint = (

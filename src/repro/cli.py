@@ -272,13 +272,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else Path(args.checkpoint_dir) if args.checkpoint_dir is not None
         else None
     )
-    store_cfg = None
-    if args.store != "ram" or args.store_dir is not None:
-        store_cfg = StoreConfig(
-            backend=args.store,
-            directory=args.store_dir,
-            mem_cap=args.mem_cap,
-        )
     # The store backend is deliberately NOT part of the checkpoint meta:
     # checkpoints dump visited keys in a backend-neutral format, so a
     # run started in RAM may legitimately resume onto spill when it
@@ -308,6 +301,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
+        # Built inside the try: a refused configuration (the spill
+        # store without numpy) is reported as a one-line error.
+        store_cfg = None
+        if args.store != "ram" or args.store_dir is not None:
+            store_cfg = StoreConfig(
+                backend=args.store,
+                directory=args.store_dir,
+                mem_cap=args.mem_cap,
+            )
         if args.n == 2:
             # Safety + wait-freedom need the full edge list (pid labels
             # are not orbit-stable), so liveness always runs unreduced;
@@ -925,13 +927,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", choices=list(BACKENDS), default="ram",
         help="visited-set backend: ram (default), mmap (open-addressing"
              " table in a memory-mapped file, fixed --mem-cap), or spill"
-             " (bounded RAM buffer + sorted on-disk runs, TLC-style;"
-             " unbounded state counts)",
+             " (bounded RAM buffer + sorted, memory-mapped on-disk runs,"
+             " TLC-style; unbounded state counts; needs numpy)",
     )
     check.add_argument(
         "--store-dir", default=None, metavar="DIR",
-        help="directory for store files (default: a fresh temporary"
-             " directory per run)",
+        help="directory for store files, kept after the run (default: a"
+             " fresh temporary directory per store, deleted when it"
+             " closes)",
     )
     check.add_argument(
         "--mem-cap", type=_parse_mem, default=DEFAULT_MEM_CAP,

@@ -17,7 +17,8 @@ reproduction the same storage layer behind one interface:
 - :class:`SpillStore` — TLC's trade: a bounded in-RAM buffer that
   spills sorted runs to disk, with periodic run merging and a Bloom
   filter short-circuiting lookups of never-seen keys.  RAM stays under
-  ``mem_cap`` however many states the run visits.
+  ``mem_cap`` however many states the run visits.  Its bulk path runs
+  on numpy arrays over memory-mapped runs, so it needs numpy.
 
 All three are exact sets (the Bloom filter only short-circuits
 *misses*), so every engine reports identical states/transitions/

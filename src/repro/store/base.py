@@ -6,10 +6,14 @@ deduplicate on.  The contract every backend honours:
 
 - :meth:`FingerprintStore.add` inserts and reports newness in one call
   (the hot-path operation: one call per generated transition);
+- the bulk pair :meth:`FingerprintStore.contains_many` /
+  :meth:`FingerprintStore.add_many` takes a u64 numpy array (the batch
+  engine's level) and answers with a bool array / an added count;
 - membership is *exact* — a backend may use probabilistic structures
   only to short-circuit misses, never to answer "present";
-- :meth:`FingerprintStore.__iter__` streams every stored key, which is
-  what checkpointing dumps and resume reloads;
+- :meth:`FingerprintStore.__iter__` streams every stored key and
+  :meth:`FingerprintStore.key_arrays` the same keys as u64 arrays,
+  which is what checkpointing dumps and resume reloads;
 - behaviour is deterministic: two identical runs against the same
   backend produce identical results, and all backends produce identical
   exploration counts (tested exhaustively for N=2).
@@ -17,24 +21,44 @@ deduplicate on.  The contract every backend honours:
 :class:`StoreConfig` is the frozen, picklable description engines and
 worker processes share; :meth:`StoreConfig.create` builds the actual
 backend (optionally namespaced per shard / per wiring class).
+
+numpy is imported lazily: the scalar engines use the RAM and mmap
+stores without it, while the bulk API and the spill store need it.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
+    Union,
+    cast,
 )
+
+if TYPE_CHECKING:
+    from typing import TypeGuard
+
+    import numpy as np
+    from numpy.typing import NDArray
+
+    U64Array = NDArray[np.uint64]
+    BoolArray = NDArray[np.bool_]
+    #: One block of raw u64 words: what dumps and bulk loads move.
+    U64Chunk = Union["array[int]", U64Array]
+    #: What the bulk API accepts: a u64 array, or any iterable of ints.
+    U64Keys = Union[U64Chunk, Iterable[int]]
 
 #: Maximum key width the disk-backed stores accept: one table slot /
 #: run entry is a raw unsigned 64-bit word.
@@ -46,6 +70,9 @@ DEFAULT_MEM_CAP = 64 * 1024 * 1024
 
 #: The recognised backend names, in CLI order.
 BACKENDS: Tuple[str, ...] = ("ram", "mmap", "spill")
+
+#: Keys per ``array('Q')`` block when packing an iterable of ints.
+_PACK = 4096
 
 
 class StoreError(ValueError):
@@ -71,6 +98,83 @@ def require_u64(key: int) -> int:
             f" (--fingerprint) for state encodings wider than 64 bits"
         )
     return key
+
+
+def require_numpy(what: str) -> None:
+    """Raise :class:`StoreError` naming ``what`` unless numpy imports."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        raise StoreError(
+            f"{what} needs numpy, which is not installed — install numpy,"
+            " or use --store ram / mmap"
+        ) from None
+
+
+def key_list(keys: "U64Keys") -> Iterable[int]:
+    """``keys`` as Python ints: arrays convert with one ``tolist()``."""
+    if is_u64_chunk(keys):
+        values: List[int] = keys.tolist()
+        return values
+    return keys
+
+
+def u64_array(keys: "U64Keys") -> "U64Array":
+    """``keys`` as a u64 numpy array, without copying arrays.
+
+    A numpy u64 array passes through and an ``array('Q')`` is viewed in
+    place; anything else is validated key by key (:func:`require_u64`).
+    """
+    import numpy as np
+
+    if isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
+        return keys
+    if isinstance(keys, array) and keys.typecode == "Q":
+        return np.frombuffer(keys, dtype=np.uint64)
+    return np.array([require_u64(key) for key in key_list(keys)], dtype=np.uint64)
+
+
+def sorted_member(sorted_keys: "U64Array", values: "U64Array") -> "BoolArray":
+    """Membership of ``values`` in an ascending-sorted key array."""
+    import numpy as np
+
+    if sorted_keys.size == 0:
+        return np.zeros(values.shape, dtype=np.bool_)
+    at = np.minimum(sorted_keys.searchsorted(values), sorted_keys.size - 1)
+    return cast("BoolArray", sorted_keys[at] == values)
+
+
+def is_u64_chunk(value: object) -> "TypeGuard[U64Chunk]":
+    """True for a one-dimensional array (numpy or ``array('Q')``); numpy
+    scalars and ints are not chunks."""
+    return isinstance(value, array) or bool(getattr(value, "ndim", 0) == 1)
+
+
+def u64_chunks(
+    keys: "Union[U64Chunk, Iterable[Union[int, U64Chunk]]]",
+) -> "Iterator[U64Chunk]":
+    """``keys`` as a stream of u64 arrays, ready for ``tofile``.
+
+    An array is one chunk.  An iterable yields its array items as they
+    are and packs runs of ints into ``array('Q')`` blocks.
+    """
+    if is_u64_chunk(keys):
+        yield keys
+        return
+    block: "array[int]" = array("Q")
+    for item in keys:
+        if is_u64_chunk(item):
+            if block:
+                yield block
+                block = array("Q")
+            yield item
+            continue
+        block.append(cast(int, item))
+        if len(block) == _PACK:
+            yield block
+            block = array("Q")
+    if block:
+        yield block
 
 
 def require_cross_process_stable(fingerprint_fn: Callable[..., int]) -> None:
@@ -103,6 +207,9 @@ class FingerprintStore(ABC):
 
     #: Backend name, matching :data:`BACKENDS`.
     backend: str = "abstract"
+    #: The temporary directory :meth:`StoreConfig.create` made for this
+    #: store (no ``--store-dir``); :meth:`close` deletes it.
+    owned_directory: Optional[Path] = None
 
     @abstractmethod
     def add(self, key: int) -> bool:
@@ -118,26 +225,27 @@ class FingerprintStore(ABC):
     def __iter__(self) -> Iterator[int]:
         """Stream every stored key (order unspecified but deterministic)."""
 
-    def load(self, keys: Iterable[int]) -> int:
-        """Bulk-insert (checkpoint resume); returns the number added."""
-        added = 0
-        for key in keys:
-            if self.add(key):
-                added += 1
-        return added
+    def load(self, keys: "U64Keys") -> int:
+        """Bulk-insert a checkpoint dump (:func:`read_u64_file` output,
+        or any keys :meth:`add_many` takes); returns the number added."""
+        return self.add_many(keys)
 
-    def contains_many(self, keys: Sequence[int]) -> List[bool]:
-        """Membership for a whole batch: ``[key in self for key in keys]``.
+    def contains_many(self, keys: "U64Keys") -> "BoolArray":
+        """Membership for a whole batch, as a bool array aligned with
+        ``keys``.
 
         The level-batched engine (:mod:`repro.checker.batch`) probes a
-        whole BFS level in one call.  This default just loops the
-        scalar ``__contains__``, so every backend supports the batch
-        engine from day one; backends with a cheaper bulk structure
-        (the spill store's sorted runs) override it.
+        whole BFS level, a u64 array, in one call.  This default loops
+        the scalar ``__contains__``, so every backend supports the
+        batch engine; the spill store answers with array passes.
         """
-        return [key in self for key in keys]
+        import numpy as np
 
-    def add_many(self, keys: Sequence[int]) -> int:
+        return np.fromiter(
+            (key in self for key in key_list(keys)), dtype=np.bool_
+        )
+
+    def add_many(self, keys: "U64Keys") -> int:
         """Insert a whole batch; returns the number newly added.
 
         Same contract as calling :meth:`add` per key, in order — the
@@ -145,12 +253,17 @@ class FingerprintStore(ABC):
         batch engine admits only keys its level dedup proved new) still
         get exact semantics from backends that re-check membership.
         """
-        added = 0
         add = self.add
-        for key in keys:
-            if add(key):
-                added += 1
-        return added
+        return sum(1 for key in key_list(keys) if add(key))
+
+    def key_arrays(self) -> "Iterator[U64Chunk]":
+        """Every stored key as u64 arrays, in :meth:`__iter__` order.
+
+        Checkpoint dumps write these chunks as they come.  This default
+        packs :meth:`__iter__` into ``array('Q')`` blocks; the spill
+        store cuts its sorted runs and buffer instead.
+        """
+        return u64_chunks(iter(self))
 
     def file_bytes(self) -> int:
         """Bytes this store currently occupies on disk (0 for RAM)."""
@@ -164,7 +277,14 @@ class FingerprintStore(ABC):
         """Push any buffered state toward its backing file (no-op in RAM)."""
 
     def close(self) -> None:
-        """Release files/maps; the store must not be used afterwards."""
+        """Release files/maps; the store must not be used afterwards.
+
+        A store in a temporary directory of its own deletes it here;
+        a directory the caller named is never touched.
+        """
+        if self.owned_directory is not None:
+            shutil.rmtree(self.owned_directory, ignore_errors=True)
+            self.owned_directory = None
 
 
 @dataclass(frozen=True)
@@ -172,14 +292,16 @@ class StoreConfig:
     """Picklable description of a fingerprint-store backend.
 
     ``directory`` is required by the disk-backed backends; when omitted
-    they fall back to a fresh temporary directory (fine for one-shot
-    runs, useless for resume — checkpointing requires an explicit
-    directory).  ``mem_cap`` is the backend's total memory budget in
-    bytes: the mmap table's file size, the spill store's RAM envelope
-    (buffer + Bloom filter + run indexes).  ``merge_jobs`` lets the
-    spill backend consolidate sorted runs with a worker pool (0/1 =
-    serial; the parallel path kicks in only for large merges and falls
-    back to serial inside daemonic worker processes).
+    each store gets a fresh temporary directory, deleted when the store
+    closes (fine for one-shot runs, useless for resume — checkpointing
+    requires an explicit directory).  ``mem_cap`` is the backend's
+    total memory budget in bytes: the mmap table's file size, the spill
+    store's RAM envelope (buffer + Bloom filter + run indexes).
+    ``merge_jobs`` lets the spill backend consolidate sorted runs with
+    a worker pool (0/1 = serial; the parallel path kicks in only for
+    large merges and falls back to serial inside daemonic worker
+    processes).  The spill backend needs numpy; without it the
+    configuration itself is refused, before any worker starts.
     """
 
     backend: str = "ram"
@@ -197,19 +319,8 @@ class StoreConfig:
             raise StoreError("mem_cap must be a positive byte count")
         if self.merge_jobs < 0:
             raise StoreError("merge_jobs must be >= 0 (0/1 = serial merge)")
-
-    def resolve_directory(self, shard: Optional[str] = None) -> Optional[Path]:
-        """The directory a store instance should use (created if needed)."""
-        if self.backend == "ram":
-            return None
-        if self.directory is None:
-            base = Path(tempfile.mkdtemp(prefix="repro-store-"))
-        else:
-            base = Path(self.directory)
-        if shard is not None:
-            base = base / shard
-        base.mkdir(parents=True, exist_ok=True)
-        return base
+        if self.backend == "spill":
+            require_numpy("the spill store")
 
     def create(self, shard: Optional[str] = None) -> FingerprintStore:
         """Build the configured backend (namespaced under ``shard``)."""
@@ -217,12 +328,21 @@ class StoreConfig:
         from repro.store.ram import RamStore
         from repro.store.spill import SpillStore
 
-        directory = self.resolve_directory(shard)
         if self.backend == "ram":
             return RamStore()
-        assert directory is not None
+        owned: Optional[Path] = None
+        if self.directory is None:
+            owned = base = Path(tempfile.mkdtemp(prefix="repro-store-"))
+        else:
+            base = Path(self.directory)
+        directory = base / shard if shard is not None else base
+        directory.mkdir(parents=True, exist_ok=True)
+        store: FingerprintStore
         if self.backend == "mmap":
-            return MmapStore(directory, mem_cap=self.mem_cap)
-        return SpillStore(
-            directory, mem_cap=self.mem_cap, merge_jobs=self.merge_jobs
-        )
+            store = MmapStore(directory, mem_cap=self.mem_cap)
+        else:
+            store = SpillStore(
+                directory, mem_cap=self.mem_cap, merge_jobs=self.merge_jobs
+            )
+        store.owned_directory = owned
+        return store

@@ -33,12 +33,24 @@ import shutil
 import subprocess
 import warnings
 from array import array
-from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Type, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Type,
+    TypeVar,
+    Union,
+)
 
-#: Keys buffered per ``tofile`` call when streaming u64 files.
-_CHUNK = 4096
+from repro.store.base import u64_chunks
+
+if TYPE_CHECKING:
+    from repro.store.base import U64Chunk
+
 _COMMIT = "COMMIT"
 _META = "meta.json"
 _RESULT = "result.json"
@@ -60,19 +72,21 @@ class CheckpointIncompatible(CheckpointError):
 # u64 array files — the frontier / visited wire format.
 
 
-def write_u64_file(path: Path, keys: Iterable[int]) -> int:
-    """Stream unsigned 64-bit ``keys`` to ``path``; return the count."""
-    block = array("Q")
+def write_u64_file(
+    path: Path, keys: "Union[U64Chunk, Iterable[Union[int, U64Chunk]]]"
+) -> int:
+    """Write unsigned 64-bit ``keys`` to ``path``; return the count.
+
+    ``keys`` is one u64 array (numpy or ``array('Q')``), written with
+    one ``tofile``; or an iterable of such arrays (a store's
+    :meth:`~repro.store.base.FingerprintStore.key_arrays`), ints, or
+    both, written in order.
+    """
     count = 0
     with open(path, "wb") as handle:
-        for key in keys:
-            block.append(key)
-            count += 1
-            if len(block) == _CHUNK:
-                block.tofile(handle)
-                del block[:]
-        if block:
-            block.tofile(handle)
+        for chunk in u64_chunks(keys):
+            chunk.tofile(handle)
+            count += len(chunk)
     return count
 
 
@@ -273,11 +287,13 @@ class Checkpoint:
     def visited_paths(self) -> List[Path]:
         return sorted(self.directory.glob("visited*.u64"))
 
-    def visited(self) -> Iterator[int]:
-        """Every visited key, streamed across all shard dump files."""
-        return chain.from_iterable(
-            read_u64_file(path) for path in self.visited_paths()
-        )
+    def visited(self) -> "array[int]":
+        """Every visited key, across all shard dump files, as one array
+        (what :meth:`~repro.store.base.FingerprintStore.load` takes)."""
+        values: "array[int]" = array("Q")
+        for path in self.visited_paths():
+            values.extend(read_u64_file(path))
+        return values
 
 
 class RunCheckpointer:
@@ -373,11 +389,12 @@ class RunCheckpointer:
 
     def write(
         self,
-        frontier: Iterable[int],
+        frontier: "Union[U64Chunk, Iterable[int]]",
         counters: Dict[str, Any],
-        visited: Iterable[int],
+        visited: "Iterable[Union[int, U64Chunk]]",
     ) -> Checkpoint:
-        """One-call checkpoint for the serial engines."""
+        """One-call checkpoint for the serial engines (any key forms
+        :func:`write_u64_file` takes)."""
         staging = self.begin()
         write_u64_file(staging / "frontier.u64", frontier)
         write_u64_file(staging / "visited.u64", visited)

@@ -140,9 +140,9 @@ class MmapStore(FingerprintStore):
             self._map.flush()
 
     def close(self) -> None:
-        if self._map is None:
-            return
-        self._slots.release()
-        self._map.close()
-        self._map = None
-        self._file.close()
+        if self._map is not None:
+            self._slots.release()
+            self._map.close()
+            self._map = None
+            self._file.close()
+        super().close()

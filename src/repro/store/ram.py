@@ -10,9 +10,12 @@ historical ``in`` + ``.add`` pair.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Set
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Set
 
-from repro.store.base import FingerprintStore
+from repro.store.base import FingerprintStore, key_list
+
+if TYPE_CHECKING:
+    from repro.store.base import BoolArray, U64Keys
 
 
 class RamStore(FingerprintStore):
@@ -50,14 +53,16 @@ class RamStore(FingerprintStore):
     def __contains__(self, key: int) -> bool:
         return key in self._set
 
-    def contains_many(self, keys: Sequence[int]) -> List[bool]:
-        _set = self._set
-        return [key in _set for key in keys]
+    def contains_many(self, keys: "U64Keys") -> "BoolArray":
+        import numpy as np
 
-    def add_many(self, keys: Sequence[int]) -> int:
+        _set = self._set
+        return np.fromiter((key in _set for key in key_list(keys)), dtype=np.bool_)
+
+    def add_many(self, keys: "U64Keys") -> int:
         _set = self._set
         before = len(_set)
-        _set.update(keys)
+        _set.update(key_list(keys))
         return len(_set) - before
 
     def __len__(self) -> int:

@@ -7,16 +7,26 @@ scheme, the design TLC's ``DiskFPSet`` uses).  Because every key is
 membership-checked before entering the buffer, runs are pairwise
 disjoint and no key is ever stored twice.
 
+The bulk API runs on numpy u64 arrays end to end: the buffer is a
+sorted array (keys the scalar :meth:`SpillStore.add` inserts wait in a
+small set until the next bulk call or spill folds them in), a run is
+written with one ``ndarray.tofile`` and probed with ``searchsorted``
+over a cached read-only ``np.memmap`` of its file, and the Bloom
+filter is hashed for a whole batch at once.
+
 RAM usage is bounded by construction whatever the number of visited
 states: the buffer holds at most ``buffer_limit`` keys, the Bloom
 filter (which short-circuits lookups of never-spilled keys — the
-overwhelmingly common case on BFS frontiers) is a fixed bytearray, and
-the per-run sparse indexes keep one key per 512-entry block (8 bytes
-of index per 4 KiB of run).  Lookups that survive the Bloom filter
-binary-search the sparse index and read a single 4 KiB block.
+overwhelmingly common case on BFS frontiers) is a fixed bytearray, run
+keys stay in their mapped files (page cache, not process memory), and
+the per-run sparse indexes that drive merges keep one key per
+512-entry block.
 
 Membership stays *exact*: the Bloom filter only proves absence; any
 "maybe" is resolved against the run files themselves.
+
+numpy is required, and imported lazily, so importing :mod:`repro.store`
+stays cheap for the engines that never spill.
 """
 
 from __future__ import annotations
@@ -25,67 +35,88 @@ import heapq
 import multiprocessing
 import time
 from array import array
-from bisect import bisect_right, bisect_left
+from bisect import bisect_right
 from pathlib import Path
 from typing import (
-    BinaryIO,
+    TYPE_CHECKING,
     Dict,
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
+    cast,
 )
 
-from repro.checker.fingerprint import splitmix64
-from repro.store.base import FingerprintStore, require_u64
+from repro.checker.fingerprint import splitmix64, splitmix64_many
+from repro.store.base import (
+    FingerprintStore,
+    require_u64,
+    sorted_member,
+    u64_array,
+)
 
-#: Keys per run block; one block (4 KiB) is the unit of disk lookup IO.
+if TYPE_CHECKING:
+    from repro.store.base import BoolArray, U64Array, U64Keys
+
+#: Keys per run block: the sparse index's unit and ``disk_probes``'.
 _BLOCK = 512
-_BLOCK_BYTES = _BLOCK * 8
 #: Merge all runs into one once this many have accumulated.
 _MERGE_AT = 6
-#: Bloom probes per key.
+#: Bloom probes per key, and the salt decorrelating them from shard
+#: ownership (which mixes the same keys with splitmix64).
 _BLOOM_PROBES = 3
+_BLOOM_SALT = 0xA5A5A5A5A5A5A5A5
 _MIN_BUFFER = 1024
-#: Conservative bytes-per-entry estimate for a Python set of 64-bit
-#: ints (set slot + int object, at worst-case load factor).
+#: Bytes budgeted per buffered key.  The figure dates from the set
+#: -based buffer (set slot + int object) and is kept so buffers spill
+#: at the same sizes; the sorted array itself takes 8 bytes a key.
 _ENTRY_COST = 120
 #: Parallel merges only pay off past this many total keys; below it the
 #: fork + IPC cost of a worker pool dwarfs the merge itself.
 _PARALLEL_MERGE_MIN = 1_000_000
+#: :meth:`SpillStore.key_arrays` cuts every run and the buffer at each
+#: of their ``_DUMP_STRIDE``-th keys, which bounds a chunk by that many
+#: keys per source.
+_DUMP_STRIDE = 1 << 16
+
+
+def _sorted_has(sorted_keys: "U64Array", key: int) -> bool:
+    """Scalar membership of ``key`` in an ascending array."""
+    import numpy as np
+
+    at = int(sorted_keys.searchsorted(np.uint64(key)))
+    return at < sorted_keys.size and int(sorted_keys[at]) == key
 
 
 class _Run:
-    """One immutable sorted run file with its in-RAM sparse index."""
+    """One immutable sorted run file: its sparse index in RAM, its keys
+    memory-mapped on first use."""
 
     def __init__(self, path: Path, index: List[int], count: int) -> None:
         self.path = path
         self.index = index
         self.count = count
-        self._handle: Optional[BinaryIO] = None
+        self._keys: Optional["U64Array"] = None
 
-    def _file(self) -> BinaryIO:
-        if self._handle is None:
-            self._handle = open(self.path, "rb")
-        return self._handle
+    def keys(self) -> "U64Array":
+        """The run's keys: a read-only array over the mapped file."""
+        if self._keys is None:
+            import numpy as np
 
-    def read_block(self, block: int) -> "array[int]":
-        handle = self._file()
-        handle.seek(block * _BLOCK_BYTES)
-        data = handle.read(_BLOCK_BYTES)
-        values: "array[int]" = array("Q")
-        values.frombytes(data)
+            mapped = np.memmap(
+                self.path, dtype=np.uint64, mode="r", shape=(self.count,)
+            )
+            self._keys = mapped.view(np.ndarray)
+        return self._keys
+
+    def read_block(self, block: int) -> List[int]:
+        start = block * _BLOCK
+        values: List[int] = self.keys()[start:start + _BLOCK].tolist()
         return values
 
     def contains(self, key: int) -> bool:
-        block = bisect_right(self.index, key) - 1
-        if block < 0:
-            return False
-        values = self.read_block(block)
-        position = bisect_left(values, key)
-        return position < len(values) and values[position] == key
+        return _sorted_has(self.keys(), key)
 
     def __iter__(self) -> Iterator[int]:
         blocks = (self.count + _BLOCK - 1) // _BLOCK
@@ -93,9 +124,7 @@ class _Run:
             yield from self.read_block(block)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._keys = None
 
     def unlink(self) -> None:
         self.close()
@@ -119,6 +148,13 @@ def _write_run(path: Path, keys: Iterator[int]) -> _Run:
         if block:
             block.tofile(handle)
     return _Run(path, index, count)
+
+
+def _write_array_run(path: Path, keys: "U64Array") -> _Run:
+    """Write sorted ``keys`` as a run file with one ``tofile``."""
+    keys.tofile(path)
+    index: List[int] = keys[::_BLOCK].tolist()
+    return _Run(path, index, int(keys.size))
 
 
 def _run_slice(run: _Run, lo: int, hi: Optional[int]) -> Iterator[int]:
@@ -172,6 +208,8 @@ class SpillStore(FingerprintStore):
     def __init__(
         self, directory: Path, mem_cap: int, merge_jobs: int = 0
     ) -> None:
+        import numpy as np
+
         self.directory = Path(directory)
         self.mem_cap = mem_cap
         self.merge_jobs = merge_jobs
@@ -182,7 +220,13 @@ class SpillStore(FingerprintStore):
         bloom_bytes = max(4096, mem_cap // 16)
         self._bloom = bytearray(bloom_bytes)
         self._bloom_bits = bloom_bytes * 8
-        self._buffer: Set[int] = set()
+        # One filter for both paths: the scalar probes read the
+        # bytearray, the bulk path hashes through this view of it.
+        self._bloom_view = np.frombuffer(self._bloom, dtype=np.uint8)
+        # The buffer: a sorted array, plus the keys scalar add() took
+        # since the last bulk call or spill.
+        self._buffer: "U64Array" = np.empty(0, dtype=np.uint64)
+        self._loose: Set[int] = set()
         self._runs: List[_Run] = []
         self._spilled = 0
         self._next_run = 0
@@ -194,20 +238,62 @@ class SpillStore(FingerprintStore):
 
     # ------------------------------------------------------------------
     def _bloom_positions(self, key: int) -> Iterator[int]:
-        mixed = splitmix64(key ^ 0xA5A5A5A5A5A5A5A5)
+        mixed = splitmix64(key ^ _BLOOM_SALT)
         for _ in range(_BLOOM_PROBES):
             yield mixed % self._bloom_bits
             mixed = splitmix64(mixed)
 
-    def _bloom_add(self, key: int) -> None:
-        for position in self._bloom_positions(key):
-            self._bloom[position >> 3] |= 1 << (position & 7)
+    def _bloom_positions_many(self, keys: "U64Array") -> "U64Array":
+        """The vectorized :meth:`_bloom_positions`: row ``p`` holds probe
+        ``p`` of every key."""
+        import numpy as np
+
+        rows = np.empty((_BLOOM_PROBES, keys.size), dtype=np.uint64)
+        mixed = splitmix64_many(keys ^ _BLOOM_SALT)
+        for probe in range(_BLOOM_PROBES):
+            if probe:
+                mixed = splitmix64_many(mixed)
+            rows[probe] = mixed % self._bloom_bits
+        return rows
 
     def _bloom_maybe(self, key: int) -> bool:
         for position in self._bloom_positions(key):
             if not self._bloom[position >> 3] & (1 << (position & 7)):
                 return False
         return True
+
+    def _bloom_maybe_many(self, keys: "U64Array") -> "BoolArray":
+        import numpy as np
+
+        rows = self._bloom_positions_many(keys)
+        bits = self._bloom_view[rows >> 3] >> (rows & 7).astype(np.uint8)
+        return cast("BoolArray", (bits & 1).all(axis=0))
+
+    def _bloom_add_many(self, keys: "U64Array") -> None:
+        import numpy as np
+
+        rows = self._bloom_positions_many(keys).ravel()
+        np.bitwise_or.at(
+            self._bloom_view,
+            rows >> 3,
+            np.left_shift(1, rows & 7).astype(np.uint8),
+        )
+
+    def _buffered(self, key: int) -> bool:
+        return key in self._loose or (
+            bool(self._buffer.size) and _sorted_has(self._buffer, key)
+        )
+
+    def _fold_loose(self) -> None:
+        """Merge the keys scalar add() took into the sorted buffer."""
+        if self._loose:
+            import numpy as np
+
+            loose = np.fromiter(
+                self._loose, dtype=np.uint64, count=len(self._loose)
+            )
+            self._buffer = np.sort(np.concatenate((self._buffer, loose)))
+            self._loose.clear()
 
     def _on_disk(self, key: int) -> bool:
         if not self._runs:
@@ -224,116 +310,148 @@ class SpillStore(FingerprintStore):
     # ------------------------------------------------------------------
     def add(self, key: int) -> bool:
         require_u64(key)
-        if key in self._buffer or self._on_disk(key):
+        if self._buffered(key) or self._on_disk(key):
             return False
-        self._buffer.add(key)
-        if len(self._buffer) >= self.buffer_limit:
+        self._loose.add(key)
+        if len(self._loose) + self._buffer.size >= self.buffer_limit:
             self._spill()
         return True
 
     def __contains__(self, key: int) -> bool:
         require_u64(key)
-        return key in self._buffer or self._on_disk(key)
+        return self._buffered(key) or self._on_disk(key)
 
-    def contains_many(self, keys: Sequence[int]) -> List[bool]:
-        """Bulk membership, resolved run by run with block reuse.
+    def contains_many(self, keys: "U64Keys") -> "BoolArray":
+        """Bulk membership, one array pass per tier.
 
-        Keys are screened against the buffer and the Bloom filter
-        first; the survivors are then visited in *sorted* order per
-        run, so consecutive keys landing in the same 512-key block
-        share one disk read.  A whole sorted BFS level (the batch
-        engine's probe unit) costs each run at most one streaming pass
-        instead of one random block read per key.
+        Keys are screened against the sorted buffer, then the Bloom
+        filter; the survivors, in sorted order, are located in each run
+        with one ``searchsorted`` over its mapped keys.
+        ``disk_probes`` counts the distinct 512-key blocks those
+        lookups land in.
         """
-        buffer = self._buffer
-        out = [False] * len(keys)
-        pending: List[Tuple[int, int]] = []
-        have_runs = bool(self._runs)
-        for position, key in enumerate(keys):
-            require_u64(key)
-            if key in buffer:
-                out[position] = True
-            elif have_runs:
-                if self._bloom_maybe(key):
-                    pending.append((key, position))
-                else:
-                    self._bloom_skips += 1
-        if not pending:
-            return out
-        pending.sort()
-        for run in self._runs:
-            index = run.index
-            cached_block = -1
-            values: Optional["array[int]"] = None
-            for key, position in pending:
-                if out[position]:
-                    continue
-                block = bisect_right(index, key) - 1
-                if block < 0:
-                    continue
-                if block != cached_block:
-                    values = run.read_block(block)
-                    cached_block = block
-                    self._disk_probes += 1
-                assert values is not None
-                at = bisect_left(values, key)
-                if at < len(values) and values[at] == key:
-                    out[position] = True
-        return out
+        import numpy as np
 
-    def add_many(self, keys: Sequence[int]) -> int:
+        values = u64_array(keys)
+        self._fold_loose()
+        found = sorted_member(self._buffer, values)
+        if not self._runs:
+            return found
+        rest = np.flatnonzero(~found)
+        maybe = self._bloom_maybe_many(values[rest])
+        self._bloom_skips += int(rest.size) - int(np.count_nonzero(maybe))
+        pending = rest[maybe]
+        pending = pending[np.argsort(values[pending], kind="stable")]
+        for run in self._runs:
+            pending = pending[~found[pending]]
+            if not pending.size:
+                break
+            probe = values[pending]
+            run_keys = run.keys()
+            last = run_keys.searchsorted(probe, side="right") - 1
+            blocks = last[last >= 0] // _BLOCK
+            if blocks.size:
+                self._disk_probes += 1 + int(
+                    np.count_nonzero(blocks[1:] != blocks[:-1])
+                )
+            found[pending] = run_keys[np.maximum(last, 0)] == probe
+        return found
+
+    def add_many(self, keys: "U64Keys") -> int:
         """Bulk insert; a large batch of new keys becomes a run directly.
 
-        Membership for the whole batch is resolved by
-        :meth:`contains_many` (one streaming pass per run), and when
-        the fresh keys alone would overflow the RAM buffer they are
-        written straight to disk as one sorted run file — the natively
-        -sorted path the run format is built around — instead of
+        The batch is sorted and deduplicated (a neighbour compare, not
+        ``np.unique``), membership is resolved by :meth:`contains_many`,
+        and when the fresh keys alone would overflow the RAM buffer they
+        are written straight to disk as one sorted run instead of
         churning through repeated buffer spills.  Fresh keys are by
-        construction absent from the buffer and every run, so runs
-        stay pairwise disjoint.
+        construction absent from the buffer and every run, so runs stay
+        pairwise disjoint.
         """
-        distinct = sorted(set(keys))
-        if not distinct:
+        import numpy as np
+
+        distinct = np.sort(u64_array(keys))
+        if distinct.size > 1:
+            distinct = distinct[
+                np.concatenate(([True], distinct[1:] != distinct[:-1]))
+            ]
+        if not distinct.size:
             return 0
-        present = self.contains_many(distinct)
-        fresh = [key for key, seen in zip(distinct, present) if not seen]
-        if not fresh:
+        fresh = distinct[~self.contains_many(distinct)]
+        if not fresh.size:
             return 0
-        buffered = len(self._buffer)
-        if buffered + len(fresh) >= self.buffer_limit and len(fresh) >= _BLOCK:
+        if (
+            self._buffer.size + fresh.size >= self.buffer_limit
+            and fresh.size >= _BLOCK
+        ):
             self._write_sorted_run(fresh)
         else:
-            self._buffer.update(fresh)
-            if len(self._buffer) >= self.buffer_limit:
+            self._buffer = np.sort(
+                np.concatenate((self._buffer, fresh)), kind="stable"
+            )
+            if self._buffer.size >= self.buffer_limit:
                 self._spill()
-        return len(fresh)
+        return int(fresh.size)
 
     def __len__(self) -> int:
-        return len(self._buffer) + self._spilled
+        return len(self._loose) + int(self._buffer.size) + self._spilled
 
     def __iter__(self) -> Iterator[int]:
         """Stream all keys in ascending order (runs are disjoint)."""
-        sources: List[Iterator[int]] = [iter(run) for run in self._runs]
-        if self._buffer:
-            sources.append(iter(sorted(self._buffer)))
-        return heapq.merge(*sources)
+        for chunk in self.key_arrays():
+            yield from chunk.tolist()
+
+    def key_arrays(self) -> "Iterator[U64Array]":
+        """Every key in ascending order, as bounded u64 arrays.
+
+        Runs and the buffer are disjoint sorted arrays, so cutting them
+        all at the same keys and sorting each cut's union yields the
+        global order.  The cuts are every ``_DUMP_STRIDE``-th key of
+        every source; a lone source is sliced without a copy.
+        """
+        import numpy as np
+
+        self._fold_loose()
+        sources = [run.keys() for run in self._runs]
+        if self._buffer.size:
+            sources.append(self._buffer)
+        if len(sources) == 1:
+            source = sources[0]
+            for start in range(0, source.size, _DUMP_STRIDE):
+                yield source[start:start + _DUMP_STRIDE]
+            return
+        if not sources:
+            return
+        cuts = np.sort(
+            np.concatenate([source[::_DUMP_STRIDE] for source in sources])
+        )
+        bounds = [
+            np.append(source.searchsorted(cuts), source.size)
+            for source in sources
+        ]
+        for chunk in range(cuts.size):
+            yield np.sort(np.concatenate([
+                source[at[chunk]:at[chunk + 1]]
+                for source, at in zip(sources, bounds)
+            ]))
 
     # ------------------------------------------------------------------
     def _spill(self) -> None:
-        keys = sorted(self._buffer)
-        self._buffer.clear()
+        import numpy as np
+
+        self._fold_loose()
+        keys = self._buffer
+        self._buffer = np.empty(0, dtype=np.uint64)
         self._write_sorted_run(keys)
 
-    def _write_sorted_run(self, keys: List[int]) -> None:
+    def _write_sorted_run(self, keys: "U64Array") -> None:
         """Persist sorted, store-disjoint ``keys`` as one new run."""
         path = self.directory / f"run-{self._next_run:06d}.u64"
         self._next_run += 1
-        run = _write_run(path, iter(keys))
-        for key in keys:
-            self._bloom_add(key)
+        run = _write_array_run(path, keys)
+        self._bloom_add_many(keys)
         self._runs.append(run)
-        self._spilled += len(keys)
+        self._spilled += int(keys.size)
         self._spills += 1
         # A parallel merge leaves one run per partition instead of one,
         # so its trigger scales by the partition count — each merge
@@ -435,3 +553,4 @@ class SpillStore(FingerprintStore):
     def close(self) -> None:
         for run in self._runs:
             run.close()
+        super().close()

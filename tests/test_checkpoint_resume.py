@@ -14,6 +14,7 @@ refusal, and the completed-run short-circuit.
 import json
 import os
 import signal
+from array import array
 
 import pytest
 
@@ -52,6 +53,24 @@ class TestCheckpointFiles:
         path = tmp_path / "keys.u64"
         assert write_u64_file(path, iter(keys)) == len(keys)
         assert list(read_u64_file(path)) == keys
+
+    def test_array_forms_write_the_same_bytes(self, tmp_path):
+        # One array, an iterable of arrays, and arrays mixed with ints
+        # (numpy scalars included) all write exactly the int stream.
+        np = pytest.importorskip("numpy")
+        keys = [0, 1, 2**63, 2**64 - 1] + list(range(10_000, 20_000, 7))
+        expected = array("Q", keys).tobytes()
+        arr = np.array(keys, dtype=np.uint64)
+        forms = [
+            arr,
+            array("Q", keys),
+            [arr[:3], array("Q", keys[3:10]), arr[10:]],
+            [*keys[:5], arr[5:100], *arr[100:200], array("Q", keys[200:])],
+        ]
+        for position, form in enumerate(forms):
+            path = tmp_path / f"form-{position}.u64"
+            assert write_u64_file(path, form) == len(keys)
+            assert path.read_bytes() == expected
 
     def test_torn_file_detected(self, tmp_path):
         path = tmp_path / "torn.u64"

@@ -194,6 +194,37 @@ class TestShardedConformance:
         assert result.truncated_transitions > 0
         assert result.ok
 
+    def test_batch_sharded_run_loads_the_kernel_before_forking(
+        self, monkeypatch
+    ):
+        # explore_sharded makes the kernel once in this process, so the
+        # forked workers find its library already loaded; it drops a
+        # trivial stabilizer the way ShardEngine does, so both resolve
+        # to the same library.
+        pytest.importorskip("numpy")
+        import repro.checker.batch as batch_mod
+        import repro.checker.parallel as parallel_mod
+
+        canonicalizers = []
+        make_kernel = batch_mod.make_kernel
+
+        def counting(spec, kernel, canonicalizer):
+            canonicalizers.append(canonicalizer)
+            return make_kernel(spec, kernel, canonicalizer)
+
+        monkeypatch.setattr(batch_mod, "make_kernel", counting)
+        monkeypatch.setattr(
+            parallel_mod, "effective_jobs", lambda requested: requested
+        )
+        result = explore_sharded(
+            [1, 2, 3], N3_CLASS, jobs=2, max_states=500, engine="batch",
+            kernel="numpy", symmetry=True,
+        )
+        assert result.ok
+        # Worker calls happen in the forked children, not counted here.
+        assert len(canonicalizers) == 1
+        assert canonicalizers[0] is None or not canonicalizers[0].trivial
+
 
 # ----------------------------------------------------------------------
 # Determinism: same jobs, same answer

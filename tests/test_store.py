@@ -16,9 +16,16 @@ Three layers of coverage:
   backends are allowed to exist under.
 """
 
+import os
 import random
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
+
+np = pytest.importorskip("numpy")
 
 import repro.checker.parallel as parallel
 from repro.analysis.statistics import aggregate_store_statistics
@@ -43,6 +50,10 @@ WIRING = ((0, 1), (0, 1))
 def _keys(count, seed=7):
     rng = random.Random(seed)
     return list({rng.getrandbits(64) for _ in range(count)})
+
+
+def _u64(keys):
+    return np.array(keys, dtype=np.uint64)
 
 
 def _make(backend, tmp_path, mem_cap=None):
@@ -110,10 +121,12 @@ class TestBackendContract:
 class TestBulkContract:
     """``contains_many``/``add_many`` — the batch engine's probe unit.
 
-    The base class defaults loop the scalar methods, so the contract
-    (exactly ``[key in store for ...]`` / per-key ``add`` in order)
-    must hold identically on backends with bespoke bulk paths (ram's
-    set ops, spill's per-run streaming pass).
+    Both take a u64 array (lists still work); ``contains_many`` answers
+    with a bool array aligned with its input, ``add_many`` with the
+    number of keys added.  The base class defaults loop the scalar
+    methods, so the contract (exactly ``[key in store for ...]`` /
+    per-key ``add`` in order) must hold identically on backends with
+    bespoke bulk paths (ram's set ops, spill's array passes).
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -122,12 +135,14 @@ class TestBulkContract:
         keys = sorted(_keys(800))
         present, absent = keys[::2], keys[1::2]
         try:
-            assert store.add_many(present) == len(present)
-            probe = sorted(present[:100] + absent[:100])
-            assert store.contains_many(probe) == [k in store for k in probe]
+            assert store.add_many(_u64(present)) == len(present)
+            probe = _u64(sorted(present[:100] + absent[:100]))
+            answer = store.contains_many(probe)
+            assert answer.dtype == np.bool_
+            assert np.array_equal(answer, [k in store for k in probe.tolist()])
             # re-adding a mixed batch counts only the genuinely new keys
             mixed = sorted(present[:50] + absent[:50])
-            assert store.add_many(mixed) == 50
+            assert store.add_many(_u64(mixed)) == 50
             assert len(store) == len(present) + 50
         finally:
             store.close()
@@ -136,8 +151,20 @@ class TestBulkContract:
     def test_empty_batches_are_noops(self, backend, tmp_path):
         store = _make(backend, tmp_path)
         try:
-            assert store.add_many([]) == 0
-            assert store.contains_many([]) == []
+            assert store.add_many(_u64([])) == 0
+            assert np.array_equal(store.contains_many(_u64([])), [])
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("backend", ["mmap", "spill"])
+    @pytest.mark.parametrize("bad", [-1, 1 << 64])
+    def test_out_of_range_list_keys_are_rejected(self, backend, bad, tmp_path):
+        store = _make(backend, tmp_path)
+        try:
+            with pytest.raises(StoreError, match="64-bit"):
+                store.add_many([1, bad])
+            with pytest.raises(StoreError, match="64-bit"):
+                store.contains_many([1, bad])
         finally:
             store.close()
 
@@ -148,9 +175,9 @@ class TestBulkContract:
         keys = sorted(_keys(20_000))
         try:
             spills_before = store.counters()["spills"]
-            assert store.add_many(keys) == len(keys)
+            assert store.add_many(_u64(keys)) == len(keys)
             assert store.counters()["spills"] == spills_before + 1
-            assert store.contains_many(keys) == [True] * len(keys)
+            assert store.contains_many(_u64(keys)).all()
             assert list(store) == keys  # runs stream in ascending order
         finally:
             store.close()
@@ -160,13 +187,13 @@ class TestBulkContract:
         first, second = sorted(_keys(12_000, seed=1)), sorted(_keys(12_000, seed=2))
         overlap = sorted(set(first) & set(second))
         try:
-            store.add_many(first)
-            added = store.add_many(second)
+            store.add_many(_u64(first))
+            added = store.add_many(_u64(second))
             assert added == len(set(second) - set(first))
             everything = sorted(set(first) | set(second))
-            assert store.contains_many(everything) == [True] * len(everything)
+            assert store.contains_many(_u64(everything)).all()
             assert len(store) == len(everything)
-            assert store.contains_many(overlap) == [True] * len(overlap)
+            assert store.contains_many(_u64(overlap)).all()
         finally:
             store.close()
 
@@ -270,6 +297,160 @@ class TestSpillStore:
     def test_merge_jobs_validation(self):
         with pytest.raises(StoreError, match="merge_jobs"):
             StoreConfig(backend="spill", merge_jobs=-1)
+
+    def test_vectorized_bloom_positions_match_scalar(self, tmp_path):
+        store = _make("spill", tmp_path)
+        keys = _keys(10_000) + [0, 1, 1 << 63, (1 << 64) - 1]
+        try:
+            rows = store._bloom_positions_many(_u64(keys))
+            assert rows.shape == (3, len(keys))
+            for column, key in enumerate(keys):
+                assert rows[:, column].tolist() == list(
+                    store._bloom_positions(key)
+                )
+        finally:
+            store.close()
+
+    def test_interleaved_calls_match_set_oracle(self, tmp_path):
+        # Scalar adds, bulk adds and bulk probes interleaved across
+        # buffer spills and at least one merge (4 KiB cap: 1024-key
+        # buffer, merge at six runs); small keys make repeats common.
+        rng = random.Random(5)
+        store = _make("spill", tmp_path, mem_cap=4096)
+        oracle = set()
+        try:
+            for step in range(60):
+                keys = [rng.getrandbits(20) for _ in range(rng.randint(0, 2500))]
+                if step % 3 == 0:
+                    for key in keys[:400]:
+                        assert store.add(key) == (key not in oracle)
+                        oracle.add(key)
+                elif step % 3 == 1:
+                    added = store.add_many(_u64(keys))
+                    assert added == len(set(keys) - oracle)
+                    oracle.update(keys)
+                else:
+                    assert np.array_equal(
+                        store.contains_many(_u64(keys)),
+                        [key in oracle for key in keys],
+                    )
+                assert len(store) == len(oracle)
+            counters = store.counters()
+            assert counters["spills"] >= 6 and counters["merges"] >= 1
+            assert list(store) == sorted(oracle)
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("stride", [None, 64])
+    def test_dump_is_ascending_u64_bytes(self, tmp_path, monkeypatch, stride):
+        # Runs, the sorted buffer and scalar-added keys all land in one
+        # ascending dump, byte for byte what the per-key writer made;
+        # a small stride cuts the sources into many chunks.
+        from repro.store import spill as spill_module
+
+        if stride is not None:
+            monkeypatch.setattr(spill_module, "_DUMP_STRIDE", stride)
+        engine = parallel.ShardEngine(
+            [1, 2], WIRING, None, 0, 1, True, False,
+            store_config=StoreConfig(
+                backend="spill", directory=str(tmp_path / "store"),
+                mem_cap=4096,
+            ),
+        )
+        keys = _keys(5000)
+        try:
+            for lo, hi in ((0, 2000), (2000, 3500), (3500, 4000)):
+                engine.seen.add_many(_u64(keys[lo:hi]))
+            for key in keys[4000:]:
+                engine.seen.add(key)
+            assert engine.seen.counters()["runs"] >= 3
+            path = tmp_path / "visited.u64"
+            assert engine.dump_to(path) == len(keys)
+            assert path.read_bytes() == array("Q", sorted(keys)).tobytes()
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_store_dumps_nothing(self, backend, tmp_path):
+        from repro.store import write_u64_file
+
+        store = _make(backend, tmp_path)
+        try:
+            assert write_u64_file(tmp_path / "empty.u64", store.key_arrays()) == 0
+            assert (tmp_path / "empty.u64").read_bytes() == b""
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("backend", ["mmap", "spill"])
+    def test_close_deletes_only_its_own_temp_directory(self, backend, tmp_path):
+        own = StoreConfig(backend=backend).create(shard="shard-000")
+        own.add(1)
+        created = own.owned_directory
+        assert created is not None and created.is_dir()
+        own.close()
+        assert not created.exists()
+        named = _make(backend, tmp_path)
+        named.add(1)
+        named.close()
+        assert (tmp_path / backend).is_dir()
+
+
+# ----------------------------------------------------------------------
+# Whole processes: imports, temp directories, missing numpy
+# ----------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_repro(args, tmp_path, extra_path=()):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, extra_path), str(SRC)])
+    env["TMPDIR"] = str(tmp_path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+class TestProcesses:
+    def test_cli_and_checker_import_without_numpy(self, tmp_path):
+        done = _run_repro(
+            ["-c", "import sys, repro.cli, repro.checker;"
+                   " print('numpy' in sys.modules)"],
+            tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_sharded_spill_run_leaves_no_temp_directories(self, tmp_path):
+        done = _run_repro(
+            ["-m", "repro", "check", "--n", "3", "--budget", "2000",
+             "--store", "spill", "--engine", "batch", "--kernel", "numpy",
+             "--jobs", "2", "--sharded", "--symmetry"],
+            tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("wiring class") == 10
+        assert not list(tmp_path.glob("repro-store-*"))
+
+    def test_spill_without_numpy_is_a_one_line_refusal(self, tmp_path):
+        shim = tmp_path / "shim"
+        (shim / "numpy").mkdir(parents=True)
+        (shim / "numpy" / "__init__.py").write_text(
+            "raise ImportError('numpy is hidden for this test')\n"
+        )
+        done = _run_repro(
+            ["-m", "repro", "check", "--n", "3", "--budget", "2000",
+             "--store", "spill"],
+            tmp_path, extra_path=[shim],
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        errors = [
+            line for line in done.stdout.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and "numpy" in errors[0]
+        assert not list(tmp_path.glob("repro-store-*"))
 
 
 # ----------------------------------------------------------------------
