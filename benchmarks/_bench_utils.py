@@ -110,9 +110,7 @@ def _headline_states_per_s(document: dict) -> Optional[int]:
         section = document.get(section_name)
         if not isinstance(section, dict):
             continue
-        for mode in (
-            "plain", "fingerprint", "symmetry", "symmetry_fingerprint"
-        ):
+        for mode in ("plain", "symmetry"):
             entry = section.get(mode)
             if not isinstance(entry, dict):
                 continue

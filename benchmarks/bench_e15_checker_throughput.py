@@ -11,15 +11,15 @@ workloads, four axes:
   single class; on a single-CPU host the multi-job variants are
   skipped (``{"skipped": "single-cpu host"}`` stubs) — capped workers
   are pure fork/IPC overhead and time nothing real;
-- **memory**: peak-RSS deltas of the object-encoded explorer vs the
-  64-bit fingerprint modes on the N=3 reference workload (each run in
-  a fresh subprocess so high-water marks don't bleed between
-  workloads);
+- **memory**: peak-RSS deltas of the object-encoded explorer (full
+  and 64-bit fingerprint mode) vs the exact-key packed engine on the
+  N=3 reference workload (each run in a fresh subprocess so high-water
+  marks don't bleed between workloads);
 - **symmetry**: the quotient construction on the flagship wiring
   classes and the whole sweep — reduction ratio (concrete states
   covered per state explored) and *net* speedup (effective covered
   states/s, canonicalization cost included, vs the unreduced twin);
-- **store**: the reference workload against every fingerprint-store
+- **store**: the reference workload against every visited-set
   backend (RAM set, mmap open-addressing table, spill-to-disk sorted
   runs) — states/s, peak RSS, and bytes on disk per backend, plus a
   ``spill_memcap`` entry that runs the spill backend under a hard 200
@@ -33,8 +33,8 @@ workloads, four axes:
   violation-set identity and the transitions cut (the acceptance bar:
   >= 2x with ``por+symmetry``);
 - **batch**: the level-batched numpy kernel (``--engine batch``) vs
-  the scalar loop on the identity class in four modes (plain,
-  fingerprint, symmetry, symmetry+fingerprint), each engine pair
+  the scalar loop on the identity class in two modes (plain,
+  symmetry), each engine pair
   measured adjacently — per-mode speedup plus in-section conformance
   (identical states/transitions/verdict, or the numbers are garbage);
   standalone ``--only-batch`` remeasures just this section;
@@ -204,7 +204,6 @@ def _run_workload(config: dict) -> dict:
             config.get("n", 3),
             budget=config["budget"],
             jobs=config["jobs"],
-            fingerprint=config.get("fingerprint", False),
             symmetry=symmetry,
             store=store_config,
             por=por,
@@ -228,7 +227,6 @@ def _run_workload(config: dict) -> dict:
             _REFERENCE_CLASS,
             jobs=config["jobs"],
             max_states=config["budget"],
-            fingerprint=config.get("fingerprint", False),
             symmetry=symmetry,
             por=por,
             engine=engine,
@@ -245,7 +243,6 @@ def _run_workload(config: dict) -> dict:
         wiring = tuple(map(tuple, config.get("class", _REFERENCE_CLASS)))
         result = FastSnapshotSpec([1, 2, 3], wiring).explore(
             max_states=config["budget"],
-            fingerprint=config.get("fingerprint", False),
             symmetry=symmetry,
             store=store_config,
             por=por,
@@ -336,7 +333,7 @@ def measure(config: dict) -> dict:
 def run_batch_section(budget: int) -> dict:
     """Scalar vs level-batched (numpy) kernel on the identity class.
 
-    Four modes, each engine pair measured back to back — scalar
+    Two modes, each engine pair measured back to back — scalar
     timings on shared machines swing tens of percent between minutes,
     so adjacency (not absolute wall clocks) is what makes the per-mode
     ``speedup`` meaningful.  Conformance is asserted inside the
@@ -353,12 +350,7 @@ def run_batch_section(budget: int) -> dict:
     section = {"available": HAVE_NUMPY, "budget": budget}
     if not HAVE_NUMPY:
         return section
-    modes = (
-        ("plain", {}),
-        ("fingerprint", {"fingerprint": True}),
-        ("symmetry", {"symmetry": True}),
-        ("symmetry_fingerprint", {"symmetry": True, "fingerprint": True}),
-    )
+    modes = (("plain", {}), ("symmetry", {"symmetry": True}))
     speedups = {}
     conformant = True
     for label, flags in modes:
@@ -479,7 +471,7 @@ def run_batch_por_section(budget: int) -> dict:
 def run_native_section(budget: int) -> dict:
     """Generated-C kernel vs its numpy twin (and scalar) per mode.
 
-    Same identity-class workload and four modes as the ``batch``
+    Same identity-class workload and two modes as the ``batch``
     section, with the numpy twin measured *adjacently* to each native
     run — the per-mode ``speedup_vs_numpy`` is the native kernel's
     honest headline, ``speedup_vs_scalar`` the cumulative one.
@@ -515,12 +507,7 @@ def run_native_section(budget: int) -> dict:
         measure({"kind": "fast_single", "budget": 1000,
                  "class": identity_class, "engine": "batch",
                  "kernel": "native", **flags})
-    modes = (
-        ("plain", {}),
-        ("fingerprint", {"fingerprint": True}),
-        ("symmetry", {"symmetry": True}),
-        ("symmetry_fingerprint", {"symmetry": True, "fingerprint": True}),
-    )
+    modes = (("plain", {}), ("symmetry", {"symmetry": True}))
     speedups = {}
     speedups_scalar = {}
     conformant = True
@@ -733,28 +720,22 @@ def run_suite(budget: int, jobs_axis=(1, 2, 4), spill_states=None) -> dict:
         sweep[label] = measure(
             {"kind": "fast_classes", "budget": budget, "jobs": jobs}
         )
-    sweep["serial_fingerprint"] = measure(
-        {"kind": "fast_classes", "budget": budget, "jobs": 1,
-         "fingerprint": True}
-    )
     sharded_jobs = max(jobs_axis)
     sweep["sharded"] = measure(
         {"kind": "fast_sharded", "budget": budget * 2, "jobs": sharded_jobs}
     )
     sweep["sharded"]["jobs"] = sharded_jobs
 
-    # Memory axis: the object-encoded explorer at budget B vs the
-    # fingerprint engines at 5B — the "5x more states in the same
-    # envelope" check rides on workload_rss_bytes.
+    # Memory axis: the object-encoded explorer at budget B vs its
+    # fingerprint mode and the exact-key packed engine at 5B — the "5x
+    # more states in the same envelope" check rides on
+    # workload_rss_bytes.
     memory = {
         "generic_full": measure({"kind": "generic", "budget": budget}),
         "generic_fingerprint_5x": measure(
             {"kind": "generic", "budget": budget * 5, "fingerprint": True}
         ),
         "fast_full": measure({"kind": "fast_single", "budget": budget * 5}),
-        "fast_fingerprint_5x": measure(
-            {"kind": "fast_single", "budget": budget * 5, "fingerprint": True}
-        ),
     }
 
     # Symmetry axis: the quotient construction (PR 2) on the two
@@ -833,7 +814,7 @@ def run_suite(budget: int, jobs_axis=(1, 2, 4), spill_states=None) -> dict:
     spill_target = spill_states if spill_states is not None else budget * 5
     spill_entry = measure(
         {"kind": "fast_single", "budget": spill_target, "store": "spill",
-         "mem_cap": memcap, "fingerprint": True}
+         "mem_cap": memcap}
     )
     spill_entry["mem_cap_bytes"] = memcap
     spill_entry["rss_under_cap"] = (
@@ -897,17 +878,17 @@ def run_suite(budget: int, jobs_axis=(1, 2, 4), spill_states=None) -> dict:
             if best_label and serial["states_per_s"]
             else None
         ),
-        "fingerprint_states_in_generic_envelope": {
+        "fast_states_in_generic_envelope": {
             "generic_states": memory["generic_full"]["states"],
-            "fingerprint_states": memory["fast_fingerprint_5x"]["states"],
+            "fast_states": memory["fast_full"]["states"],
             "ratio": round(
-                memory["fast_fingerprint_5x"]["states"]
+                memory["fast_full"]["states"]
                 / max(1, memory["generic_full"]["states"]), 2
             ),
             "generic_workload_rss_bytes":
                 memory["generic_full"]["workload_rss_bytes"],
-            "fingerprint_workload_rss_bytes":
-                memory["fast_fingerprint_5x"]["workload_rss_bytes"],
+            "fast_workload_rss_bytes":
+                memory["fast_full"]["workload_rss_bytes"],
         },
     }
     return {
@@ -968,10 +949,10 @@ def test_e15_write_bench_json(benchmark):
         if "skipped" not in entry
     )
     assert all(entry["ok"] for entry in payload["memory"].values())
-    envelope = payload["derived"]["fingerprint_states_in_generic_envelope"]
+    envelope = payload["derived"]["fast_states_in_generic_envelope"]
     assert envelope["ratio"] >= 5.0
     assert (
-        envelope["fingerprint_workload_rss_bytes"]
+        envelope["fast_workload_rss_bytes"]
         <= max(envelope["generic_workload_rss_bytes"], 1)
     )
     identity = payload["symmetry"]["identity_class"]
@@ -1026,7 +1007,7 @@ def test_e15_write_bench_json(benchmark):
     emit("", f"E15c — BENCH_checker.json written: {path}",
          f"  best parallel speedup vs serial:"
          f" {payload['derived']['speedup_best_parallel_vs_serial']}x",
-         f"  fingerprint envelope ratio: {envelope['ratio']}x states",
+         f"  exact-key envelope ratio: {envelope['ratio']}x states",
          f"  symmetry identity-class reduction:"
          f" {identity['reduction_ratio']}x"
          f" (net {identity['net_speedup']}x effective throughput)",
@@ -1043,7 +1024,7 @@ def test_e15_write_bench_json(benchmark):
 def _print_batch_section(batch: dict) -> None:
     if not batch.get("available"):
         return
-    for label in ("plain", "fingerprint", "symmetry", "symmetry_fingerprint"):
+    for label in ("plain", "symmetry"):
         entry = batch[label]
         print(f"  batch/{label}: scalar"
               f" {entry['scalar']['states_per_s']} st/s vs batch"
@@ -1071,7 +1052,7 @@ def _print_native_section(section: dict) -> None:
         print(f"  native: unavailable ({section.get('reason', '?')});"
               f" nothing measured")
         return
-    for label in ("plain", "fingerprint", "symmetry", "symmetry_fingerprint"):
+    for label in ("plain", "symmetry"):
         entry = section[label]
         print(f"  native/{label}: numpy"
               f" {entry['numpy']['states_per_s']} st/s vs native"
@@ -1194,8 +1175,8 @@ def main(argv=None) -> int:
               f" cover {reduced['covered_states']} states"
               f" ({entry['reduction_ratio']}x reduction,"
               f" net {entry['net_speedup']}x effective throughput)")
-    envelope = payload["derived"]["fingerprint_states_in_generic_envelope"]
-    print(f"  fingerprint vs object-encoded envelope:"
+    envelope = payload["derived"]["fast_states_in_generic_envelope"]
+    print(f"  exact-key packed vs object-encoded envelope:"
           f" {envelope['ratio']}x states")
     store = payload["store"]
     for backend in ("ram", "mmap", "spill"):

@@ -22,8 +22,8 @@ caption and Section 8).  This package reproduces that methodology:
   (whole wiring classes per worker, or a frontier-sharded BFS within
   one class) the way TLC does;
 - :mod:`repro.checker.fingerprint` provides the 64-bit state
-  fingerprints behind the explorers' memory-lean fingerprint mode and
-  the sharded engine's deterministic state-ownership function;
+  fingerprints behind the generic explorer's memory-lean fingerprint
+  mode and the sharded engine's deterministic state-ownership function;
 - :mod:`repro.checker.symmetry` quotients the state space by the wiring
   stabilizer (process/register permutations plus input renaming): the
   explorers store one canonical representative per orbit and

@@ -16,15 +16,18 @@ this module re-expresses the exploration loop over whole BFS levels:
   min-over-permutation-tables reduction of
   :class:`~repro.checker.symmetry.FastCanonicalizer` as numpy gathers
   plus an element-wise minimum across the stabilizer orbit;
-- **fingerprinting**: :func:`splitmix64_many` is the scalar splitmix64
-  on u64 arrays — numpy uint64 multiplication wraps modulo 2**64,
-  which *is* the scalar's explicit ``& MASK64``; both sides share one
-  constants module (:mod:`repro.checker.constants`) and a property
-  test cross-checks them element-wise;
-- **dedup**: ``np.unique`` per level, merged against the visited set
-  through the bulk ``contains_many``/``add_many`` store APIs (the
-  spill backend turns a level's sorted fresh keys into a sorted run
-  natively).
+- **dedup**: the key of a state is the (canonical) state itself — a
+  packed state fits 64 bits, so it is exact; keys are deduplicated per
+  level and merged against the visited set through the bulk
+  ``contains_many``/``add_many`` store APIs (the spill backend turns a
+  level's sorted fresh keys into a sorted run natively);
+- **ownership hashing**: :func:`fingerprint_many` is the scalar
+  :func:`~repro.checker.fingerprint.fingerprint_int` on u64 arrays,
+  which sharded workers use to route states — numpy uint64
+  multiplication wraps modulo 2**64, which *is* the scalar's explicit
+  ``& MASK64``; both sides share one constants module
+  (:mod:`repro.checker.constants`) and a property test cross-checks
+  them element-wise.
 
 **Conformance contract.**  The scalar engine stays the oracle: for any
 unreduced configuration both engines support, :func:`explore_batch`
@@ -77,12 +80,12 @@ from repro.checker.fast_snapshot import (
     _STOCK_CHECK_OUTPUTS,
     FastExplorationResult,
     FastSnapshotSpec,
+    lean_result,
 )
-from repro.checker.fingerprint import fingerprint_int, splitmix64_many
+from repro.checker.fingerprint import splitmix64_many
 from repro.checker.por import FootprintTables, PORCounters
 from repro.store.base import StoreConfig, sorted_member
 from repro.store.checkpoint import RunCheckpointer
-from repro.store.ram import RamStore
 
 try:
     import numpy as np
@@ -119,7 +122,7 @@ def require_numpy() -> None:
 
 
 # ----------------------------------------------------------------------
-# Batched fingerprints
+# Batched ownership hashes
 # ----------------------------------------------------------------------
 def fingerprint_many(states: "U64Array") -> "U64Array":
     """Batched :func:`~repro.checker.fingerprint.fingerprint_int`.
@@ -131,7 +134,7 @@ def fingerprint_many(states: "U64Array") -> "U64Array":
 
 
 # ----------------------------------------------------------------------
-# Sorted-array set helpers (the raw-successor memoization cache)
+# Sorted-array set helpers (the engine's private visited array)
 # ----------------------------------------------------------------------
 def _unique_first(keys: "U64Array") -> Tuple["U64Array", "I64Array"]:
     """``(sorted distinct keys, minimal position of each)``.
@@ -668,8 +671,7 @@ class BatchAmpleSelector:
     - **C2** — invisibility against the tables' compiled visibility
       footprint (outputs-only for the fast engine's stock safety
       property): a write never terminates its pid, a scan candidate is
-      visible iff its successor phase is ``DONE``, and with
-      ``check_safety=False`` nothing is visible.
+      visible iff its successor phase is ``DONE``.
     - **C3** — the level-synchronous cycle proviso: a candidate pid is
       kept only if at least one of its successors is *certainly new*,
       i.e. its key is absent from the visited set as of the level
@@ -688,16 +690,10 @@ class BatchAmpleSelector:
     number of expanded states).
     """
 
-    def __init__(
-        self,
-        kernel: BatchKernel,
-        check_safety: bool = True,
-        cycle_proviso: bool = True,
-    ) -> None:
+    def __init__(self, kernel: BatchKernel, cycle_proviso: bool = True) -> None:
         require_numpy()
         self.kernel = kernel
         self.spec = kernel.spec
-        self.check_safety = check_safety
         self.cycle_proviso = cycle_proviso
         self.tables = FootprintTables(kernel.spec)
         self.counters = PORCounters()
@@ -710,8 +706,8 @@ class BatchAmpleSelector:
     ) -> "I64Array":
         """The per-state expansion mask for ``frontier``.
 
-        ``key_of`` maps raw successor states to their dedup keys
-        (canonicalization then fingerprinting, as configured);
+        ``key_of`` maps raw successor states to their dedup keys (orbit
+        representatives under symmetry, else the states themselves);
         ``in_visited`` is bulk membership of keys in the visited set as
         of the level boundary.  Returns ``selected`` with ``-1`` (full
         expansion) or a pid index per state.
@@ -735,7 +731,7 @@ class BatchAmpleSelector:
                 continue
             # C2: writes never terminate their pid; a scan candidate is
             # visible exactly when its (single) successor is DONE.
-            if self.check_safety and self.tables.visibility.outputs:
+            if self.tables.visibility.outputs:
                 scan_trial = trial & is_scan[pid]
                 if bool(scan_trial.any()):
                     idx = np.flatnonzero(scan_trial)
@@ -814,12 +810,17 @@ def _first_violation(
     return -1, None
 
 
+def _buffer_end(counts: "I64Array", position: int) -> int:
+    """End (exclusive) of the parent buffer holding generation position
+    ``position``: successors are laid out parent-major, ``counts[i]``
+    per frontier state."""
+    ends = np.cumsum(counts)
+    return int(ends[np.searchsorted(ends, position, side="right")])
+
+
 def explore_batch(
     spec: FastSnapshotSpec,
     max_states: int = 200_000_000,
-    check_safety: bool = True,
-    progress_every: int = 0,
-    fingerprint: bool = False,
     symmetry: bool = False,
     store: Optional[StoreConfig] = None,
     checkpointer: Optional[RunCheckpointer] = None,
@@ -839,6 +840,14 @@ def explore_batch(
     selector — see the module docstring.  ``kernel`` names the level
     kernel (see :func:`make_kernel`); every kernel is bit-identical,
     so the choice never affects results.
+
+    Unlike the scalar loop, this one keeps no raw-successor cache: it
+    canonicalizes every generated successor.  The cache is pure
+    memoization, and a gather per successor costs less than the
+    sorted-array bookkeeping a level-wide cache needs.  Budget-clipped
+    counts still match the scalar loop exactly, because a state's
+    successors are pairwise distinct: an occurrence the scalar cache
+    skips maps to a visited or already-admitted representative.
     """
     require_numpy()
     canonicalizer: Optional["FastCanonicalizer"] = None
@@ -848,13 +857,11 @@ def explore_batch(
         canonicalizer = FastCanonicalizer(spec)
     level_kernel = make_kernel(spec, kernel, canonicalizer)
     batch_canon = level_kernel.make_canonicalizer(canonicalizer)
-    symmetric = batch_canon is not None
+    group_order = canonicalizer.order if canonicalizer is not None else None
     selector: Optional[BatchAmpleSelector] = None
     if por:
         selector = BatchAmpleSelector(
-            level_kernel,
-            check_safety=check_safety,
-            cycle_proviso=por_cycle_proviso,
+            level_kernel, cycle_proviso=por_cycle_proviso
         )
     # The visited set: when nothing observes the store (no explicit
     # backend to report counters for, no checkpointer to dump/resume
@@ -868,30 +875,30 @@ def explore_batch(
         None if use_store else np.empty(0, dtype=np.uint64)
     )
 
-    def _store_counters() -> Optional[Dict[str, int]]:
-        if store is None or store_obj is None:
-            return None
-        counters = dict(store_obj.counters())
-        counters["file_bytes"] = store_obj.file_bytes()
-        return counters
-
-    def _por_counters() -> Optional[Dict[str, int]]:
-        return selector.counters.as_dict() if selector is not None else None
+    def _result(
+        states: int,
+        transitions: int,
+        complete: bool,
+        truncated: int,
+        covered: int,
+        violation: Optional[str] = None,
+    ) -> FastExplorationResult:
+        return lean_result(
+            states, transitions, complete, truncated, violation,
+            covered if batch_canon is not None else None, group_order,
+            store_obj if store is not None else None,
+            selector.counters.as_dict() if selector is not None else None,
+        )
 
     # The ample selector's C3 callbacks: successor states to dedup keys
-    # (canonicalization then fingerprinting, as configured), and bulk
-    # membership in the visited set as of the level boundary.  The
-    # closures read ``batch_canon``/``fast_visited``/``store_obj`` from
-    # this scope, so they always see the current level's snapshot —
-    # never the raw-successor memoization cache, which is not
-    # checkpointed and must not influence selection.
+    # (their orbit representatives), and bulk membership in the visited
+    # set as of the level boundary.  The closures read
+    # ``fast_visited``/``store_obj`` from this scope, so they always
+    # see the current level's snapshot.
     def _key_of(states: "U64Array") -> "U64Array":
-        reps = (
-            batch_canon.canonical_many(states)
-            if batch_canon is not None
-            else states
-        )
-        return level_kernel.fingerprint_many(reps) if fingerprint else reps
+        if batch_canon is None:
+            return states
+        return cast("U64Array", batch_canon.canonical_many(states))
 
     def _in_visited(keys: "U64Array") -> "BoolArray":
         if store_obj is not None:
@@ -901,12 +908,10 @@ def explore_batch(
 
     try:
         initial = spec.initial_state()
-        if symmetric:
+        transitions = truncated = covered = 0
+        if batch_canon is not None:
             assert canonicalizer is not None
             initial = canonicalizer.canonical(initial)
-        transitions = 0
-        truncated = 0
-        covered = 0
         resumed = checkpointer.latest() if checkpointer is not None else None
         if resumed is not None:
             assert store_obj is not None
@@ -914,56 +919,24 @@ def explore_batch(
             n_seen = resumed.counter("admitted")
             transitions = resumed.counter("transitions")
             truncated = resumed.counter("truncated")
-            if symmetric:
+            if batch_canon is not None:
                 covered = resumed.counter("covered")
             if selector is not None:
                 selector.counters.load(resumed.counters)
             frontier = np.array(resumed.frontier(), dtype=np.uint64)
         else:
-            if check_safety:
-                violation = spec.check_outputs(initial)
-                if violation:
-                    if symmetric:
-                        assert canonicalizer is not None
-                        return FastExplorationResult(
-                            1, 0, True, violation,
-                            covered_states=canonicalizer.orbit_size(initial),
-                            symmetry_group_order=canonicalizer.order,
-                            store_counters=_store_counters(),
-                            por_counters=_por_counters(),
-                        )
-                    return FastExplorationResult(
-                        1, 0, True, violation,
-                        store_counters=_store_counters(),
-                        por_counters=_por_counters(),
-                    )
-            initial_key = fingerprint_int(initial) if fingerprint else initial
-            if store_obj is not None:
-                store_obj.add(initial_key)
-            else:
-                assert fast_visited is not None
-                fast_visited = np.array([initial_key], dtype=np.uint64)
-            n_seen = 1
-            if symmetric:
+            if batch_canon is not None:
                 assert canonicalizer is not None
                 covered = canonicalizer.orbit_size(initial)
+            violation = spec.check_outputs(initial)
+            if violation:
+                return _result(1, 0, True, 0, covered, violation)
+            if store_obj is not None:
+                store_obj.add(initial)
+            else:
+                fast_visited = np.array([initial], dtype=np.uint64)
+            n_seen = 1
             frontier = np.array([initial], dtype=np.uint64)
-
-        # Raw-successor memoization, mirroring the scalar symmetric
-        # loop's cache semantics exactly (RAM-backed, non-fingerprint
-        # runs only): a raw successor seen before — in any earlier
-        # level or earlier in this one — is skipped before
-        # canonicalization, which both saves the gather work and keeps
-        # budget-clipped ``truncated_transitions`` counts identical.
-        raw_seen: Optional["U64Array"] = None
-        if symmetric and not fingerprint:
-            if store_obj is None:
-                assert fast_visited is not None
-                raw_seen = fast_visited.copy()
-            elif isinstance(store_obj, RamStore):
-                raw_seen = np.fromiter(
-                    store_obj, dtype=np.uint64, count=len(store_obj)
-                )
 
         complete = True
         while frontier.size:
@@ -976,7 +949,7 @@ def explore_batch(
                     "transitions": transitions,
                     "truncated": truncated,
                 }
-                if symmetric:
+                if batch_canon is not None:
                     counters["covered"] = covered
                 if selector is not None:
                     counters.update(selector.counters.as_dict())
@@ -993,34 +966,7 @@ def explore_batch(
             if level_size == 0:
                 break
 
-            # Candidate filter: generation positions that survive the
-            # raw-successor cache (everything, when the cache is off).
-            if raw_seen is not None:
-                unique_raw, first_raw = level_kernel.unique_first(successors)
-                seen_raw, at_raw = level_kernel.probe_sorted(
-                    raw_seen, unique_raw
-                )
-                fresh_raw = ~seen_raw
-                keep = np.zeros(level_size, dtype=bool)
-                keep[first_raw[fresh_raw]] = True
-                candidate_positions = np.flatnonzero(keep)
-                candidates = successors[candidate_positions]
-                raw_seen = _insert_sorted(
-                    raw_seen, at_raw[fresh_raw], unique_raw[fresh_raw]
-                )
-            else:
-                candidate_positions = None
-                candidates = successors
-
-            if batch_canon is not None:
-                representatives = batch_canon.canonical_many(candidates)
-            else:
-                representatives = candidates
-            keys = (
-                level_kernel.fingerprint_many(representatives)
-                if fingerprint
-                else representatives
-            )
+            keys = _key_of(successors)
             # One argsort buys both views at once (measured faster here
             # than hash-based ``np.unique`` plus a searchsorted
             # inverse, and than prefiltering occurrences against the
@@ -1047,59 +993,30 @@ def explore_batch(
             n_new = int(ordered_first.size)
             remaining = max_states - n_seen
             admit_count = n_new if n_new <= remaining else remaining
-
             admitted_idx = ordered_first[:admit_count]
-            admitted_states = representatives[admitted_idx]
-            admitted_keys = keys[admitted_idx]
-            if candidate_positions is not None:
-                admitted_gen = candidate_positions[admitted_idx]
-            else:
-                admitted_gen = admitted_idx
+            admitted = keys[admitted_idx]
 
             violating_rank = -1
             message: Optional[str] = None
-            if check_safety and admit_count:
+            if admit_count:
                 violating_rank, message = _first_violation(
-                    spec, level_kernel, admitted_states
+                    spec, level_kernel, admitted
                 )
-            parents: Optional["I64Array"] = None
-            parent_ends: Optional["I64Array"] = None
-            if violating_rank >= 0 or n_new > remaining:
-                parents = np.repeat(
-                    np.arange(int(frontier.size)), succ_counts
-                )
-                parent_ends = np.cumsum(succ_counts)
-
             if violating_rank >= 0:
-                assert parents is not None and parent_ends is not None
-                admitted_now = violating_rank + 1
-                bad_parent = int(parents[int(admitted_gen[violating_rank])])
-                transitions += int(parent_ends[bad_parent])
+                # The scalar loop returns after counting the violating
+                # state's parent buffer in full.
+                admitted = admitted[:violating_rank + 1]
+                transitions += _buffer_end(
+                    succ_counts, int(admitted_idx[violating_rank])
+                )
                 if store_obj is not None:
-                    store_obj.add_many(admitted_keys[:admitted_now])
-                n_seen += admitted_now
-                if symmetric:
-                    assert batch_canon is not None
-                    covered += int(
-                        batch_canon.orbit_sizes(
-                            admitted_states[:admitted_now]
-                        ).sum()
-                    )
-                if symmetric:
-                    assert canonicalizer is not None
-                    return FastExplorationResult(
-                        n_seen, transitions, complete, message,
-                        truncated_transitions=truncated,
-                        covered_states=covered,
-                        symmetry_group_order=canonicalizer.order,
-                        store_counters=_store_counters(),
-                        por_counters=_por_counters(),
-                    )
-                return FastExplorationResult(
-                    n_seen, transitions, complete, message,
-                    truncated_transitions=truncated,
-                    store_counters=_store_counters(),
-                    por_counters=_por_counters(),
+                    store_obj.add_many(admitted)
+                n_seen += int(admitted.size)
+                if batch_canon is not None:
+                    covered += int(batch_canon.orbit_sizes(admitted).sum())
+                return _result(
+                    n_seen, transitions, complete, truncated, covered,
+                    message,
                 )
 
             if n_new > remaining:
@@ -1107,47 +1024,27 @@ def explore_batch(
                 # the first occurrence of the (budget+1)-th new key,
                 # keeps counting truncated occurrences through the end
                 # of that parent's buffer, then stops.
-                assert parents is not None and parent_ends is not None
                 complete = False
-                trip_candidate = int(ordered_first[admit_count])
-                if candidate_positions is not None:
-                    trip_gen = int(candidate_positions[trip_candidate])
-                    candidate_gen = candidate_positions
-                else:
-                    trip_gen = trip_candidate
-                    candidate_gen = np.arange(
-                        level_size, dtype=np.int64
-                    )
-                trip_parent = int(parents[trip_gen])
-                buffer_end = int(parent_ends[trip_parent])
+                trip = int(ordered_first[admit_count])
+                buffer_end = _buffer_end(succ_counts, trip)
                 transitions += buffer_end
                 # Unadmitted fresh keys are exactly the fresh keys whose
-                # first occurrence sorts at or after the trip position.
-                unadmitted = fresh_mask & (
-                    first_occurrence >= trip_candidate
-                )
-                # The window is the tail of one parent's buffer (at
-                # most n*(m+1) entries), so rank only those keys
-                # instead of the whole level.
-                window = np.flatnonzero(
-                    (candidate_gen >= trip_gen)
-                    & (candidate_gen < buffer_end)
-                )
-                inverse = np.searchsorted(unique_keys, keys[window])
+                # first occurrence sorts at or after the trip position;
+                # rank only the trip parent's buffer tail (at most
+                # n*(m+1) entries), not the whole level.
+                unadmitted = fresh_mask & (first_occurrence >= trip)
+                inverse = np.searchsorted(unique_keys, keys[trip:buffer_end])
                 truncated += int(unadmitted[inverse].sum())
                 if store_obj is not None:
-                    store_obj.add_many(admitted_keys)
+                    store_obj.add_many(admitted)
                 n_seen += admit_count
-                if symmetric:
-                    assert batch_canon is not None
-                    covered += int(
-                        batch_canon.orbit_sizes(admitted_states).sum()
-                    )
+                if batch_canon is not None:
+                    covered += int(batch_canon.orbit_sizes(admitted).sum())
                 break
 
             transitions += level_size
             if store_obj is not None:
-                store_obj.add_many(admitted_keys)
+                store_obj.add_many(admitted)
             else:
                 assert fast_visited is not None and visited_at is not None
                 fast_visited = _insert_sorted(
@@ -1155,48 +1052,12 @@ def explore_batch(
                     visited_at[fresh_mask],
                     unique_keys[fresh_mask],
                 )
-            previous_seen = n_seen
             n_seen += admit_count
-            if symmetric:
-                assert batch_canon is not None
-                covered += int(
-                    batch_canon.orbit_sizes(admitted_states).sum()
-                )
-            frontier = admitted_states
-            if progress_every and (
-                n_seen // progress_every > previous_seen // progress_every
-            ):
-                if symmetric:
-                    print(
-                        f"  ... {n_seen} representatives,"
-                        f" {covered} covered,"
-                        f" {transitions} transitions", flush=True
-                    )
-                else:
-                    print(
-                        f"  ... {n_seen} states,"
-                        f" {transitions} transitions", flush=True
-                    )
+            if batch_canon is not None:
+                covered += int(batch_canon.orbit_sizes(admitted).sum())
+            frontier = admitted
 
-        if canonicalizer is not None:
-            return FastExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                complete=complete,
-                truncated_transitions=truncated,
-                covered_states=covered if symmetric else n_seen,
-                symmetry_group_order=canonicalizer.order,
-                store_counters=_store_counters(),
-                por_counters=_por_counters(),
-            )
-        return FastExplorationResult(
-            states=n_seen,
-            transitions=transitions,
-            complete=complete,
-            truncated_transitions=truncated,
-            store_counters=_store_counters(),
-            por_counters=_por_counters(),
-        )
+        return _result(n_seen, transitions, complete, truncated, covered)
     finally:
         if store_obj is not None:
             store_obj.close()

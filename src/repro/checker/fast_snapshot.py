@@ -31,13 +31,11 @@ assignments to a handful of canonical classes.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.checker.fingerprint import fingerprint_int
-from repro.store.base import StoreConfig
+from repro.store.base import FingerprintStore, StoreConfig
 from repro.store.checkpoint import RunCheckpointer, load_result
 from repro.store.ram import RamStore
 
@@ -81,65 +79,41 @@ class FastExplorationResult:
         return self.violation is None and self.bad_lasso_pid is None
 
 
-class _ChunkedIntQueue:
-    """FIFO of unsigned 64-bit ints stored in raw ``array('Q')`` chunks.
+def lean_result(
+    states: int,
+    transitions: int,
+    complete: bool,
+    truncated: int,
+    violation: Optional[str],
+    covered: Optional[int],
+    group_order: Optional[int],
+    store: Optional[FingerprintStore],
+    por_counters: Optional[Dict[str, int]],
+) -> FastExplorationResult:
+    """A safety run's result, as both lean engines report it.
 
-    The fingerprint explorer's frontier would otherwise hold one boxed
-    Python int (~32 bytes) plus a deque slot per pending state; packing
-    them into arrays brings that to 8 bytes flat, which is what lets
-    the visited *set* dominate the memory profile as intended.
+    ``covered`` is the summed orbit size of the admitted
+    representatives under a non-trivial stabilizer, else None;
+    ``group_order`` is None without symmetry.  Under a trivial
+    stabilizer the quotient is the concrete graph, so a finished run
+    covers exactly its admitted states.  ``store`` is the visited set
+    of a run with an explicitly configured backend, whose counters the
+    result reports.
     """
-
-    __slots__ = (
-        "_chunks", "_head", "_head_pos", "_tail", "_chunk_size", "_count",
+    if covered is None and group_order is not None and violation is None:
+        covered = states
+    store_counters: Optional[Dict[str, int]] = None
+    if store is not None:
+        store_counters = dict(store.counters())
+        store_counters["file_bytes"] = store.file_bytes()
+    return FastExplorationResult(
+        states, transitions, complete, violation,
+        truncated_transitions=truncated,
+        covered_states=covered,
+        symmetry_group_order=group_order if covered is not None else None,
+        store_counters=store_counters,
+        por_counters=por_counters,
     )
-
-    def __init__(self, chunk_size: int = 8192) -> None:
-        self._chunks: deque = deque()
-        self._head: Optional[array] = None
-        self._head_pos = 0
-        self._tail: array = array("Q")
-        self._chunk_size = chunk_size
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, value: int) -> None:
-        tail = self._tail
-        tail.append(value)
-        self._count += 1
-        if len(tail) >= self._chunk_size:
-            self._chunks.append(tail)
-            self._tail = array("Q")
-
-    def pop(self) -> int:
-        """Next state in FIFO order, or -1 when the queue is empty."""
-        head = self._head
-        if head is None or self._head_pos >= len(head):
-            if self._chunks:
-                self._head = self._chunks.popleft()
-            elif self._tail:
-                self._head = self._tail
-                self._tail = array("Q")
-            else:
-                return -1
-            self._head_pos = 0
-            head = self._head
-        value = head[self._head_pos]
-        self._head_pos += 1
-        self._count -= 1
-        return value
-
-    def snapshot(self) -> Iterator[int]:
-        """Yield the pending values in FIFO order without consuming them
-        (checkpointing dumps the frontier mid-run)."""
-        head = self._head
-        if head is not None and self._head_pos < len(head):
-            yield from head[self._head_pos:]
-        for chunk in self._chunks:
-            yield from chunk
-        yield from self._tail
 
 
 class FastSnapshotSpec:
@@ -488,10 +462,7 @@ class FastSnapshotSpec:
     def explore(
         self,
         max_states: int = 200_000_000,
-        check_safety: bool = True,
         check_wait_freedom: bool = False,
-        progress_every: int = 0,
-        fingerprint: bool = False,
         symmetry: bool = False,
         store: Optional[StoreConfig] = None,
         checkpointer: Optional[RunCheckpointer] = None,
@@ -503,18 +474,14 @@ class FastSnapshotSpec:
     ) -> FastExplorationResult:
         """BFS over all reachable states (for this wiring).
 
+        The visited set keys on the exact packed state: a state that
+        fits 64 bits already is its own u64 key, so no verdict rests on
+        a fingerprint's collision bound.
+
         With ``check_wait_freedom`` the full edge list is retained and
         analysed for bad lassos (cycles where some processor steps but
         never terminates); see :mod:`repro.checker.liveness` for the
         argument.
-
-        With ``fingerprint`` the visited set stores 64-bit state
-        fingerprints instead of the packed states themselves, and the
-        pending frontier is packed into raw 8-byte arrays when states
-        fit 64 bits — TLC's memory model, trading a ~n²/2⁶⁵ collision
-        probability for a much higher state budget in the same memory
-        envelope.  Incompatible with ``check_wait_freedom`` (lasso
-        analysis needs the full indexed state table).
 
         With ``symmetry`` the visited set keys on orbit
         representatives under the wiring-stabilizer group
@@ -524,9 +491,8 @@ class FastSnapshotSpec:
         the representative count.  The safety verdict is unchanged
         (output comparability/validity is permutation-invariant); a
         violation *message*, checked on the representative, may name a
-        permuted pid.  Stacks with ``fingerprint``; incompatible with
-        ``check_wait_freedom``, whose per-pid lasso analysis needs the
-        unreduced graph.
+        permuted pid.  Incompatible with ``check_wait_freedom``, whose
+        per-pid lasso analysis needs the unreduced graph.
 
         ``store`` selects the visited-set backend (:mod:`repro.store`):
         None / the default RamStore keeps the historical in-memory set;
@@ -546,18 +512,17 @@ class FastSnapshotSpec:
         steps are invisible to ``check_outputs`` (no termination) and
         reach at least one unvisited state (cycle proviso).  Composes
         with ``symmetry`` (selection on the representative's concrete
-        successors, canonicalized as usual), ``fingerprint``,
-        ``store`` and ``checkpointer``; incompatible with
-        ``check_wait_freedom``, whose lasso analysis needs the
-        unreduced graph.  ``por_cycle_proviso`` is a test seam
-        (disables C3); leave it on.
+        successors, canonicalized as usual), ``store`` and
+        ``checkpointer``; incompatible with ``check_wait_freedom``,
+        whose lasso analysis needs the unreduced graph.
+        ``por_cycle_proviso`` is a test seam (disables C3); leave it on.
 
         ``engine`` selects the exploration loop: ``"scalar"`` (default)
-        is the historical one-state-at-a-time loop and the conformance
-        oracle; ``"batch"`` (:mod:`repro.checker.batch`) processes
-        whole BFS levels as numpy u64 arrays for a large serial
-        throughput gain, with field-identical results.  The batch
-        engine needs numpy (a soft dependency — it raises
+        is the one-state-at-a-time loop and the conformance oracle;
+        ``"batch"`` (:mod:`repro.checker.batch`) processes whole BFS
+        levels as numpy u64 arrays for a large serial throughput gain,
+        with field-identical results.  The batch engine needs numpy (a
+        soft dependency — it raises
         :class:`~repro.checker.batch.BatchEngineUnavailable` with a
         clear message when missing), requires states to pack into 64
         bits, and is incompatible with ``check_wait_freedom`` (the
@@ -610,11 +575,6 @@ class FastSnapshotSpec:
                 " wait-freedom (lasso) analysis needs the full"
                 " unreduced transition graph — drop por"
             )
-        if fingerprint and check_wait_freedom:
-            raise ValueError(
-                "fingerprint mode keeps no state table; wait-freedom"
-                " (lasso) analysis requires a full indexed exploration"
-            )
         if symmetry and check_wait_freedom:
             raise ValueError(
                 "symmetry reduction relabels processors per state, so"
@@ -644,23 +604,20 @@ class FastSnapshotSpec:
             if recorded is not None:
                 return load_result(FastExplorationResult, recorded)
         if check_wait_freedom:
-            return self._explore_with_edges(
-                max_states, check_safety, progress_every
-            )
+            return self._explore_with_edges(max_states)
         if engine == "batch":
             from repro.checker.batch import explore_batch
 
             result = explore_batch(
-                self, max_states, check_safety, progress_every,
-                fingerprint, symmetry, store, checkpointer,
-                por, por_cycle_proviso, heartbeat=heartbeat,
+                self, max_states, symmetry=symmetry, store=store,
+                checkpointer=checkpointer, por=por,
+                por_cycle_proviso=por_cycle_proviso, heartbeat=heartbeat,
                 kernel=kernel,
             )
         else:
             result = self._explore_lean(
-                max_states, check_safety, progress_every, fingerprint,
-                symmetry, store, checkpointer, por, por_cycle_proviso,
-                heartbeat=heartbeat,
+                max_states, symmetry, store, checkpointer, por,
+                por_cycle_proviso, heartbeat,
             )
         if checkpointer is not None:
             checkpointer.mark_complete(asdict(result))
@@ -669,78 +626,77 @@ class FastSnapshotSpec:
     def _explore_lean(
         self,
         max_states: int,
-        check_safety: bool,
-        progress_every: int,
-        fingerprint: bool,
-        symmetry: bool = False,
-        store: Optional[StoreConfig] = None,
-        checkpointer: Optional[RunCheckpointer] = None,
-        por: bool = False,
-        por_cycle_proviso: bool = True,
-        heartbeat=None,
+        symmetry: bool,
+        store: Optional[StoreConfig],
+        checkpointer: Optional[RunCheckpointer],
+        por: bool,
+        por_cycle_proviso: bool,
+        heartbeat,
     ) -> FastExplorationResult:
-        """Safety-only BFS: dedup set + frontier, no index/order tables.
+        """Safety-only BFS: visited set + FIFO frontier, no index tables.
 
         This is the hot path of the E4 sweep; it admits states in
         exactly the same order as the indexed variant, so budgets and
         early-violation results are identical between the two.  The
         visited set lives in the configured :mod:`repro.store` backend;
-        the default RamStore keeps the historical inline-set fast path.
+        the default RamStore gets inline set operations.
+
+        Under a non-trivial wiring stabilizer every generated successor
+        is canonicalized before the visited-set lookup, so the visited
+        set and the frontier hold orbit representatives only, and
+        ``covered`` sums their orbit sizes.  On the RAM store a
+        raw-successor cache additionally skips re-canonicalizing
+        concrete successors generated more than once (most generated
+        transitions hit already-seen states).  The cache grows with the
+        *unreduced* successor count, so disk-backed stores, whose point
+        is bounded RAM, pay the canonicalization per transition
+        instead.  It is pure memoization: every backend reports
+        identical results.  A trivial stabilizer leaves ``canonical``
+        unset, since the quotient is then the concrete graph.
         """
-        canonicalizer = None
+        group_order: Optional[int] = None
+        canonical = orbit_size = None
         if symmetry:
             from repro.checker.symmetry import FastCanonicalizer
 
             canonicalizer = FastCanonicalizer(self)
+            group_order = canonicalizer.order
             if not canonicalizer.trivial:
-                return self._explore_lean_symmetric(
-                    canonicalizer, max_states, check_safety,
-                    progress_every, fingerprint, store, checkpointer,
-                    por, por_cycle_proviso, heartbeat=heartbeat,
-                )
-            # Trivial stabilizer: the quotient IS the concrete graph;
-            # fall through to the plain loop and report covered==states.
+                canonical = canonicalizer.canonical
+                orbit_size = canonicalizer.orbit_size
         store_obj = (store or StoreConfig()).create()
         ram_set = (
             store_obj.raw_set if isinstance(store_obj, RamStore) else None
         )
         ram_add = ram_set.add if ram_set is not None else None
         store_add = store_obj.add
-
-        def _store_counters() -> Optional[Dict[str, int]]:
-            if store is None:
-                return None
-            counters = dict(store_obj.counters())
-            counters["file_bytes"] = store_obj.file_bytes()
-            return counters
-
         selector = None
-        is_new = None
         if por:
             from repro.checker.por import FastAmpleSelector
 
-            selector = FastAmpleSelector(
-                self, check_safety=check_safety,
-                cycle_proviso=por_cycle_proviso,
-            )
-            membership = ram_set if ram_set is not None else store_obj
-            if fingerprint:
-                is_new = lambda s: fingerprint_int(s) not in membership
-            else:
-                is_new = lambda s: s not in membership
+            selector = FastAmpleSelector(self, cycle_proviso=por_cycle_proviso)
 
-        def _por_counters() -> Optional[Dict[str, int]]:
-            return selector.counters.as_dict() if selector is not None else None
+        def _result(
+            states: int,
+            transitions: int,
+            complete: bool,
+            truncated: int,
+            covered: int,
+            violation: Optional[str] = None,
+        ) -> FastExplorationResult:
+            return lean_result(
+                states, transitions, complete, truncated, violation,
+                covered if orbit_size is not None else None, group_order,
+                store_obj if store is not None else None,
+                selector.counters.as_dict() if selector is not None else None,
+            )
 
         try:
             initial = self.initial_state()
-            packable = fingerprint and self.state_bits <= 64
-            queue: Optional[_ChunkedIntQueue] = (
-                _ChunkedIntQueue() if packable else None
-            )
-            frontier: Optional[deque] = None if packable else deque()
-            transitions = 0
-            truncated = 0
+            if canonical is not None:
+                initial = canonical(initial)
+            frontier: deque = deque()
+            transitions = truncated = covered = 0
             resumed = (
                 checkpointer.latest() if checkpointer is not None else None
             )
@@ -749,301 +705,87 @@ class FastSnapshotSpec:
                 n_seen = resumed.counter("admitted")
                 transitions = resumed.counter("transitions")
                 truncated = resumed.counter("truncated")
+                if orbit_size is not None:
+                    covered = resumed.counter("covered")
                 if selector is not None:
                     selector.counters.load(resumed.counters)
-                for pending in resumed.frontier():
-                    if packable:
-                        queue.push(pending)
-                    else:
-                        frontier.append(pending)
+                frontier.extend(resumed.frontier())
             else:
-                if check_safety:
-                    violation = self.check_outputs(initial)
-                    if violation:
-                        return FastExplorationResult(
-                            1, 0, True, violation,
-                            store_counters=_store_counters(),
-                            por_counters=_por_counters(),
-                        )
-                store_add(fingerprint_int(initial) if fingerprint else initial)
+                if orbit_size is not None:
+                    covered = orbit_size(initial)
+                violation = self.check_outputs(initial)
+                if violation:
+                    return _result(1, 0, True, 0, covered, violation)
+                store_add(initial)
                 n_seen = 1
-                if packable:
-                    queue.push(initial)
-                else:
-                    frontier.append(initial)
-            complete = True
-            buf: List[int] = []
-            check_outputs = self.check_outputs
-            successor_states_into = self.successor_states_into
-
-            while True:
-                if heartbeat is not None:
-                    heartbeat.tick(
-                        n_seen, len(queue if packable else frontier),
-                        transitions,
-                    )
-                if checkpointer is not None and checkpointer.due(n_seen):
-                    counters = {
-                        "admitted": n_seen,
-                        "transitions": transitions,
-                        "truncated": truncated,
-                    }
-                    if selector is not None:
-                        counters.update(selector.counters.as_dict())
-                    checkpointer.write(
-                        queue.snapshot() if packable else iter(frontier),
-                        counters,
-                        iter(store_obj),
-                    )
-                if packable:
-                    state = queue.pop()
-                    if state < 0:
-                        break
-                else:
-                    if not frontier:
-                        break
-                    state = frontier.popleft()
-                if selector is None:
-                    successor_states_into(state, buf)
-                else:
-                    selector.expand(state, buf, is_new)
-                transitions += len(buf)
-                for successor in buf:
-                    key = (
-                        fingerprint_int(successor) if fingerprint else successor
-                    )
-                    if ram_add is not None:
-                        # Historical hot path: inline set ops, no store
-                        # dispatch per generated transition.
-                        if key in ram_set:
-                            continue
-                        if n_seen >= max_states:
-                            complete = False
-                            truncated += 1
-                            continue
-                        ram_add(key)
-                        n_seen += 1
-                    elif n_seen < max_states:
-                        if not store_add(key):
-                            continue
-                        n_seen += 1
-                    else:
-                        if key in store_obj:
-                            continue
-                        complete = False
-                        truncated += 1
-                        continue
-                    if packable:
-                        queue.push(successor)
-                    else:
-                        frontier.append(successor)
-                    if check_safety:
-                        violation = check_outputs(successor)
-                        if violation:
-                            return FastExplorationResult(
-                                n_seen, transitions, complete, violation,
-                                truncated_transitions=truncated,
-                                store_counters=_store_counters(),
-                                por_counters=_por_counters(),
-                            )
-                    if progress_every and n_seen % progress_every == 0:
-                        print(
-                            f"  ... {n_seen} states,"
-                            f" {transitions} transitions", flush=True
-                        )
-                if not complete:
-                    # Budget exhausted: no pending state can admit a new
-                    # one, so draining the frontier is invariant-free
-                    # wasted work (the seed explorer kept going here).
-                    break
-
-            return FastExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                complete=complete,
-                truncated_transitions=truncated,
-                covered_states=n_seen if canonicalizer is not None else None,
-                symmetry_group_order=(
-                    canonicalizer.order if canonicalizer is not None else None
-                ),
-                store_counters=_store_counters(),
-                por_counters=_por_counters(),
-            )
-        finally:
-            store_obj.close()
-
-    def _explore_lean_symmetric(
-        self,
-        canonicalizer,
-        max_states: int,
-        check_safety: bool,
-        progress_every: int,
-        fingerprint: bool,
-        store: Optional[StoreConfig] = None,
-        checkpointer: Optional[RunCheckpointer] = None,
-        por: bool = False,
-        por_cycle_proviso: bool = True,
-        heartbeat=None,
-    ) -> FastExplorationResult:
-        """The lean BFS over the quotient graph: one state per orbit.
-
-        Every generated successor is canonicalized before the
-        visited-set lookup, so both the visited set and the frontier
-        hold orbit representatives only.  Without ``fingerprint`` a
-        raw-successor cache additionally skips re-canonicalizing
-        concrete successors generated more than once (the common case:
-        most generated transitions hit already-seen states), trading
-        memory bounded by the *unreduced* successor count for a large
-        cut in canonicalizer calls; fingerprint mode — and any
-        disk-backed store, whose whole point is bounded RAM — keeps the
-        memory-lean contract instead and pays the canonicalization per
-        generated transition.  The cache is pure memoization, so every
-        backend still reports identical states/transitions/verdicts.
-        """
-        canonical = canonicalizer.canonical
-        orbit_size = canonicalizer.orbit_size
-        store_obj = (store or StoreConfig()).create()
-        ram_set = (
-            store_obj.raw_set if isinstance(store_obj, RamStore) else None
-        )
-        ram_add = ram_set.add if ram_set is not None else None
-        store_add = store_obj.add
-
-        def _store_counters() -> Optional[Dict[str, int]]:
-            if store is None:
-                return None
-            counters = dict(store_obj.counters())
-            counters["file_bytes"] = store_obj.file_bytes()
-            return counters
-
-        selector = None
-        if por:
-            from repro.checker.por import FastAmpleSelector
-
-            selector = FastAmpleSelector(
-                self, check_safety=check_safety,
-                cycle_proviso=por_cycle_proviso,
-            )
-
-        def _por_counters() -> Optional[Dict[str, int]]:
-            return selector.counters.as_dict() if selector is not None else None
-
-        try:
-            initial = canonical(self.initial_state())
-            packable = fingerprint and self.state_bits <= 64
-            queue: Optional[_ChunkedIntQueue] = (
-                _ChunkedIntQueue() if packable else None
-            )
-            frontier: Optional[deque] = None if packable else deque()
-            transitions = 0
-            truncated = 0
-            covered = 0
-            resumed = (
-                checkpointer.latest() if checkpointer is not None else None
-            )
-            if resumed is not None:
-                store_obj.load(resumed.visited())
-                n_seen = resumed.counter("admitted")
-                transitions = resumed.counter("transitions")
-                truncated = resumed.counter("truncated")
-                covered = resumed.counter("covered")
-                if selector is not None:
-                    selector.counters.load(resumed.counters)
-                for pending in resumed.frontier():
-                    if packable:
-                        queue.push(pending)
-                    else:
-                        frontier.append(pending)
-            else:
-                if check_safety:
-                    violation = self.check_outputs(initial)
-                    if violation:
-                        return FastExplorationResult(
-                            1, 0, True, violation,
-                            covered_states=orbit_size(initial),
-                            symmetry_group_order=canonicalizer.order,
-                            store_counters=_store_counters(),
-                            por_counters=_por_counters(),
-                        )
-                store_add(fingerprint_int(initial) if fingerprint else initial)
-                n_seen = 1
-                covered = orbit_size(initial)
-                if packable:
-                    queue.push(initial)
-                else:
-                    frontier.append(initial)
-            # The raw-successor cache is RAM-only by design (it grows
-            # with the unreduced graph); a cold cache after resume only
+                frontier.append(initial)
+            # The raw-successor cache: a cold cache after resume only
             # costs extra canonicalizer calls, never correctness.
             raw_seen: Optional[Set[int]] = (
-                None if (fingerprint or ram_set is None) else set(ram_set)
+                set(ram_set)
+                if canonical is not None and ram_set is not None
+                else None
             )
-            complete = True
-            buf: List[int] = []
-            check_outputs = self.check_outputs
-            successor_states_into = self.successor_states_into
+
+            def representatives(raw: List[int]) -> List[int]:
+                if raw_seen is None:
+                    return [canonical(successor) for successor in raw]
+                reps = []
+                for successor in raw:
+                    if successor not in raw_seen:
+                        raw_seen.add(successor)
+                        reps.append(canonical(successor))
+                return reps
+
             is_new = None
             if selector is not None:
                 membership = ram_set if ram_set is not None else store_obj
+                if canonical is None:
+                    is_new = lambda successor: successor not in membership
+                else:
 
-                def is_new(successor: int) -> bool:
-                    # A raw successor seen before had its representative
-                    # admitted then — certainly not new.
-                    if raw_seen is not None and successor in raw_seen:
-                        return False
-                    representative = canonical(successor)
-                    key = (
-                        fingerprint_int(representative)
-                        if fingerprint
-                        else representative
-                    )
-                    return key not in membership
+                    def is_new(successor: int) -> bool:
+                        # A raw successor seen before had its
+                        # representative admitted then: not new.
+                        if raw_seen is not None and successor in raw_seen:
+                            return False
+                        return canonical(successor) not in membership
 
+            complete = True
+            buf: List[int] = []
+            check_outputs = self.check_outputs
+            successor_states_into = self.successor_states_into
             while True:
                 if heartbeat is not None:
-                    heartbeat.tick(
-                        n_seen, len(queue if packable else frontier),
-                        transitions,
-                    )
+                    heartbeat.tick(n_seen, len(frontier), transitions)
                 if checkpointer is not None and checkpointer.due(n_seen):
                     counters = {
                         "admitted": n_seen,
                         "transitions": transitions,
                         "truncated": truncated,
-                        "covered": covered,
                     }
+                    if orbit_size is not None:
+                        counters["covered"] = covered
                     if selector is not None:
                         counters.update(selector.counters.as_dict())
                     checkpointer.write(
-                        queue.snapshot() if packable else iter(frontier),
-                        counters,
-                        iter(store_obj),
+                        iter(frontier), counters, iter(store_obj)
                     )
-                if packable:
-                    state = queue.pop()
-                    if state < 0:
-                        break
-                else:
-                    if not frontier:
-                        break
-                    state = frontier.popleft()
+                if not frontier:
+                    break
+                state = frontier.popleft()
                 if selector is None:
                     successor_states_into(state, buf)
                 else:
                     selector.expand(state, buf, is_new)
                 transitions += len(buf)
-                for successor in buf:
-                    if raw_seen is not None:
-                        if successor in raw_seen:
-                            continue
-                        raw_seen.add(successor)
-                    representative = canonical(successor)
-                    key = (
-                        fingerprint_int(representative)
-                        if fingerprint
-                        else representative
-                    )
+                successors = (
+                    buf if canonical is None else representatives(buf)
+                )
+                for key in successors:
                     if ram_add is not None:
+                        # Inline set ops: no store dispatch per
+                        # generated transition.
                         if key in ram_set:
                             continue
                         if n_seen >= max_states:
@@ -1062,47 +804,24 @@ class FastSnapshotSpec:
                         complete = False
                         truncated += 1
                         continue
-                    covered += orbit_size(representative)
-                    if packable:
-                        queue.push(representative)
-                    else:
-                        frontier.append(representative)
-                    if check_safety:
-                        violation = check_outputs(representative)
-                        if violation:
-                            return FastExplorationResult(
-                                n_seen, transitions, complete, violation,
-                                truncated_transitions=truncated,
-                                covered_states=covered,
-                                symmetry_group_order=canonicalizer.order,
-                                store_counters=_store_counters(),
-                                por_counters=_por_counters(),
-                            )
-                    if progress_every and n_seen % progress_every == 0:
-                        print(
-                            f"  ... {n_seen} representatives,"
-                            f" {covered} covered,"
-                            f" {transitions} transitions", flush=True
+                    if orbit_size is not None:
+                        covered += orbit_size(key)
+                    frontier.append(key)
+                    violation = check_outputs(key)
+                    if violation:
+                        return _result(
+                            n_seen, transitions, complete, truncated,
+                            covered, violation,
                         )
                 if not complete:
+                    # Budget exhausted: no pending state can admit a new
+                    # one, so draining the frontier is wasted work.
                     break
-
-            return FastExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                complete=complete,
-                truncated_transitions=truncated,
-                covered_states=covered,
-                symmetry_group_order=canonicalizer.order,
-                store_counters=_store_counters(),
-                por_counters=_por_counters(),
-            )
+            return _result(n_seen, transitions, complete, truncated, covered)
         finally:
             store_obj.close()
 
-    def _explore_with_edges(
-        self, max_states: int, check_safety: bool, progress_every: int
-    ) -> FastExplorationResult:
+    def _explore_with_edges(self, max_states: int) -> FastExplorationResult:
         initial = self.initial_state()
         index_of: Dict[int, int] = {initial: 0}
         frontier: deque = deque([initial])
@@ -1112,10 +831,9 @@ class FastSnapshotSpec:
         edges: List[Tuple[int, int, int]] = []
         order: List[int] = [initial]
 
-        if check_safety:
-            violation = self.check_outputs(initial)
-            if violation:
-                return FastExplorationResult(1, 0, True, violation)
+        violation = self.check_outputs(initial)
+        if violation:
+            return FastExplorationResult(1, 0, True, violation)
 
         while frontier:
             state = frontier.popleft()
@@ -1132,17 +850,11 @@ class FastSnapshotSpec:
                     index_of[successor] = successor_index
                     order.append(successor)
                     frontier.append(successor)
-                    if check_safety:
-                        violation = self.check_outputs(successor)
-                        if violation:
-                            return FastExplorationResult(
-                                len(index_of), transitions, complete, violation,
-                                truncated_transitions=truncated,
-                            )
-                    if progress_every and len(index_of) % progress_every == 0:
-                        print(
-                            f"  ... {len(index_of)} states,"
-                            f" {transitions} transitions", flush=True
+                    violation = self.check_outputs(successor)
+                    if violation:
+                        return FastExplorationResult(
+                            len(index_of), transitions, complete, violation,
+                            truncated_transitions=truncated,
                         )
                 edges.append((state_index, pid, successor_index))
             if not complete:

@@ -7,20 +7,23 @@ integer in a hash set versus a full state object plus parent/index
 bookkeeping), at the price of a vanishingly small probability that two
 distinct states collide and a reachable state is silently skipped.
 
-This module provides the fingerprint functions shared by the explorers
-(:mod:`repro.checker.explorer`, :mod:`repro.checker.fast_snapshot`) and
-the sharded engine (:mod:`repro.checker.parallel`, which also uses the
-fingerprint to assign states to frontier shards deterministically):
+Only the generic object-encoded explorer (:mod:`repro.checker.explorer`)
+uses that trade.  The packed-state engines key their visited sets on
+the exact state — at N<=3 a packed state already fits 64 bits, so a
+fingerprint would save no memory and only add the collision risk — and
+use :func:`fingerprint_int` purely as a hash: to assign states to
+frontier shards (:mod:`repro.checker.parallel`), and inside the stores'
+probing and Bloom filters.
 
-- :func:`fingerprint_int` — arbitrary-precision packed states (the fast
-  bitmask explorer) folded 64 bits at a time through splitmix64;
+- :func:`fingerprint_int` — arbitrary-precision packed states folded
+  64 bits at a time through splitmix64;
 - :func:`fingerprint_state` — object-encoded :class:`GlobalState`\\ s,
   mixed from the state's cached structural hash.  NOTE: Python string
   hashing is randomized per interpreter, so these fingerprints are only
   stable *within* one process tree (fork workers inherit the seed);
   ``fingerprint_int`` is fully deterministic across processes.
-- :func:`collision_probability` — the birthday bound reported in docs
-  and the benchmark harness.
+- :func:`collision_probability` — the birthday bound of fingerprint
+  mode, reported in docs and the benchmark harness.
 
 The splitmix64 finalizer is the standard one (Steele et al., used by
 Java's SplittableRandom and most 64-bit hash mixers): it is bijective
@@ -30,7 +33,7 @@ packed states (the common case in BFS) spread uniformly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from repro.checker.constants import (
     MASK64,
@@ -101,27 +104,12 @@ def fingerprint_state(state: Hashable) -> int:
     return splitmix64(hash(state) & _MASK64)
 
 
-def is_cross_process_stable(fingerprint_fn: Callable[..., int]) -> bool:
-    """True iff ``fingerprint_fn`` yields identical digests in every
-    interpreter process.
-
-    :func:`fingerprint_int` is pure splitmix64 arithmetic — stable
-    everywhere.  :func:`fingerprint_state` builds on ``hash()``, which
-    Python randomizes per interpreter (``PYTHONHASHSEED``): its digests
-    are only meaningful within one process tree, so sharding by them
-    across independently-started workers, or persisting them to disk
-    for a later resume, silently corrupts deduplication.  The storage
-    layer (:mod:`repro.store`) consults this before doing either.
-    """
-    return fingerprint_fn is fingerprint_int
-
-
 def collision_probability(n_states: int) -> float:
     """Birthday bound: P(any two of ``n_states`` fingerprints collide).
 
     For n states uniformly hashed to 64 bits this is approximately
-    n(n-1)/2^65 — about 2.7e-9 for the 10^4.5 states of an N=2 sweep
-    and still only ~5e-5 at the 10^9 states of a full N=3 run, the same
-    regime TLC reports after its runs.
+    n(n-1)/2^65 — about 3e-11 for the ~3*10^4 states of an N=2 sweep,
+    but already ~8e-4 at the 1.75*10^8 representatives an exhaustive
+    N=3 attempt reached.
     """
     return min(1.0, n_states * (n_states - 1) / 2.0 / float(1 << 64))

@@ -48,7 +48,7 @@ from repro.checker.fast_snapshot import (
     canonical_wiring_classes,
 )
 from repro.checker.fingerprint import fingerprint_int
-from repro.store.base import StoreConfig, require_cross_process_stable
+from repro.store.base import StoreConfig
 from repro.store.checkpoint import (
     RunCheckpointer,
     SweepCheckpoint,
@@ -160,13 +160,12 @@ def _class_store(
 
 def _explore_class_task(
     task: Tuple[
-        int, Tuple[int, ...], WiringClass, Optional[int], int, bool, bool,
-        bool, Optional[StoreConfig], bool, str, str, Optional[float],
+        int, Tuple[int, ...], WiringClass, int, bool, Optional[StoreConfig],
+        bool, str, str, Optional[float],
     ],
 ) -> Tuple[int, FastExplorationResult]:
-    (index, inputs, wiring, level_target, max_states, check_safety,
-     fingerprint, symmetry, store, por, engine, kernel,
-     heartbeat_every) = task
+    (index, inputs, wiring, max_states, symmetry, store, por, engine,
+     kernel, heartbeat_every) = task
     heartbeat = None
     if heartbeat_every is not None:
         from repro.service.heartbeat import Heartbeat
@@ -180,11 +179,8 @@ def _explore_class_task(
             heartbeat_every,
             label=f"class-{index:03d} {engine_label(engine, kernel)}",
         )
-    spec = FastSnapshotSpec(inputs, wiring, level_target=level_target)
-    result = spec.explore(
+    result = FastSnapshotSpec(inputs, wiring).explore(
         max_states=max_states,
-        check_safety=check_safety,
-        fingerprint=fingerprint,
         symmetry=symmetry,
         store=_class_store(store, index),
         por=por,
@@ -197,13 +193,8 @@ def _explore_class_task(
 
 def check_snapshot_classes(
     n_processors: int,
-    n_registers: Optional[int] = None,
     budget: Optional[int] = None,
     jobs: int = 1,
-    check_safety: bool = True,
-    fingerprint: bool = False,
-    level_target: Optional[int] = None,
-    inputs: Optional[Sequence[int]] = None,
     symmetry: bool = False,
     store: Optional[StoreConfig] = None,
     sweep_dir: Optional[str] = None,
@@ -216,9 +207,11 @@ def check_snapshot_classes(
     """Sweep every canonical wiring class, ``jobs`` classes at a time.
 
     The parallel entry point behind experiment E4's N=3 sweep and
-    ``python -m repro check --jobs N``.  Returns ``(wiring, result)``
-    pairs in canonical class order whatever the completion order, so
-    reports and verdicts are byte-identical across ``jobs`` settings.
+    ``python -m repro check --jobs N``: processor ``p`` gets input
+    ``p + 1`` and every class has one register per processor.  Returns
+    ``(wiring, result)`` pairs in canonical class order whatever the
+    completion order, so reports and verdicts are byte-identical
+    across ``jobs`` settings.
     ``jobs`` is capped at the host's core count (:func:`effective_jobs`);
     with ``symmetry`` each class explores orbit representatives under
     its wiring-stabilizer group and reports ``covered_states``.
@@ -242,13 +235,8 @@ def check_snapshot_classes(
     semantic configuration) is validated against the directory's
     ``meta.json`` so incomparable sweeps cannot be mixed.
     """
-    registers = n_registers if n_registers is not None else n_processors
-    classes = canonical_wiring_classes(n_processors, registers)
-    chosen_inputs = (
-        tuple(inputs)
-        if inputs is not None
-        else tuple(range(1, n_processors + 1))
-    )
+    classes = canonical_wiring_classes(n_processors, n_processors)
+    inputs = tuple(range(1, n_processors + 1))
     max_states = budget if budget is not None else 10 ** 9
     sweep = (
         SweepCheckpoint(Path(sweep_dir), meta=sweep_meta)
@@ -264,9 +252,8 @@ def check_snapshot_classes(
         else:
             pending.append(index)
     tasks = [
-        (index, chosen_inputs, classes[index], level_target, max_states,
-         check_safety, fingerprint, symmetry, store, por, engine, kernel,
-         heartbeat_every)
+        (index, inputs, classes[index], max_states, symmetry, store, por,
+         engine, kernel, heartbeat_every)
         for index in pending
     ]
     for index, result in _run_class_tasks(tasks, effective_jobs(jobs)):
@@ -377,11 +364,8 @@ class ShardEngine:
         self,
         inputs: Sequence[int],
         wiring: WiringClass,
-        level_target: Optional[int],
         shard: int,
         n_shards: int,
-        check_safety: bool,
-        fingerprint: bool,
         symmetry: bool = False,
         store_config: Optional[StoreConfig] = None,
         por: bool = False,
@@ -391,12 +375,8 @@ class ShardEngine:
     ) -> None:
         self.shard = shard
         self.n_shards = n_shards
-        self.check_safety = check_safety
-        self.fingerprint = fingerprint
         self.symmetry = symmetry
-        spec = FastSnapshotSpec(
-            tuple(inputs), wiring, level_target=level_target
-        )
+        spec = FastSnapshotSpec(tuple(inputs), wiring)
         self.spec = spec
         canonicalizer = None
         if symmetry:
@@ -429,40 +409,28 @@ class ShardEngine:
         if por and self.use_batch:
             assert self.kernel is not None
             self.batch_selector = self._batch_mod.BatchAmpleSelector(
-                self.kernel, check_safety=check_safety
+                self.kernel
             )
         elif por:
             from repro.checker.por import FastAmpleSelector
 
-            self.selector = FastAmpleSelector(spec, check_safety=check_safety)
+            self.selector = FastAmpleSelector(spec)
         self._buf: List[int] = []
 
     # -- POR helpers ---------------------------------------------------
 
     def _batch_key_of(self, states):
-        if self.batch_canon is not None:
-            states = self.batch_canon.canonical_many(states)
-        return (
-            self.kernel.fingerprint_many(states)
-            if self.fingerprint
-            else states
-        )
+        if self.batch_canon is None:
+            return states
+        return self.batch_canon.canonical_many(states)
 
     def _batch_in_visited(self, keys):
         # Sharded C3, vectorized: certainly new means locally owned
         # AND absent from this shard's visited set, so "possibly
-        # visited" is foreign-owned OR present.  In fingerprint mode
-        # the key already is the ownership digest; otherwise it is the
-        # canonical state and the digest is recomputed, matching the
-        # scalar closure.
+        # visited" is foreign-owned OR present.
         np = self._np
-        fps = (
-            keys
-            if self.fingerprint
-            else self.kernel.fingerprint_many(keys)
-        )
-        foreign = (fps % np.uint64(self.n_shards)) != np.uint64(self.shard)
-        return foreign | self.seen.contains_many(keys)
+        owners = self.kernel.fingerprint_many(keys) % np.uint64(self.n_shards)
+        return (owners != np.uint64(self.shard)) | self.seen.contains_many(keys)
 
     def _is_new(self, successor: int) -> bool:
         # Sharded C3: only a locally-owned, locally-unvisited successor
@@ -472,8 +440,7 @@ class ShardEngine:
             successor = self.canonicalizer.canonical(successor)
         if fingerprint_int(successor) % self.n_shards != self.shard:
             return False
-        key = fingerprint_int(successor) if self.fingerprint else successor
-        return key not in self.seen
+        return successor not in self.seen
 
     # -- checkpoint plumbing -------------------------------------------
 
@@ -524,16 +491,10 @@ class ShardEngine:
                 states[~certified] = batch_canon.canonical_many(
                     states[~certified]
                 )
-        keys = (
-            kernel.fingerprint_many(states)
-            if self.fingerprint
-            else states
-        )
-        unique_keys, first_occ = kernel.unique_first(keys)
+        unique_keys, first_occ = kernel.unique_first(states)
         present = self.seen.contains_many(unique_keys)
-        admit_pos = np.sort(first_occ[~present])
-        admitted_arr = states[admit_pos]
-        self.seen.add_many(keys[admit_pos])
+        admitted_arr = states[np.sort(first_occ[~present])]
+        self.seen.add_many(admitted_arr)
         n_admitted = int(admitted_arr.size)
         covered = None
         if self.symmetry:
@@ -543,7 +504,7 @@ class ShardEngine:
                 else n_admitted
             )
         violation = None
-        if self.check_safety and n_admitted:
+        if n_admitted:
             _, violation = batch_mod._first_violation(
                 self.spec, kernel, admitted_arr
             )
@@ -594,8 +555,7 @@ class ShardEngine:
                     skipped += 1  # sender certified canonical form
                 else:
                     state = canonicalizer.canonical(state)
-            key = fingerprint_int(state) if self.fingerprint else state
-            if not seen_add(key):
+            if not seen_add(state):
                 continue
             admitted.append(state)
             if self.symmetry:
@@ -604,7 +564,7 @@ class ShardEngine:
                     if canonicalizer is not None
                     else 1
                 )
-            if self.check_safety and violation is None:
+            if violation is None:
                 violation = spec.check_outputs(state)
         transitions = 0
         outboxes: Dict[int, List[int]] = {}
@@ -638,11 +598,8 @@ def _shard_worker(
     conn,
     inputs: Tuple[int, ...],
     wiring: WiringClass,
-    level_target: Optional[int],
     shard: int,
     n_shards: int,
-    check_safety: bool,
-    fingerprint: bool,
     symmetry: bool = False,
     store_config: Optional[StoreConfig] = None,
     por: bool = False,
@@ -663,9 +620,8 @@ def _shard_worker(
     shard_engine = None
     try:
         shard_engine = ShardEngine(
-            inputs, wiring, level_target, shard, n_shards, check_safety,
-            fingerprint, symmetry=symmetry, store_config=store_config,
-            por=por, engine=engine, kernel=kernel,
+            inputs, wiring, shard, n_shards, symmetry=symmetry,
+            store_config=store_config, por=por, engine=engine, kernel=kernel,
         )
         while True:
             message = conn.recv()
@@ -696,13 +652,9 @@ def explore_sharded(
     wiring: WiringClass,
     jobs: int = 2,
     max_states: int = 200_000_000,
-    check_safety: bool = True,
-    level_target: Optional[int] = None,
-    fingerprint: bool = False,
     symmetry: bool = False,
     store: Optional[StoreConfig] = None,
     checkpointer: Optional[RunCheckpointer] = None,
-    fingerprint_fn: Callable[[int], int] = fingerprint_int,
     _after_checkpoint: Optional[Callable[[], None]] = None,
     por: bool = False,
     engine: str = "scalar",
@@ -733,10 +685,9 @@ def explore_sharded(
     ``check_wait_freedom=True`` for that (N=2 certification does).
 
     ``store`` selects each shard's visited-set backend (namespaced
-    ``shard-NNN/`` under the store directory).  ``fingerprint_fn`` must
-    be cross-process stable — digests decide shard ownership and land
-    in checkpoint files, so per-interpreter functions like
-    ``fingerprint_state`` are rejected up front.  ``checkpointer``
+    ``shard-NNN/`` under the store directory).  Shard ownership is
+    ``fingerprint_int(state) % jobs``, deterministic across processes
+    and hosts.  ``checkpointer``
     persists the run at BFS-layer boundaries (per-shard visited dumps +
     the pending boundary frontier); a killed run resumes from the last
     committed checkpoint with an identical final result.
@@ -764,7 +715,7 @@ def explore_sharded(
     the generated native library is disk-cached, so concurrent shard
     workers share one compile.
     """
-    spec = FastSnapshotSpec(inputs, wiring, level_target=level_target)
+    spec = FastSnapshotSpec(inputs, wiring)
     jobs = effective_jobs(jobs)
     if engine not in ("scalar", "batch"):
         raise ValueError(
@@ -783,8 +734,6 @@ def explore_sharded(
     if jobs <= 1:
         return spec.explore(
             max_states=max_states,
-            check_safety=check_safety,
-            fingerprint=fingerprint,
             symmetry=symmetry,
             store=store,
             checkpointer=checkpointer,
@@ -793,10 +742,6 @@ def explore_sharded(
             kernel=kernel,
             heartbeat=heartbeat,
         )
-    # Shard ownership and checkpoint files both carry digests across
-    # process boundaries: a per-interpreter fingerprint would silently
-    # mis-shard, so refuse it here rather than corrupt the run.
-    require_cross_process_stable(fingerprint_fn)
     if checkpointer is not None:
         recorded = checkpointer.completed_result()
         if recorded is not None:
@@ -872,9 +817,8 @@ def explore_sharded(
                 process = ctx.Process(
                     target=_shard_worker,
                     args=(
-                        child_conn, tuple(inputs), wiring, level_target,
-                        shard, jobs, check_safety, fingerprint, symmetry,
-                        store, por, worker_engine, kernel,
+                        child_conn, tuple(inputs), wiring, shard, jobs,
+                        symmetry, store, por, worker_engine, kernel,
                     ),
                     daemon=True,
                 )
@@ -885,8 +829,6 @@ def explore_sharded(
         except OSError:  # pragma: no cover - process-less environments
             return spec.explore(
                 max_states=max_states,
-                check_safety=check_safety,
-                fingerprint=fingerprint,
                 symmetry=symmetry,
                 store=store,
                 checkpointer=checkpointer,
@@ -936,7 +878,7 @@ def explore_sharded(
                 }
             inboxes: Dict[int, List[int]] = {}
             for entry in resumed.frontier():
-                owner = fingerprint_fn(entry >> 1) % jobs
+                owner = fingerprint_int(entry >> 1) % jobs
                 inboxes.setdefault(owner, []).append(entry)
             for shard in range(jobs):
                 path = resumed.directory / f"visited-{shard:03d}.u64"
@@ -956,7 +898,7 @@ def explore_sharded(
                 if not canonicalizer.trivial:
                     canonical_bit = 1
             inboxes = {
-                fingerprint_fn(initial) % jobs: [
+                fingerprint_int(initial) % jobs: [
                     (initial << 1) | canonical_bit
                 ]
             }

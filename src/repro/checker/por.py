@@ -380,8 +380,7 @@ class FastAmpleSelector:
     The fast engine's only safety property is ``check_outputs``
     (terminated outputs comparable + self-inclusive), whose visibility
     footprint is outputs-only: a step is visible exactly when it moves
-    the stepping processor to ``DONE``.  With ``check_safety=False``
-    nothing is checked and no step is visible.
+    the stepping processor to ``DONE``.
 
     ``cycle_proviso`` is a test seam: disabling it demonstrates the
     classic livelock miss that C3 exists to prevent
@@ -389,13 +388,9 @@ class FastAmpleSelector:
     """
 
     def __init__(
-        self,
-        spec: "FastSnapshotSpec",
-        check_safety: bool = True,
-        cycle_proviso: bool = True,
+        self, spec: "FastSnapshotSpec", cycle_proviso: bool = True
     ) -> None:
         self.spec = spec
-        self.check_safety = check_safety
         self.cycle_proviso = cycle_proviso
         self.counters = PORCounters()
         m = spec.m
@@ -468,7 +463,7 @@ class FastAmpleSelector:
                 )
                 # C2: writes never terminate a processor (invisible);
                 # a scan read is visible iff it finishes the scan.
-                if self.check_safety and r:
+                if r:
                     succ_phase = (cand[0] >> (offset + phase_shift)) & 3
                     if succ_phase == _PHASE_DONE:
                         continue

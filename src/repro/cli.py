@@ -9,10 +9,10 @@ Thin, scriptable access to the library's main entry points:
   repetition;
 - ``check`` — TLC-style exhaustive model check of the snapshot
   algorithm for N=2 (safety + wait-freedom), or a budgeted N=3 sweep,
-  optionally parallel (``--jobs``, ``--sharded``), memory-lean
-  (``--fingerprint``), symmetry-reduced (``--symmetry``), disk-backed
-  (``--store mmap|spill``), and checkpointed (``--checkpoint-dir`` /
-  ``--resume``);
+  optionally parallel (``--jobs``, ``--sharded``), symmetry-reduced
+  (``--symmetry``), disk-backed (``--store mmap|spill``), and
+  checkpointed (``--checkpoint-dir`` / ``--resume``); visited sets
+  hold exact packed states, never fingerprints;
 - ``lint`` — anonlint, the model-soundness static analysis (anonymity,
   wiring discipline, permutation-invariance, wait-freedom hygiene),
   with ``--dynamic`` metamorphic orbit-invariance verification;
@@ -164,23 +164,6 @@ def _por_suffix(result) -> str:
     )
 
 
-def _report_collision(total_states: int) -> None:
-    """The birthday-bound honesty line every fingerprint run ends with."""
-    from repro.checker.fingerprint import collision_probability
-
-    probability = collision_probability(total_states)
-    print(
-        f"fingerprint collision probability: ~{probability:.2e} across"
-        f" {total_states} distinct states (64-bit birthday bound)"
-    )
-    if probability > 1e-6:
-        print(
-            "warning: collision probability exceeds 1e-6 — a colliding"
-            " state is silently never explored; rerun without"
-            " --fingerprint to certify the verdict"
-        )
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     import os
     from dataclasses import replace
@@ -279,7 +262,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     meta_base = {
         "n": args.n,
         "budget": args.budget,
-        "fingerprint": bool(args.fingerprint),
         "symmetry": bool(args.symmetry),
         "por": bool(args.por),
         "git_sha": git_sha(),
@@ -289,7 +271,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     max_states = budget if budget is not None else 10 ** 9
 
     failures = 0
-    fingerprinted_states = 0
     # --profile wraps the exploration loop only: the profiler goes live
     # right before the engines run and the dump happens on every exit
     # path (including violations and checkpoint refusals), so the stats
@@ -347,8 +328,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 # batch run through a fast class sweep on top (the
                 # --symmetry precedent: both passes, one command).
                 rows = check_snapshot_classes(
-                    2, budget=budget, jobs=jobs,
-                    fingerprint=args.fingerprint, symmetry=args.symmetry,
+                    2, budget=budget, jobs=jobs, symmetry=args.symmetry,
                     store=store_cfg, por=args.por, engine=args.engine,
                     kernel=kernel,
                     sweep_dir=str(ckpt_base) if ckpt_base else None,
@@ -362,8 +342,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     )
                     if not result.ok:
                         failures += 1
-                    if args.fingerprint:
-                        fingerprinted_states += result.states
                     print(f"  wiring class {wiring}: {result.states} states"
                           f"{_store_suffix(result)}{_por_suffix(result)},"
                           f" {status}")
@@ -415,16 +393,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     )
                 result = explore_sharded(
                     inputs, wiring, jobs=jobs, max_states=max_states,
-                    fingerprint=args.fingerprint, symmetry=args.symmetry,
-                    store=class_store, checkpointer=checkpointer,
+                    symmetry=args.symmetry, store=class_store, checkpointer=checkpointer,
                     por=args.por, engine=args.engine, kernel=kernel,
                     heartbeat=heartbeat,
                 )
                 status = "OK" if result.ok else f"VIOLATED: {result.violation}"
                 if not result.ok:
                     failures += 1
-                if args.fingerprint:
-                    fingerprinted_states += result.states
                 scope = "exhaustive" if result.complete else "bounded"
                 print(f"wiring class {wiring}: {result.states} states"
                       f" ({scope}, {jobs} frontier shards)"
@@ -433,8 +408,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             # One whole class per worker (E4's natural grain).
             rows = check_snapshot_classes(
-                args.n, budget=budget, jobs=jobs,
-                fingerprint=args.fingerprint, symmetry=args.symmetry,
+                args.n, budget=budget, jobs=jobs, symmetry=args.symmetry,
                 store=store_cfg, por=args.por, engine=args.engine,
                 kernel=kernel,
                 sweep_dir=str(ckpt_base) if ckpt_base else None,
@@ -449,8 +423,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 status = "OK" if result.ok else f"VIOLATED: {result.violation}"
                 if not result.ok:
                     failures += 1
-                if args.fingerprint:
-                    fingerprinted_states += result.states
                 scope = "exhaustive" if result.complete else "bounded"
                 print(f"wiring class {wiring}: {result.states} states"
                       f" ({scope}){_symmetry_suffix(result)}"
@@ -483,8 +455,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             profiler.disable()
             profiler.dump_stats(args.profile)
             print(f"profile: exploration stats written to {args.profile}")
-    if args.fingerprint and fingerprinted_states:
-        _report_collision(fingerprinted_states)
     return 0 if failures == 0 else 1
 
 
@@ -696,7 +666,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         spec = JobSpec(
             n=args.n,
             budget=args.budget,
-            fingerprint=args.fingerprint,
             symmetry=args.symmetry,
             por=args.por,
             engine=args.engine,
@@ -885,14 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
              " numpy (force the vectorized oracle), or native (force the"
              " generated C kernel; degrades to numpy with a warning when"
              " no compiler is available).  Kernels are bit-identical —"
-             " same states, fingerprints, and verdicts; ignored by"
+             " same states, counts, and verdicts; ignored by"
              " --engine scalar",
-    )
-    check.add_argument(
-        "--fingerprint", action="store_true",
-        help="store 64-bit state fingerprints instead of full states"
-             " (~10x less state-store memory; collision probability"
-             " ~n^2/2^65, TLC's trade)",
     )
     check.add_argument(
         "--symmetry", action=argparse.BooleanOptionalAction, default=False,
@@ -958,9 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--resume", default=None, metavar="DIR",
         help="resume a previous --checkpoint-dir run from DIR; the"
-             " stored configuration (n, budget, fingerprint, symmetry,"
-             " ...) must match or the run is refused — a git-SHA drift"
-             " is only warned about",
+             " stored configuration (n, budget, symmetry, por, ...) must"
+             " match or the run is refused — a git-SHA drift is only"
+             " warned about",
     )
     check.add_argument(
         "--heartbeat", type=float, default=None, metavar="SECS",
@@ -1098,7 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=0,
         help="states per wiring class; 0 (default) = exhaustive",
     )
-    submit.add_argument("--fingerprint", action="store_true")
     submit.add_argument("--symmetry", action="store_true")
     submit.add_argument("--por", action="store_true")
     submit.add_argument(

@@ -578,10 +578,7 @@ class Coordinator:
             "class_index": index,
             "inputs": list(fast_spec.inputs),
             "wiring": [list(perm) for perm in wiring],
-            "level_target": None,
             "n_shards": n_shards,
-            "check_safety": True,
-            "fingerprint": spec.fingerprint,
             "symmetry": spec.symmetry,
             "por": spec.por,
             "engine": spec.engine,

@@ -58,7 +58,6 @@ class JobSpec:
 
     n: int = 2
     budget: int = 0
-    fingerprint: bool = False
     symmetry: bool = False
     por: bool = False
     engine: str = "scalar"
@@ -151,7 +150,6 @@ class JobSpec:
             "machine": self.machine,
             "n": self.n,
             "budget": self.budget,
-            "fingerprint": self.fingerprint,
             "symmetry": self.symmetry,
             "por": self.por,
             "engine": self.engine,

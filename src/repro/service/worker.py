@@ -77,11 +77,8 @@ def _configure(state: _WorkerState, header: Dict[str, Any]) -> Dict[str, Any]:
         state.engines[shard] = ShardEngine(
             [int(value) for value in header["inputs"]],
             tuple(tuple(int(r) for r in perm) for perm in header["wiring"]),
-            header.get("level_target"),
             shard,
             int(header["n_shards"]),
-            bool(header.get("check_safety", True)),
-            bool(header.get("fingerprint", False)),
             symmetry=bool(header.get("symmetry", False)),
             store_config=store_config,
             por=bool(header.get("por", False)),

@@ -37,7 +37,6 @@ from repro.store.base import (
     StoreConfig,
     StoreError,
     StoreFullError,
-    require_cross_process_stable,
 )
 from repro.store.checkpoint import (
     CheckpointError,
@@ -68,6 +67,5 @@ __all__ = [
     "SweepCheckpoint",
     "load_meta",
     "read_u64_file",
-    "require_cross_process_stable",
     "write_u64_file",
 ]

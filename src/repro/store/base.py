@@ -1,8 +1,8 @@
 """The fingerprint-store interface and its picklable configuration.
 
 A :class:`FingerprintStore` is an exact set of unsigned integers — the
-64-bit fingerprints (or ≤64-bit packed states) the exploration engines
-deduplicate on.  The contract every backend honours:
+≤64-bit packed states the exploration engines deduplicate on (or the
+64-bit digests of the generic explorer's fingerprint mode).  The contract every backend honours:
 
 - :meth:`FingerprintStore.add` inserts and reports newness in one call
   (the hot-path operation: one call per generated transition);
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -94,8 +93,8 @@ def require_u64(key: int) -> int:
     if key < 0 or key >= KEY_LIMIT:
         raise StoreError(
             f"disk-backed stores hold raw 64-bit words; key has"
-            f" {key.bit_length()} bits — fingerprint the state first"
-            f" (--fingerprint) for state encodings wider than 64 bits"
+            f" {key.bit_length()} bits — state encodings wider than 64"
+            f" bits need the ram store"
         )
     return key
 
@@ -175,31 +174,6 @@ def u64_chunks(
             block = array("Q")
     if block:
         yield block
-
-
-def require_cross_process_stable(fingerprint_fn: Callable[..., int]) -> None:
-    """Refuse per-interpreter fingerprints for cross-process storage.
-
-    ``fingerprint_state`` builds on ``hash()``, which Python randomizes
-    per interpreter: digests from one process are meaningless in
-    another, so sharding by them across workers or persisting them for
-    resume would silently mis-shard / mis-deduplicate.  Everything that
-    moves fingerprints across process boundaries calls this first and
-    fails loudly instead.
-    """
-    # Imported lazily: repro.checker's package __init__ pulls in the
-    # engines, which import this module — a top-level import here would
-    # close the cycle.
-    from repro.checker.fingerprint import is_cross_process_stable
-
-    if not is_cross_process_stable(fingerprint_fn):
-        name = getattr(fingerprint_fn, "__name__", repr(fingerprint_fn))
-        raise StoreError(
-            f"{name} digests are randomized per interpreter (PYTHONHASHSEED),"
-            " so they cannot be sharded across worker processes or persisted"
-            " for resume — use the deterministic fingerprint_int (the packed"
-            "-integer engines) for cross-process runs"
-        )
 
 
 class FingerprintStore(ABC):

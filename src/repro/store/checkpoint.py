@@ -413,7 +413,7 @@ class SweepCheckpoint:
     explores only the remainder.  ``meta`` (when given) is validated
     against the directory's ``meta.json`` exactly like
     :class:`RunCheckpointer` — replaying class results recorded under a
-    different budget/symmetry/fingerprint configuration would silently
+    different budget/symmetry/por configuration would silently
     mix incomparable runs.
     """
 

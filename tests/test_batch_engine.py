@@ -50,6 +50,14 @@ N2_CLASSES = [((0, 1), (0, 1)), ((0, 1), (1, 0))]
 #: One N=3 class for budgeted multi-level coverage.
 N3_CLASS = ((0, 1, 2), (0, 1, 2), (1, 2, 0))
 
+#: N=3 classes whose wiring stabilizers have order 6 (identity wiring),
+#: 2 and 3, for the budget-clipped symmetric runs.
+N3_SYMMETRY_CLASSES = [
+    ((0, 1, 2), (0, 1, 2), (0, 1, 2)),
+    N3_CLASS,
+    ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+]
+
 _SEEDED_MESSAGE = "seeded violation: a processor terminated"
 
 
@@ -170,20 +178,6 @@ class TestSerialConformance:
         else:
             assert scalar == batch
 
-    @pytest.mark.parametrize("fingerprint", [False, True])
-    @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("por", [False, True])
-    def test_exhaustive_n2_fingerprint(self, fingerprint, symmetry, por):
-        scalar, batch = _both(
-            N2_CLASSES[1], fingerprint=fingerprint, symmetry=symmetry,
-            por=por,
-        )
-        if por:
-            assert _verdict(scalar) == _verdict(batch)
-            _assert_por_accounting(batch)
-        else:
-            assert scalar == batch
-
     def test_batch_por_cycle_proviso_seam(self):
         # The snapshot machine's reachable graph is a DAG, so disabling
         # C3 must not change the verdict — it only removes proviso
@@ -208,11 +202,38 @@ class TestSerialConformance:
         )
         assert scalar == batch
 
-    def test_budgeted_n3_multi_level(self):
+    @pytest.mark.parametrize("wiring", N3_SYMMETRY_CLASSES, ids=str)
+    @pytest.mark.parametrize("budget", [1, 97, 4321])
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    def test_budgeted_n3_multi_level(self, wiring, budget, kernel):
+        # The scalar loop memoizes raw successors under symmetry; the
+        # batch loop canonicalizes every one.  Budget trips are where
+        # a skipped occurrence could change the truncated count.
         scalar, batch = _both(
-            N3_CLASS, inputs=(1, 2, 3), max_states=3_000, fingerprint=True
+            wiring, inputs=(1, 2, 3), max_states=budget, symmetry=True,
+            kernel=kernel,
         )
         assert scalar == batch
+        assert not batch["complete"] and batch["states"] == budget
+
+    def test_successors_are_pairwise_distinct(self):
+        # The premise that lets the batch loop drop the scalar loop's
+        # raw-successor cache without changing budget-clipped counts:
+        # no state generates the same successor twice.
+        for wiring in N2_CLASSES:
+            spec = FastSnapshotSpec([1, 2], wiring)
+            frontier = [spec.initial_state()]
+            seen = set(frontier)
+            buf = []
+            while frontier:
+                state = frontier.pop()
+                spec.successor_states_into(state, buf)
+                assert len(set(buf)) == len(buf), hex(state)
+                for successor in buf:
+                    if successor not in seen:
+                        seen.add(successor)
+                        frontier.append(successor)
+            assert len(seen) == spec.explore().states
 
     def test_seeded_violation_matches_and_defeats_vectorized_mask(
         self, monkeypatch
@@ -252,8 +273,7 @@ class TestStoreConformance:
     def test_backends_match_scalar(self, backend, symmetry, por, tmp_path):
         def run(engine, sub):
             return FastSnapshotSpec([1, 2], N2_CLASSES[1]).explore(
-                engine=engine, fingerprint=True, symmetry=symmetry,
-                por=por,
+                engine=engine, symmetry=symmetry, por=por,
                 store=StoreConfig(
                     backend=backend, directory=str(tmp_path / sub)
                 ),
@@ -290,9 +310,8 @@ class TestShardedConformance:
         )
 
     @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("fingerprint", [False, True])
-    def test_exhaustive_n2_matches_scalar_workers(self, symmetry, fingerprint):
-        kwargs = dict(jobs=2, symmetry=symmetry, fingerprint=fingerprint)
+    def test_exhaustive_n2_matches_scalar_workers(self, symmetry):
+        kwargs = dict(jobs=2, symmetry=symmetry)
         scalar = explore_sharded(
             [1, 2], N2_CLASSES[1], engine="scalar", **kwargs
         )
@@ -472,7 +491,7 @@ class TestUniqueFirstSortedPath:
         # every admitted/transition count identical to the RAM run.
         def run(backend, sub):
             return asdict(FastSnapshotSpec([1, 2, 3], N3_CLASS).explore(
-                engine="batch", fingerprint=True, max_states=3_000,
+                engine="batch", max_states=3_000,
                 store=StoreConfig(
                     backend=backend, directory=str(tmp_path / sub)
                 ),

@@ -158,8 +158,7 @@ class TestSerialResume:
         self, tmp_path, monkeypatch
     ):
         # Checkpoint files are u64 arrays; a spec whose packed states
-        # exceed 64 bits must be refused up front (fingerprint mode is
-        # the escape hatch).
+        # exceed 64 bits must be refused up front.
         spec = FastSnapshotSpec([1, 2], WIRING)
         monkeypatch.setattr(spec, "state_bits", 70)
         with pytest.raises(ValueError, match="70 bits"):
@@ -389,6 +388,16 @@ class TestSchemaDriftRefusal:
         with pytest.raises(
             CheckpointIncompatible,
             match=r"newer config schema\?\): quotienting",
+        ):
+            RunCheckpointer(tmp_path, META)
+
+    def test_meta_with_dropped_fingerprint_key_names_it(self, tmp_path):
+        # Checkpoints written while the packed engines still had a
+        # fingerprint mode record the key; resuming them is refused.
+        RunCheckpointer(tmp_path, {**META, "fingerprint": False})
+        with pytest.raises(
+            CheckpointIncompatible,
+            match=r"newer config schema\?\): fingerprint",
         ):
             RunCheckpointer(tmp_path, META)
 

@@ -95,20 +95,17 @@ class TestCommands:
         stats = pstats.Stats(str(target))
         assert stats.total_calls > 0
 
-    def test_check_fingerprint_reports_collision_probability(self, capsys):
-        assert main([
-            "check", "--n", "3", "--budget", "2000", "--fingerprint",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "collision probability" in out
-        assert "warning" not in out  # tiny run, bound far below 1e-6
-
-    def test_check_collision_warning_threshold(self, capsys):
-        from repro import cli
-
-        cli._report_collision(10_000_000)  # ~2.7e-6 > 1e-6
-        out = capsys.readouterr().out
-        assert "warning" in out and "1e-6" in out
+    @pytest.mark.parametrize("command", [
+        ["check", "--n", "3", "--budget", "2000"],
+        ["submit", "--state-dir", "unused"],
+    ])
+    def test_fingerprint_option_is_gone(self, command, capsys):
+        # Visited sets key on exact packed states; the option that
+        # traded that for a collision bound no longer parses.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--fingerprint"])
+        assert exit_info.value.code == 2
+        assert "--fingerprint" in capsys.readouterr().err
 
     def test_check_checkpoint_resume_roundtrip(self, capsys, tmp_path):
         argv = ["check", "--n", "3", "--budget", "2000",

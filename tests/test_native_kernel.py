@@ -184,10 +184,9 @@ class TestExhaustiveN2Matrix:
 
     @pytest.mark.parametrize("wiring", N2_CLASSES)
     @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("fingerprint", [False, True])
     @pytest.mark.parametrize("store", [None, "spill"])
     def test_unreduced_runs_are_field_identical(
-        self, wiring, symmetry, fingerprint, store, tmp_path
+        self, wiring, symmetry, store, tmp_path
     ):
         def run(kernel):
             config = (
@@ -195,8 +194,7 @@ class TestExhaustiveN2Matrix:
                 if store else None
             )
             return explore_batch(
-                FastSnapshotSpec([1, 2], wiring),
-                fingerprint=fingerprint, symmetry=symmetry,
+                FastSnapshotSpec([1, 2], wiring), symmetry=symmetry,
                 store=config, kernel=kernel,
             )
 

@@ -1,11 +1,12 @@
-"""The parallel exploration engine and the fingerprint state store.
+"""The parallel exploration engine and the fingerprint primitives.
 
 Three contracts, each load-bearing for experiment E4's verdicts:
 
 - **conformance** — the class-parallel sweep, the frontier-sharded
-  engine, and both fingerprint modes report exactly what the serial
-  object-encoded explorer reports (states/transitions/verdict on
-  exhaustive runs; verdicts on budgeted ones);
+  engine, and the generic explorer's fingerprint mode report exactly
+  what the serial object-encoded explorer reports
+  (states/transitions/verdict on exhaustive runs; verdicts on budgeted
+  ones);
 - **determinism** — two runs with the same ``jobs`` are identical, so
   parallel reports are reproducible artifacts, not races;
 - **budget semantics** — ``max_states`` caps admissions exactly, the
@@ -18,7 +19,6 @@ import pytest
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import (
     FastSnapshotSpec,
-    _ChunkedIntQueue,
     canonical_wiring_classes,
 )
 from repro.checker.fingerprint import (
@@ -125,22 +125,22 @@ class TestFingerprintPrimitives:
 # ----------------------------------------------------------------------
 
 class TestClassGrainConformance:
-    def test_n2_parallel_and_fingerprint_match_serial_generic(self):
+    def test_n2_parallel_and_serial_match_generic(self):
         parallel_rows = check_snapshot_classes(2, jobs=2)
-        fingerprint_rows = check_snapshot_classes(2, jobs=1, fingerprint=True)
-        assert len(parallel_rows) == len(fingerprint_rows) == 2
-        for (wiring, result), (_, fp_result) in zip(
-            parallel_rows, fingerprint_rows
+        serial_rows = check_snapshot_classes(2, jobs=1)
+        assert len(parallel_rows) == len(serial_rows) == 2
+        for (wiring, result), (_, serial_result) in zip(
+            parallel_rows, serial_rows
         ):
             spec = SystemSpec(
                 SnapshotMachine(2), [1, 2],
                 WiringAssignment.from_permutations(wiring),
             )
             generic = Explorer(spec, SNAPSHOT_SAFETY).run()
-            assert generic.ok and result.ok and fp_result.ok
+            assert generic.ok and result.ok and serial_result.ok
             assert (generic.states, generic.transitions) == (
                 result.states, result.transitions
-            ) == (fp_result.states, fp_result.transitions)
+            ) == (serial_result.states, serial_result.transitions)
 
     def test_n3_budgeted_sweep_identical_across_jobs(self):
         serial = check_snapshot_classes(3, budget=4_000, jobs=1)
@@ -154,14 +154,10 @@ class TestClassGrainConformance:
         _seed_fast_violation(monkeypatch)
         serial = check_snapshot_classes(3, budget=30_000, jobs=1)
         parallel = check_snapshot_classes(3, budget=30_000, jobs=2)
-        fingerprints = check_snapshot_classes(
-            3, budget=30_000, jobs=2, fingerprint=True
-        )
         verdicts = [(r.ok, r.violation) for _, r in serial]
         assert all(not ok for ok, _ in verdicts)
         assert all(v == _SEEDED_MESSAGE for _, v in verdicts)
         assert verdicts == [(r.ok, r.violation) for _, r in parallel]
-        assert verdicts == [(r.ok, r.violation) for _, r in fingerprints]
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +171,8 @@ class TestShardedConformance:
     def test_n2_exhaustive_partition_invariant(self, wiring):
         serial = FastSnapshotSpec([1, 2], wiring).explore()
         sharded = explore_sharded([1, 2], wiring, jobs=2)
-        fp_sharded = explore_sharded([1, 2], wiring, jobs=2, fingerprint=True)
         assert serial.complete
-        assert _stats(serial) == _stats(sharded) == _stats(fp_sharded)
+        assert _stats(serial) == _stats(sharded)
 
     def test_seeded_violation_verdict_matches_serial(self, monkeypatch):
         _seed_fast_violation(monkeypatch)
@@ -303,45 +298,22 @@ class TestExplorerFingerprintMode:
 
 
 # ----------------------------------------------------------------------
-# Fast-engine budget semantics + the chunked frontier queue
+# Fast-engine budget semantics
 # ----------------------------------------------------------------------
 
 class TestFastBudgetSemantics:
     def test_truncation_visible_and_mode_invariant(self):
+        # The safety loop and the edge-recording wait-freedom loop
+        # admit in the same order, so they clip at the same point.
         spec = FastSnapshotSpec([1, 2, 3], N3_CLASS)
-        full = spec.explore(max_states=2_000)
-        lean = spec.explore(max_states=2_000, fingerprint=True)
-        for result in (full, lean):
+        lean = spec.explore(max_states=2_000)
+        full = spec.explore(max_states=2_000, check_wait_freedom=True)
+        for result in (lean, full):
             assert result.states == 2_000
             assert not result.complete
             assert result.truncated_transitions > 0
         assert full.transitions == lean.transitions
         assert full.truncated_transitions == lean.truncated_transitions
-
-    def test_fingerprint_rejects_wait_freedom(self):
-        spec = FastSnapshotSpec([1, 2], canonical_wiring_classes(2, 2)[0])
-        with pytest.raises(ValueError):
-            spec.explore(check_wait_freedom=True, fingerprint=True)
-
-
-class TestChunkedIntQueue:
-    def test_fifo_across_chunk_boundaries(self):
-        queue = _ChunkedIntQueue(chunk_size=16)
-        for value in range(1_000):
-            queue.push(value)
-        assert [queue.pop() for _ in range(1_000)] == list(range(1_000))
-        assert queue.pop() == -1
-
-    def test_interleaved_push_pop(self):
-        queue = _ChunkedIntQueue(chunk_size=4)
-        queue.push(10)
-        queue.push(11)
-        assert queue.pop() == 10
-        for value in range(12, 30):
-            queue.push(value)
-        assert queue.pop() == 11
-        assert [queue.pop() for _ in range(18)] == list(range(12, 30))
-        assert queue.pop() == -1
 
 
 # ----------------------------------------------------------------------

@@ -171,10 +171,10 @@ class TestFastConformance:
         assert sharded.por_counters is not None
         assert sharded.por_counters["transitions_pruned"] > 0
 
-    def test_composes_with_fingerprint_and_symmetry(self):
+    def test_composes_with_symmetry(self):
         base = FastSnapshotSpec([1, 2], N2_CLASS).explore()
         reduced = FastSnapshotSpec([1, 2], N2_CLASS).explore(
-            por=True, symmetry=True, fingerprint=True
+            por=True, symmetry=True
         )
         assert (reduced.ok, reduced.violation) == (base.ok, base.violation)
 

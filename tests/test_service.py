@@ -227,6 +227,13 @@ class TestJobs:
         with pytest.raises(JobError, match="frobnicate"):
             JobSpec.from_dict({"n": 2, "frobnicate": True})
 
+    def test_fingerprint_spec_key_refused(self):
+        # Records persisted before the packed engines dropped
+        # fingerprint mode carry the key; they are refused, not
+        # silently reinterpreted.
+        with pytest.raises(JobError, match="fingerprint"):
+            JobSpec.from_dict({"n": 2, "fingerprint": False})
+
     def test_por_with_budget_refused(self):
         with pytest.raises(JobError, match="exhaustive"):
             JobSpec(por=True, budget=100).validate()

@@ -26,12 +26,12 @@ from repro.checker.symmetry import FastCanonicalizer
 WIRING = ((0, 1), (0, 1))
 
 
-def _run_rounds(rounds, symmetry=True, fingerprint=False):
+def _run_rounds(rounds, symmetry=True):
     """Drive one worker (shard 0 of 1) through the given rounds."""
     parent, child = multiprocessing.Pipe()
     thread = threading.Thread(
         target=_shard_worker,
-        args=(child, (1, 2), WIRING, None, 0, 1, True, fingerprint, symmetry),
+        args=(child, (1, 2), WIRING, 0, 1, symmetry),
     )
     thread.start()
     replies = []

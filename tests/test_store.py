@@ -6,14 +6,15 @@ Three layers of coverage:
   contract (add-reports-newness, exact membership, deterministic
   iteration, bulk load), including the mmap table's zero-key slot and
   load limit and the spill store's spill/merge/Bloom machinery;
-- **guards**: >64-bit keys and per-interpreter fingerprint functions
-  are rejected loudly, and engine/store combinations that cannot work
-  (object tables on disk, wait-freedom on a digest store) raise up
-  front;
+- **guards**: >64-bit keys are rejected loudly, and engine/store
+  combinations that cannot work (object tables on disk, wait-freedom
+  on a disk store) raise up front;
 - **conformance**: the exhaustive N=2 exploration reports identical
   states/transitions/verdicts whatever the backend, with and without
-  fingerprinting and symmetry reduction — the property the disk
-  backends are allowed to exist under.
+  symmetry reduction — the property the disk backends are allowed to
+  exist under — and the packed engines' stores hold exactly the
+  reachable states (orbit representatives under symmetry), not
+  digests of them.
 """
 
 import os
@@ -31,8 +32,6 @@ import repro.checker.parallel as parallel
 from repro.analysis.statistics import aggregate_store_statistics
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import FastSnapshotSpec
-from repro.checker.fingerprint import fingerprint_state
-from repro.checker.parallel import explore_sharded
 from repro.checker.properties import SNAPSHOT_SAFETY
 from repro.core import SnapshotMachine
 from repro.memory.wiring import WiringAssignment
@@ -41,7 +40,6 @@ from repro.store import (
     StoreConfig,
     StoreError,
     StoreFullError,
-    require_cross_process_stable,
 )
 
 WIRING = ((0, 1), (0, 1))
@@ -351,7 +349,7 @@ class TestSpillStore:
         if stride is not None:
             monkeypatch.setattr(spill_module, "_DUMP_STRIDE", stride)
         engine = parallel.ShardEngine(
-            [1, 2], WIRING, None, 0, 1, True, False,
+            [1, 2], WIRING, 0, 1,
             store_config=StoreConfig(
                 backend="spill", directory=str(tmp_path / "store"),
                 mem_cap=4096,
@@ -467,19 +465,6 @@ class TestGuards:
         with pytest.raises(StoreError, match="mem_cap"):
             StoreConfig(backend="spill", mem_cap=0)
 
-    def test_per_interpreter_fingerprint_rejected(self):
-        with pytest.raises(StoreError, match="PYTHONHASHSEED"):
-            require_cross_process_stable(fingerprint_state)
-
-    def test_sharded_run_refuses_fingerprint_state(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel, "effective_jobs", lambda requested: requested
-        )
-        with pytest.raises(StoreError, match="fingerprint_state"):
-            explore_sharded(
-                [1, 2], WIRING, jobs=2, fingerprint_fn=fingerprint_state
-            )
-
     def test_wait_freedom_requires_ram_store(self, tmp_path):
         spec = FastSnapshotSpec([1, 2], WIRING)
         config = StoreConfig(backend="spill", directory=str(tmp_path))
@@ -508,10 +493,9 @@ def _signature(result):
 
 
 class TestExplorationConformance:
-    @pytest.mark.parametrize("fingerprint", [False, True])
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_exhaustive_n2_identical_across_backends(
-        self, tmp_path, fingerprint, symmetry
+        self, tmp_path, symmetry
     ):
         spec = FastSnapshotSpec([1, 2], WIRING)
         signatures = {}
@@ -519,9 +503,7 @@ class TestExplorationConformance:
             config = StoreConfig(
                 backend=backend, directory=str(tmp_path / backend)
             )
-            result = spec.explore(
-                fingerprint=fingerprint, symmetry=symmetry, store=config
-            )
+            result = spec.explore(symmetry=symmetry, store=config)
             signatures[backend] = _signature(result)
             assert result.store_counters is not None
             assert result.store_counters["entries"] == result.states
@@ -561,3 +543,87 @@ class TestExplorationConformance:
             entries=10, file_bytes=4096, merges=2, merge_wall_ms=34
         )
         assert "2 merges in 34 ms" in stats.summary()
+
+
+def _reachable_keys(spec, symmetry):
+    """Every reachable packed state of ``spec`` (its orbit
+    representative under ``symmetry``), by a plain set-based BFS."""
+    from repro.checker.symmetry import FastCanonicalizer
+
+    canonical = FastCanonicalizer(spec).canonical if symmetry else int
+    initial = canonical(spec.initial_state())
+    seen, frontier, buf = {initial}, [initial], []
+    while frontier:
+        for successor in spec.successor_states_into(frontier.pop(), buf):
+            key = canonical(successor)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+    return seen
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+class TestExactKeys:
+    """Packed engines key their visited sets on the exact (canonical)
+    state, so the keys a disk store holds are the states themselves."""
+
+    CONFIG = dict(backend="spill", mem_cap=4096)
+
+    def test_serial_visited_set_is_the_reachable_states(
+        self, tmp_path, monkeypatch, engine, symmetry
+    ):
+        from repro.store.spill import SpillStore
+
+        at_close = []
+        close = SpillStore.close
+        monkeypatch.setattr(SpillStore, "close", lambda store: (
+            at_close.append((list(store), store.counters()["runs"])),
+            close(store),
+        ))
+        spec = FastSnapshotSpec([1, 2], WIRING)
+        result = spec.explore(
+            engine=engine, symmetry=symmetry,
+            store=StoreConfig(directory=str(tmp_path), **self.CONFIG),
+        )
+        [(keys, runs)] = at_close
+        assert runs >= 1  # some keys were read back from disk runs
+        assert keys == sorted(_reachable_keys(spec, symmetry))
+        assert result.complete and result.states == len(keys)
+
+    def test_shard_engines_own_exact_states(self, tmp_path, engine, symmetry):
+        # Two shards driven round by round, as the pipe driver and the
+        # service coordinator drive them: each holds exactly the
+        # reachable states whose fingerprint_int it owns.
+        from repro.checker.fingerprint import fingerprint_int
+
+        config = StoreConfig(directory=str(tmp_path), **self.CONFIG)
+        engines = [
+            parallel.ShardEngine(
+                [1, 2], WIRING, shard, 2, symmetry=symmetry,
+                store_config=config, engine=engine,
+            )
+            for shard in (0, 1)
+        ]
+        try:
+            initial = engines[0].spec.initial_state()
+            entry = initial << 1
+            if symmetry:
+                entry = engines[0].canonicalizer.canonical(initial) << 1 | 1
+            inboxes = {fingerprint_int(entry >> 1) % 2: [entry]}
+            while inboxes:
+                outboxes = {0: [], 1: []}
+                for shard, entries in inboxes.items():
+                    reply = engines[shard].process_round(entries)
+                    assert reply[2] is None  # no violation
+                    for owner, boundary in reply[3].items():
+                        outboxes[owner].extend(int(e) for e in boundary)
+                inboxes = {s: batch for s, batch in outboxes.items() if batch}
+            owned = [set(engine.visited_keys()) for engine in engines]
+        finally:
+            for engine in engines:
+                engine.close()
+        for shard, keys in enumerate(owned):
+            assert keys and {fingerprint_int(k) % 2 for k in keys} == {shard}
+        reachable = _reachable_keys(engines[0].spec, symmetry)
+        assert owned[0] | owned[1] == reachable

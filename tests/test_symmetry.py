@@ -166,13 +166,9 @@ class TestVerdictConformance:
         spec = FastSnapshotSpec([1, 2], ((0, 1), (0, 1)))
         base = spec.explore()
         reduced = spec.explore(symmetry=True)
-        lean = spec.explore(symmetry=True, fingerprint=True)
-        assert base.ok and reduced.ok and lean.ok
+        assert base.ok and reduced.ok
         assert reduced.complete and reduced.states < base.states
         assert reduced.covered_states == base.states
-        assert (lean.states, lean.covered_states) == (
-            reduced.states, reduced.covered_states,
-        )
 
     def test_fast_n3_budgeted_reduction_ratio(self):
         """The flagship config: identity wiring, full S_3 stabilizer."""
