@@ -78,6 +78,7 @@ from repro.checker.fast_snapshot import (
     _PHASE_SCAN,
     _PHASE_WRITE,
     _STOCK_CHECK_OUTPUTS,
+    ClassSetup,
     FastExplorationResult,
     FastSnapshotSpec,
     lean_result,
@@ -849,15 +850,11 @@ def explore_batch(
     successors are pairwise distinct: an occurrence the scalar cache
     skips maps to a visited or already-admitted representative.
     """
-    require_numpy()
-    canonicalizer: Optional["FastCanonicalizer"] = None
-    if symmetry:
-        from repro.checker.symmetry import FastCanonicalizer
-
-        canonicalizer = FastCanonicalizer(spec)
-    level_kernel = make_kernel(spec, kernel, canonicalizer)
-    batch_canon = level_kernel.make_canonicalizer(canonicalizer)
-    group_order = canonicalizer.order if canonicalizer is not None else None
+    setup = ClassSetup(spec, symmetry, "batch", kernel)
+    canonicalizer = setup.canonicalizer
+    level_kernel = cast(BatchKernel, setup.kernel)
+    batch_canon = setup.batch_canon
+    group_order = setup.group_order
     selector: Optional[BatchAmpleSelector] = None
     if por:
         selector = BatchAmpleSelector(
@@ -909,8 +906,7 @@ def explore_batch(
     try:
         initial = spec.initial_state()
         transitions = truncated = covered = 0
-        if batch_canon is not None:
-            assert canonicalizer is not None
+        if canonicalizer is not None:
             initial = canonicalizer.canonical(initial)
         resumed = checkpointer.latest() if checkpointer is not None else None
         if resumed is not None:
@@ -925,8 +921,7 @@ def explore_batch(
                 selector.counters.load(resumed.counters)
             frontier = np.array(resumed.frontier(), dtype=np.uint64)
         else:
-            if batch_canon is not None:
-                assert canonicalizer is not None
+            if canonicalizer is not None:
                 covered = canonicalizer.orbit_size(initial)
             violation = spec.check_outputs(initial)
             if violation:

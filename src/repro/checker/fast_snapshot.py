@@ -33,11 +33,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.checker.symmetry import FastCanonicalizer
 from repro.store.base import FingerprintStore, StoreConfig
 from repro.store.checkpoint import RunCheckpointer, load_result
 from repro.store.ram import RamStore
+
+if TYPE_CHECKING:
+    from repro.checker.batch import BatchKernel
 
 # Phase encoding.
 _PHASE_WRITE = 0
@@ -651,19 +655,14 @@ class FastSnapshotSpec:
         *unreduced* successor count, so disk-backed stores, whose point
         is bounded RAM, pay the canonicalization per transition
         instead.  It is pure memoization: every backend reports
-        identical results.  A trivial stabilizer leaves ``canonical``
-        unset, since the quotient is then the concrete graph.
+        identical results.
         """
-        group_order: Optional[int] = None
+        setup = ClassSetup(self, symmetry)
+        group_order = setup.group_order
         canonical = orbit_size = None
-        if symmetry:
-            from repro.checker.symmetry import FastCanonicalizer
-
-            canonicalizer = FastCanonicalizer(self)
-            group_order = canonicalizer.order
-            if not canonicalizer.trivial:
-                canonical = canonicalizer.canonical
-                orbit_size = canonicalizer.orbit_size
+        if setup.canonicalizer is not None:
+            canonical = setup.canonicalizer.canonical
+            orbit_size = setup.canonicalizer.orbit_size
         store_obj = (store or StoreConfig()).create()
         ram_set = (
             store_obj.raw_set if isinstance(store_obj, RamStore) else None
@@ -911,6 +910,54 @@ class FastSnapshotSpec:
 #: override (tests seed violations through ``check_outputs``) requires
 #: per-state scalar calls.
 _STOCK_CHECK_OUTPUTS = FastSnapshotSpec.check_outputs
+
+
+class ClassSetup:
+    """One wiring class prepared for exploration: ``spec``, its
+    ``canonicalizer`` (None without ``symmetry`` or under a trivial
+    stabilizer), the stabilizer's ``group_order`` (None without
+    ``symmetry``) and, for ``engine="batch"``, the level ``kernel`` and
+    its batched orbit reducer ``batch_canon``.
+
+    The canonicalizer tables and the native library are the costly
+    parts, so a process tree builds one setup per class: forked shard
+    workers use the driver's as it is.  A spawn start pickles it as its
+    construction parameters and rebuilds it in the child, because a
+    native library handle does not pickle.
+    """
+
+    def __init__(
+        self,
+        spec: FastSnapshotSpec,
+        symmetry: bool = False,
+        engine: str = "scalar",
+        kernel: str = "auto",
+    ) -> None:
+        self._params = (spec, symmetry, engine, kernel)
+        self.spec = spec
+        self.symmetry = symmetry
+        self.canonicalizer: Optional[FastCanonicalizer] = None
+        self.group_order: Optional[int] = None
+        if symmetry:
+            canonicalizer = FastCanonicalizer(spec)
+            self.group_order = canonicalizer.order
+            if not canonicalizer.trivial:
+                self.canonicalizer = canonicalizer
+        self.kernel: Optional[BatchKernel] = None
+        self.batch_canon: Optional[Any] = None
+        if engine == "batch":
+            # Looked up on the module, so a wrapped make_kernel (a
+            # profiler's, a test's) sees every kernel a setup loads.
+            from repro.checker import batch
+
+            batch.require_numpy()
+            self.kernel = batch.make_kernel(spec, kernel, self.canonicalizer)
+            self.batch_canon = self.kernel.make_canonicalizer(
+                self.canonicalizer
+            )
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return ClassSetup, self._params
 
 
 # ----------------------------------------------------------------------

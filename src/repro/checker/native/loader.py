@@ -20,6 +20,7 @@ demand field-identical results rather than mere verdict agreement.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -188,7 +189,10 @@ class NativeLibrary:
         return 0 if result is None else int(result)
 
 
-def _open_cffi(path: str) -> NativeLibrary:
+@functools.cache
+def _cffi_ffi() -> Any:
+    """The process's one cffi ``FFI``: every class's library exports
+    :data:`_SIGNATURES`, so the ``cdef`` is parsed once, not per class."""
     import cffi
 
     ffi = cffi.FFI()
@@ -197,6 +201,11 @@ def _open_cffi(path: str) -> NativeLibrary:
         arg_list = ", ".join(args) if args else "void"
         declarations.append(f"{ret} {name}({arg_list});")
     ffi.cdef("\n".join(declarations))
+    return ffi
+
+
+def _open_cffi(path: str) -> NativeLibrary:
+    ffi = _cffi_ffi()
     lib = ffi.dlopen(path)
     fns: Dict[str, Callable[..., Any]] = {}
     for name, (_ret, args) in _SIGNATURES.items():
@@ -246,10 +255,8 @@ def _load_path(path: str) -> NativeLibrary:
     if cached is not None:
         return cached
     try:
-        import cffi  # noqa: F401
-
         library = _open_cffi(path)
-    except ImportError:
+    except ImportError:  # no cffi: the ctypes backend
         library = _open_ctypes(path)
     _loaded[path] = library
     return library

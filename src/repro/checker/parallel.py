@@ -38,11 +38,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
+from array import array
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.fast_snapshot import (
+    ClassSetup,
     FastExplorationResult,
     FastSnapshotSpec,
     canonical_wiring_classes,
@@ -295,9 +297,10 @@ class ShardEngine:
 
     Owns states with ``fp(state) % n_shards == shard``.  This class is
     the *engine* half of a shard worker: it holds the shard's visited
-    set, canonicalizer, batch kernel, and ample selector, and processes
-    one BFS round at a time.  The *transport* half — how rounds arrive
-    and layer replies leave — is supplied by the caller: the pipe-based
+    set and ample selector, uses its class ``setup``'s canonicalizer and
+    batch kernel, and processes one BFS round at a time.  The
+    *transport* half — how rounds arrive and layer replies leave — is
+    supplied by the caller: the pipe-based
     :func:`_shard_worker` (multiprocessing, same host) and the
     socket-based service worker (:mod:`repro.service.worker`, any host)
     both drive the same engine, so the two transports cannot diverge
@@ -326,8 +329,8 @@ class ShardEngine:
     without the bit are canonicalized on receipt, so the protocol stays
     correct for any mix.
 
-    With ``symmetry`` every successor is canonicalized *before* the
-    ownership fingerprint, so each orbit has exactly one owning shard
+    Under a ``symmetry`` setup every successor is canonicalized *before*
+    the ownership fingerprint, so each orbit has exactly one owning shard
     and the union of shard visited-sets is the quotient graph; the
     driver canonicalizes the initial state with the same group.
     ``covered`` then sums the orbit sizes of this layer's admissions
@@ -342,8 +345,8 @@ class ShardEngine:
     as possibly-visited, which can only force extra full expansions,
     never unsound pruning.
 
-    With ``engine="batch"`` the shard processes each round as numpy
-    u64 arrays end to end — admission dedup, safety mask, successor
+    Under an ``engine="batch"`` setup the shard processes each round as
+    numpy u64 arrays end to end — admission dedup, safety mask, successor
     expansion, canonicalization, ownership fingerprints, and the
     outboxes themselves all stay vectorized, and boundary batches cross
     the transport as arrays.  Admission order, violation choice, and
@@ -362,59 +365,33 @@ class ShardEngine:
 
     def __init__(
         self,
-        inputs: Sequence[int],
-        wiring: WiringClass,
+        setup: ClassSetup,
         shard: int,
         n_shards: int,
-        symmetry: bool = False,
         store_config: Optional[StoreConfig] = None,
         por: bool = False,
-        engine: str = "scalar",
-        kernel: str = "auto",
         store_namespace: Optional[str] = None,
     ) -> None:
         self.shard = shard
         self.n_shards = n_shards
-        self.symmetry = symmetry
-        spec = FastSnapshotSpec(tuple(inputs), wiring)
-        self.spec = spec
-        canonicalizer = None
-        if symmetry:
-            from repro.checker.symmetry import FastCanonicalizer
-
-            canonicalizer = FastCanonicalizer(spec)
-            if canonicalizer.trivial:
-                canonicalizer = None
-        self.canonicalizer = canonicalizer
+        self.symmetry = setup.symmetry
+        self.spec = setup.spec
+        self.canonicalizer = setup.canonicalizer
+        self.kernel = setup.kernel
+        self.batch_canon = setup.batch_canon
         self.seen = (store_config or StoreConfig()).create(
             shard=store_namespace or f"shard-{shard:03d}"
         )
-        self.use_batch = engine == "batch"
-        self._np = None
-        self._batch_mod = None
-        self.kernel = None
-        self.batch_canon = None
-        if self.use_batch:
-            from repro.checker import batch as batch_mod
-
-            batch_mod.require_numpy()
-            import numpy as np
-
-            self._np = np
-            self._batch_mod = batch_mod
-            self.kernel = batch_mod.make_kernel(spec, kernel, canonicalizer)
-            self.batch_canon = self.kernel.make_canonicalizer(canonicalizer)
         self.selector = None
         self.batch_selector = None
-        if por and self.use_batch:
-            assert self.kernel is not None
-            self.batch_selector = self._batch_mod.BatchAmpleSelector(
-                self.kernel
-            )
+        if por and self.kernel is not None:
+            from repro.checker.batch import BatchAmpleSelector
+
+            self.batch_selector = BatchAmpleSelector(self.kernel)
         elif por:
             from repro.checker.por import FastAmpleSelector
 
-            self.selector = FastAmpleSelector(spec)
+            self.selector = FastAmpleSelector(self.spec)
         self._buf: List[int] = []
 
     # -- POR helpers ---------------------------------------------------
@@ -428,7 +405,8 @@ class ShardEngine:
         # Sharded C3, vectorized: certainly new means locally owned
         # AND absent from this shard's visited set, so "possibly
         # visited" is foreign-owned OR present.
-        np = self._np
+        import numpy as np
+
         owners = self.kernel.fingerprint_many(keys) % np.uint64(self.n_shards)
         return (owners != np.uint64(self.shard)) | self.seen.contains_many(keys)
 
@@ -470,13 +448,15 @@ class ShardEngine:
 
     def process_round(self, batch):
         """Admit + expand one round; see the class docstring for fields."""
-        if self.use_batch:
+        if self.kernel is not None:
             return self._process_round_batch(batch)
         return self._process_round_scalar(batch)
 
     def _process_round_batch(self, batch):
-        np = self._np
-        batch_mod = self._batch_mod
+        import numpy as np
+
+        from repro.checker.batch import _first_violation
+
         kernel = self.kernel
         batch_canon = self.batch_canon
         assert kernel is not None
@@ -505,7 +485,7 @@ class ShardEngine:
             )
         violation = None
         if n_admitted:
-            _, violation = batch_mod._first_violation(
+            _, violation = _first_violation(
                 self.spec, kernel, admitted_arr
             )
         transitions = 0
@@ -596,15 +576,11 @@ class ShardEngine:
 
 def _shard_worker(
     conn,
-    inputs: Tuple[int, ...],
-    wiring: WiringClass,
+    setup: ClassSetup,
     shard: int,
     n_shards: int,
-    symmetry: bool = False,
     store_config: Optional[StoreConfig] = None,
     por: bool = False,
-    engine: str = "scalar",
-    kernel: str = "auto",
 ) -> None:
     """Pipe transport around one :class:`ShardEngine`.
 
@@ -620,8 +596,7 @@ def _shard_worker(
     shard_engine = None
     try:
         shard_engine = ShardEngine(
-            inputs, wiring, shard, n_shards, symmetry=symmetry,
-            store_config=store_config, por=por, engine=engine, kernel=kernel,
+            setup, shard, n_shards, store_config=store_config, por=por
         )
         while True:
             message = conn.recv()
@@ -710,10 +685,10 @@ def explore_sharded(
     (verdict-conformant with, not count-identical to, scalar+POR
     workers — see :mod:`repro.checker.por`); ``por`` totals round-trip
     through checkpoints identically for both engines.  ``kernel``
-    selects each batch worker's level kernel
-    (``auto``/``numpy``/``native``, :func:`repro.checker.batch.make_kernel`);
-    the generated native library is disk-cached, so concurrent shard
-    workers share one compile.
+    selects the batch workers' level kernel
+    (``auto``/``numpy``/``native``, :func:`repro.checker.batch.make_kernel`).
+    The driver builds the class's :class:`ClassSetup` once and hands
+    it to every worker.
     """
     spec = FastSnapshotSpec(inputs, wiring)
     jobs = effective_jobs(jobs)
@@ -721,16 +696,12 @@ def explore_sharded(
         raise ValueError(
             f"unknown engine {engine!r}; choose 'scalar' or 'batch'"
         )
-    if engine == "batch":
-        from repro.checker.batch import require_numpy
-
-        require_numpy()
-        if spec.state_bits > 63:
-            raise ValueError(
-                f"sharded batch wire entries are (state << 1) |"
-                f" canonical_bit in a u64 word; this configuration packs"
-                f" states into {spec.state_bits} bits"
-            )
+    if engine == "batch" and spec.state_bits > 63:
+        raise ValueError(
+            f"sharded batch wire entries are (state << 1) |"
+            f" canonical_bit in a u64 word; this configuration packs"
+            f" states into {spec.state_bits} bits"
+        )
     if jobs <= 1:
         return spec.explore(
             max_states=max_states,
@@ -753,30 +724,10 @@ def explore_sharded(
                 f" states into {spec.state_bits} bits"
             )
 
-    canonicalizer = None
-    if symmetry:
-        from repro.checker.symmetry import FastCanonicalizer
-
-        canonicalizer = FastCanonicalizer(spec)
-
-    worker_engine = engine
-    use_batch_workers = worker_engine == "batch"
+    setup = ClassSetup(spec, symmetry, engine, kernel)
+    use_batch_workers = engine == "batch"
     if use_batch_workers:
         import numpy as np
-
-        from repro.checker.batch import make_kernel
-
-        # Load the shard kernel once here, before forking: the workers
-        # then find its library already open (native.loader._loaded)
-        # instead of each importing cffi, parsing the cdef and calling
-        # dlopen.  ShardEngine passes the same spec and drops a trivial
-        # canonicalizer, so both calls resolve to one library.
-        make_kernel(
-            spec,
-            kernel,
-            None if canonicalizer is None or canonicalizer.trivial
-            else canonicalizer,
-        )
 
     def _died(shard: int) -> RuntimeError:
         hint = (
@@ -816,10 +767,7 @@ def explore_sharded(
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_shard_worker,
-                    args=(
-                        child_conn, tuple(inputs), wiring, shard, jobs,
-                        symmetry, store, por, worker_engine, kernel,
-                    ),
+                    args=(child_conn, setup, shard, jobs, store, por),
                     daemon=True,
                 )
                 process.start()
@@ -841,7 +789,7 @@ def explore_sharded(
         transitions = 0
         complete = True
         covered: Optional[int] = 0 if symmetry else None
-        group_order = canonicalizer.order if canonicalizer is not None else None
+        group_order = setup.group_order
         recanon_skipped: Optional[int] = 0 if symmetry else None
         violation: Optional[str] = None
         # POR totals = checkpointed base + each worker's cumulative
@@ -893,10 +841,9 @@ def explore_sharded(
         else:
             initial = spec.initial_state()
             canonical_bit = 0
-            if canonicalizer is not None:
-                initial = canonicalizer.canonical(initial)
-                if not canonicalizer.trivial:
-                    canonical_bit = 1
+            if setup.canonicalizer is not None:
+                initial = setup.canonicalizer.canonical(initial)
+                canonical_bit = 1
             inboxes = {
                 fingerprint_int(initial) % jobs: [
                     (initial << 1) | canonical_bit
@@ -988,13 +935,14 @@ def explore_sharded(
                             f"shard {shard} failed to dump its visited set:"
                             f" {reply!r}"
                         )
+                # One u64 array per owner, never a walk over entries.
                 write_u64_file(
                     staging / "frontier.u64",
-                    (
-                        entry
+                    [
+                        inboxes[owner] if use_batch_workers
+                        else array("Q", inboxes[owner])
                         for owner in sorted(inboxes)
-                        for entry in inboxes[owner]
-                    ),
+                    ],
                 )
                 counters = {
                     "admitted": states,

@@ -367,10 +367,12 @@ class FastCanonicalizer:
             register_table = None
 
         if spec.local_bits <= _MAX_TABLE_BITS:
-            k_clear = spec.local_mask & ~spec.k_mask
+            # The view is a local's low k bits: one block of view_map
+            # per setting of the bits above it.
             local_table = [
-                (local & k_clear) | view_map[local & spec.k_mask]
-                for local in range(1 << spec.local_bits)
+                high | view
+                for high in range(0, 1 << spec.local_bits, 1 << spec.k)
+                for view in view_map
             ]
         else:
             local_table = None
@@ -446,7 +448,8 @@ class FastCanonicalizer:
 
         Built register by register: start from the single-register
         remap-and-move table and extend one register slot per round,
-        so construction is ``O(m * 2^block_bits)`` table fills.
+        one copy of the table so far per record of the new (highest)
+        slot, so construction is ``O(m * 2^block_bits)`` table fills.
         """
         spec = self.spec
         reg_bits = spec.reg_bits
@@ -455,16 +458,11 @@ class FastCanonicalizer:
             for record in range(1 << reg_bits)
         ]
         for register in range(1, spec.m):
-            low_bits = register * reg_bits
-            low_mask = (1 << low_bits) - 1
             shift = spec.reg_offsets[rho[register]]
             moved = [
                 record_map[record] << shift for record in range(1 << reg_bits)
             ]
-            table = [
-                table[value & low_mask] | moved[value >> low_bits]
-                for value in range(1 << (low_bits + reg_bits))
-            ]
+            table = [low | high for high in moved for low in table]
         return table
 
     # ------------------------------------------------------------------

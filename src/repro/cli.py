@@ -264,7 +264,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "budget": args.budget,
         "symmetry": bool(args.symmetry),
         "por": bool(args.por),
-        "git_sha": git_sha(),
+        # Advisory (resume ignores it), and only checkpoints record it.
+        "git_sha": git_sha() if ckpt_base is not None else None,
     }
     # --budget 0 means unbudgeted (exhaustive) exploration.
     budget = args.budget if args.budget > 0 else None

@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.checker.fast_snapshot import (
+    ClassSetup,
     FastExplorationResult,
     FastSnapshotSpec,
     canonical_wiring_classes,
@@ -517,11 +518,9 @@ class Coordinator:
         if recorded is not None:
             return load_result(FastExplorationResult, recorded)
 
-        canonicalizer = None
-        if spec.symmetry:
-            from repro.checker.symmetry import FastCanonicalizer
-
-            canonicalizer = FastCanonicalizer(fast_spec)
+        # Workers build their own setups, kernels included, from the
+        # configure frame; this one serves the initial state.
+        setup = ClassSetup(fast_spec, spec.symmetry)
         n_shards = spec.shards
         max_states = spec.budget if spec.budget else 10 ** 9
         epoch = 0
@@ -530,7 +529,7 @@ class Coordinator:
             fleet = await self._acquire_fleet(record)
             try:
                 return await self._run_class_epoch(
-                    record, index, wiring, fast_spec, canonicalizer,
+                    record, index, setup,
                     checkpointer, fleet, epoch, n_shards, max_states,
                 )
             except WorkerDied as exc:
@@ -548,9 +547,7 @@ class Coordinator:
         self,
         record: JobRecord,
         index: int,
-        wiring: Tuple[Tuple[int, ...], ...],
-        fast_spec: FastSnapshotSpec,
-        canonicalizer,
+        setup: ClassSetup,
         checkpointer: RunCheckpointer,
         fleet: List[WorkerHandle],
         epoch: int,
@@ -576,8 +573,8 @@ class Coordinator:
             "epoch": epoch,
             "job_id": record.job_id,
             "class_index": index,
-            "inputs": list(fast_spec.inputs),
-            "wiring": [list(perm) for perm in wiring],
+            "inputs": list(setup.spec.inputs),
+            "wiring": [list(perm) for perm in setup.spec.wiring],
             "n_shards": n_shards,
             "symmetry": spec.symmetry,
             "por": spec.por,
@@ -598,9 +595,7 @@ class Coordinator:
         states = 0
         transitions = 0
         covered: Optional[int] = 0 if spec.symmetry else None
-        group_order = (
-            canonicalizer.order if canonicalizer is not None else None
-        )
+        group_order = setup.group_order
         recanon_skipped: Optional[int] = 0 if spec.symmetry else None
         violation: Optional[str] = None
         por_base: Dict[str, int] = {}
@@ -648,12 +643,11 @@ class Coordinator:
                 for shard in range(n_shards)
             ))
         else:
-            initial = fast_spec.initial_state()
+            initial = setup.spec.initial_state()
             canonical_bit = 0
-            if canonicalizer is not None:
-                initial = canonicalizer.canonical(initial)
-                if not canonicalizer.trivial:
-                    canonical_bit = 1
+            if setup.canonicalizer is not None:
+                initial = setup.canonicalizer.canonical(initial)
+                canonical_bit = 1
             inboxes = {
                 fingerprint_int(initial) % n_shards: array(
                     "Q", [(initial << 1) | canonical_bit]

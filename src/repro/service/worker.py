@@ -29,6 +29,7 @@ import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.checker.fast_snapshot import ClassSetup, FastSnapshotSpec
 from repro.checker.parallel import ShardEngine
 from repro.service.heartbeat import current_rss_bytes
 from repro.service.protocol import (
@@ -69,21 +70,28 @@ def _configure(state: _WorkerState, header: Dict[str, Any]) -> Dict[str, Any]:
         mem_cap=int(header["mem_cap"]) if header.get("mem_cap") else
         StoreConfig().mem_cap,
     )
+    # One class setup (canonicalizer tables, kernel) serves every shard
+    # this worker hosts; a worker left without shards builds none.
+    setup = ClassSetup(
+        FastSnapshotSpec(
+            [int(value) for value in header["inputs"]],
+            tuple(tuple(int(r) for r in perm) for perm in header["wiring"]),
+        ),
+        symmetry=bool(header.get("symmetry", False)),
+        engine=str(header.get("engine", "scalar")),
+        kernel=str(header.get("kernel", "auto")),
+    ) if shards else None
     for shard in shards:
         # The epoch lands in the store namespace: a shard re-assigned
         # after a failure must never collide with stale spill/mmap
         # files a previous owner (or a previous epoch of this worker)
         # left on disk.
         state.engines[shard] = ShardEngine(
-            [int(value) for value in header["inputs"]],
-            tuple(tuple(int(r) for r in perm) for perm in header["wiring"]),
+            setup,
             shard,
             int(header["n_shards"]),
-            symmetry=bool(header.get("symmetry", False)),
             store_config=store_config,
             por=bool(header.get("por", False)),
-            engine=str(header.get("engine", "scalar")),
-            kernel=str(header.get("kernel", "auto")),
             store_namespace=f"shard-{shard:03d}-e{epoch:03d}",
         )
     state.epoch = epoch

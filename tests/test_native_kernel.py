@@ -281,6 +281,25 @@ class TestCacheIndex:
             spec_n3, tables
         )
 
+    def test_one_cffi_cdef_per_process(self, monkeypatch):
+        # Every class library is dlopened through one FFI, so the
+        # signature table is parsed once however many classes load.
+        cffi = pytest.importorskip("cffi")
+        import repro.checker.native.loader as loader
+
+        parsed = []
+        cdef = cffi.FFI.cdef
+        monkeypatch.setattr(
+            cffi.FFI, "cdef",
+            lambda ffi, source, **kw: (parsed.append(1), cdef(ffi, source, **kw))[1],
+        )
+        monkeypatch.setattr(loader, "_loaded", {})
+        loader._cffi_ffi.cache_clear()
+        for wiring in N2_CLASSES:
+            loader.NativeKernel(FastSnapshotSpec([1, 2], wiring))
+        assert len(loader._loaded) == 2
+        assert parsed == [1]
+
 
 @requires_numpy
 class TestDegradation:

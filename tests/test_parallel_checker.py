@@ -190,35 +190,76 @@ class TestShardedConformance:
         assert result.ok
 
     def test_batch_sharded_run_loads_the_kernel_before_forking(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
-        # explore_sharded makes the kernel once in this process, so the
-        # forked workers find its library already loaded; it drops a
-        # trivial stabilizer the way ShardEngine does, so both resolve
-        # to the same library.
+        # explore_sharded prepares the class (canonicalizer tables and
+        # kernel) once in this process, and the forked workers use it
+        # as it is.  Builds are logged with their pid to a file: a list
+        # filled in a worker would not be visible here.
         pytest.importorskip("numpy")
+        import os
+
         import repro.checker.batch as batch_mod
         import repro.checker.parallel as parallel_mod
+        from repro.checker.symmetry import FastCanonicalizer
 
-        canonicalizers = []
-        make_kernel = batch_mod.make_kernel
+        log = tmp_path / "builds.txt"
 
-        def counting(spec, kernel, canonicalizer):
-            canonicalizers.append(canonicalizer)
-            return make_kernel(spec, kernel, canonicalizer)
+        def logged(kind, build):
+            def wrapper(*args):
+                with open(log, "a") as handle:
+                    handle.write(f"{kind} {os.getpid()}\n")
+                return build(*args)
 
-        monkeypatch.setattr(batch_mod, "make_kernel", counting)
+            return wrapper
+
+        monkeypatch.setattr(
+            batch_mod, "make_kernel", logged("kernel", batch_mod.make_kernel)
+        )
+        monkeypatch.setattr(
+            FastCanonicalizer, "__init__",
+            logged("canonicalizer", FastCanonicalizer.__init__),
+        )
         monkeypatch.setattr(
             parallel_mod, "effective_jobs", lambda requested: requested
         )
         result = explore_sharded(
             [1, 2, 3], N3_CLASS, jobs=2, max_states=500, engine="batch",
-            kernel="numpy", symmetry=True,
+            kernel="auto", symmetry=True,
         )
         assert result.ok
-        # Worker calls happen in the forked children, not counted here.
-        assert len(canonicalizers) == 1
-        assert canonicalizers[0] is None or not canonicalizers[0].trivial
+        assert sorted(log.read_text().splitlines()) == [
+            f"canonicalizer {os.getpid()}", f"kernel {os.getpid()}",
+        ]
+
+    def test_spawn_started_workers_rebuild_the_class_setup(
+        self, monkeypatch
+    ):
+        # Without fork, the class setup crosses to each worker as its
+        # construction parameters (a native library handle does not
+        # pickle) and is rebuilt there, to the same result.
+        pytest.importorskip("numpy")
+        import multiprocessing
+        from dataclasses import asdict
+
+        import repro.checker.parallel as parallel_mod
+
+        monkeypatch.setattr(
+            parallel_mod, "effective_jobs", lambda requested: requested
+        )
+
+        def run():
+            return asdict(explore_sharded(
+                [1, 2, 3], N3_CLASS, jobs=2, max_states=500,
+                engine="batch", kernel="auto", symmetry=True,
+            ))
+
+        forked = run()
+        monkeypatch.setattr(
+            parallel_mod, "_mp_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        assert run() == forked
 
 
 # ----------------------------------------------------------------------

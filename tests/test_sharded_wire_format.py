@@ -18,7 +18,7 @@ import pytest
 
 import repro.checker.parallel as parallel
 from repro.analysis import aggregate_symmetry_statistics
-from repro.checker.fast_snapshot import FastSnapshotSpec
+from repro.checker.fast_snapshot import ClassSetup, FastSnapshotSpec
 from repro.checker.parallel import _shard_worker, explore_sharded
 from repro.checker.symmetry import FastCanonicalizer
 
@@ -31,7 +31,7 @@ def _run_rounds(rounds, symmetry=True):
     parent, child = multiprocessing.Pipe()
     thread = threading.Thread(
         target=_shard_worker,
-        args=(child, (1, 2), WIRING, 0, 1, symmetry),
+        args=(child, ClassSetup(FastSnapshotSpec((1, 2), WIRING), symmetry), 0, 1),
     )
     thread.start()
     replies = []

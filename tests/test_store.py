@@ -31,7 +31,7 @@ np = pytest.importorskip("numpy")
 import repro.checker.parallel as parallel
 from repro.analysis.statistics import aggregate_store_statistics
 from repro.checker import Explorer, SystemSpec
-from repro.checker.fast_snapshot import FastSnapshotSpec
+from repro.checker.fast_snapshot import ClassSetup, FastSnapshotSpec
 from repro.checker.properties import SNAPSHOT_SAFETY
 from repro.core import SnapshotMachine
 from repro.memory.wiring import WiringAssignment
@@ -349,7 +349,7 @@ class TestSpillStore:
         if stride is not None:
             monkeypatch.setattr(spill_module, "_DUMP_STRIDE", stride)
         engine = parallel.ShardEngine(
-            [1, 2], WIRING, 0, 1,
+            ClassSetup(FastSnapshotSpec([1, 2], WIRING)), 0, 1,
             store_config=StoreConfig(
                 backend="spill", directory=str(tmp_path / "store"),
                 mem_cap=4096,
@@ -598,11 +598,9 @@ class TestExactKeys:
         from repro.checker.fingerprint import fingerprint_int
 
         config = StoreConfig(directory=str(tmp_path), **self.CONFIG)
+        setup = ClassSetup(FastSnapshotSpec([1, 2], WIRING), symmetry, engine)
         engines = [
-            parallel.ShardEngine(
-                [1, 2], WIRING, shard, 2, symmetry=symmetry,
-                store_config=config, engine=engine,
-            )
+            parallel.ShardEngine(setup, shard, 2, store_config=config)
             for shard in (0, 1)
         ]
         try:

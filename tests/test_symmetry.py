@@ -93,6 +93,49 @@ class TestGroupAlgebra:
                 assert composed == nested
 
 
+def _per_index_tables(spec):
+    """Per non-identity stabilizer element, ``(register_table,
+    local_table)`` computed entry by entry: the reference that
+    :class:`FastCanonicalizer`'s block-built fused tables must equal."""
+    tables = []
+    for pi, rho in wiring_stabilizer(spec.wiring, spec.inputs)[1:]:
+        bit_perm = list(range(spec.k))
+        for p in range(spec.n):
+            bit_perm[spec.value_bits[spec.inputs[pi[p]]]] = spec.value_bits[
+                spec.inputs[p]
+            ]
+        view_map = [
+            sum(1 << bit_perm[bit] for bit in range(spec.k) if (view >> bit) & 1)
+            for view in range(1 << spec.k)
+        ]
+        record_map = [
+            view_map[record & spec.k_mask] | (record & ~spec.k_mask)
+            for record in range(1 << spec.reg_bits)
+        ]
+        register_table = [
+            record_map[record] << spec.reg_offsets[rho[0]]
+            for record in range(1 << spec.reg_bits)
+        ]
+        for register in range(1, spec.m):
+            low_bits = register * spec.reg_bits
+            moved = [
+                record_map[record] << spec.reg_offsets[rho[register]]
+                for record in range(1 << spec.reg_bits)
+            ]
+            register_table = [
+                register_table[value & ((1 << low_bits) - 1)]
+                | moved[value >> low_bits]
+                for value in range(1 << (low_bits + spec.reg_bits))
+            ]
+        k_clear = spec.local_mask & ~spec.k_mask
+        local_table = [
+            (local & k_clear) | view_map[local & spec.k_mask]
+            for local in range(1 << spec.local_bits)
+        ]
+        tables.append((register_table, local_table))
+    return tables
+
+
 class TestCanonicalInvariance:
     @pytest.mark.parametrize("seed", range(8))
     def test_object_canonical_is_orbit_invariant(self, seed):
@@ -117,6 +160,18 @@ class TestCanonicalInvariance:
         representative = canonicalizer.canonical(state)
         for apply in canonicalizer._appliers:
             assert canonicalizer.canonical(apply(state)) == representative
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fused_tables_match_the_per_index_reference(self, n):
+        # Equal tables also keep every native kernel's cache key.
+        for wiring in canonical_wiring_classes(n, n):
+            spec = FastSnapshotSpec(list(range(1, n + 1)), wiring)
+            tables = FastCanonicalizer(spec).element_tables
+            assert all(element["kind"] == "fused" for element in tables)
+            assert [
+                (element["register_table"], element["local_table"])
+                for element in tables
+            ] == _per_index_tables(spec)
 
     def test_orbit_size_divides_group_order(self):
         spec = _snapshot_spec(3)
