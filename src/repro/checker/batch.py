@@ -41,7 +41,10 @@ occurrence in generation order) is exactly the scalar FIFO admission
 order, and the mid-level bookkeeping (a violation returns after the
 violating parent's full buffer was counted; a budget trip counts
 truncated occurrences through the end of the tripping parent's buffer)
-is replayed index-for-index from the generation-order arrays.
+is replayed index-for-index from the generation-order arrays.  A level
+that can trip the budget is admitted in consecutive frontier slices,
+each probing ``visited ∪ earlier slices``; cutting a FIFO queue into
+consecutive batches leaves the admission order unchanged.
 
 **POR** (``por=True``) composes through a *level-synchronous*
 formulation (:class:`BatchAmpleSelector`): ample sets are selected for
@@ -171,7 +174,7 @@ def _probe_sorted(
     sorted_keys: "U64Array", values: "U64Array"
 ) -> Tuple["BoolArray", "I64Array"]:
     """``(membership mask, insertion positions)`` in one binary-search
-    pass — the positions feed :func:`_insert_sorted`, so membership and
+    pass — the positions feed :func:`_merge_sorted`, so membership and
     the later merge share the search instead of each paying their own.
     """
     at = np.searchsorted(sorted_keys, values)
@@ -183,21 +186,36 @@ def _probe_sorted(
     return present, at
 
 
-def _insert_sorted(
+def _merge_sorted(
     sorted_keys: "U64Array", at: "I64Array", fresh: "U64Array"
 ) -> "U64Array":
     """Merge ascending ``fresh`` (disjoint from the set) into the set at
     precomputed :func:`_probe_sorted` positions.
 
     One linear pass (``np.insert``) instead of ``np.union1d``'s full
-    re-sort — the visited set is merged into once per level, so the
-    re-sort would dominate late levels.
+    re-sort — the visited set is merged into once per level (per slice
+    of a budget-tripping level), so the re-sort would dominate late
+    levels.
     """
     if sorted_keys.size == 0:
         return fresh.copy()
     if fresh.size == 0:
         return sorted_keys
     return np.insert(sorted_keys, at, fresh)
+
+
+def _insert_sorted(
+    kernel: "BatchKernel",
+    sorted_keys: "U64Array",
+    at: "I64Array",
+    fresh: "U64Array",
+) -> "U64Array":
+    """The visited array with ``fresh`` merged in, through ``kernel``.
+
+    A module-level function so that ``perfbench/tracer.py`` can time
+    every merge as one span, whichever kernel serves it.
+    """
+    return kernel.merge_sorted(sorted_keys, at, fresh)
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +435,9 @@ class BatchKernel:
         return bad
 
     # ------------------------------------------------------------------
-    # Kernel seam: keys, dedup, symmetry, POR phase 1.  The numpy
-    # implementations delegate to the module-level helpers; the native
-    # kernel overrides each with its compiled twin.
+    # Kernel seam: keys, dedup, visited-array merge, symmetry, POR
+    # phase 1.  The numpy implementations delegate to the module-level
+    # helpers; the native kernel overrides each with its compiled twin.
     # ------------------------------------------------------------------
     def fingerprint_many(self, states: "U64Array") -> "U64Array":
         """Batched splitmix64 dedup keys (see module function)."""
@@ -441,6 +459,16 @@ class BatchKernel:
         replace per-value binary search with one merge walk.
         """
         return _probe_sorted(sorted_keys, values)
+
+    def merge_sorted(
+        self, sorted_keys: "U64Array", at: "I64Array", fresh: "U64Array"
+    ) -> "U64Array":
+        """``sorted_keys`` with ascending ``fresh`` inserted at ``at``.
+
+        ``at`` holds the :meth:`probe_sorted` insertion positions of
+        ``fresh``, whose keys are all absent from ``sorted_keys``.
+        """
+        return _merge_sorted(sorted_keys, at, fresh)
 
     def make_canonicalizer(
         self, canonicalizer: Optional["FastCanonicalizer"]
@@ -819,6 +847,31 @@ def _buffer_end(counts: "I64Array", position: int) -> int:
     return int(ends[np.searchsorted(ends, position, side="right")])
 
 
+#: The least number of expected successors one frontier slice covers
+#: (see :func:`_slice_end`).
+_SLICE_FLOOR = 1 << 16
+
+
+def _slice_end(
+    start: int, n_states: int, remaining: int, fanout: int, per_state: float
+) -> int:
+    """End (exclusive) of the frontier slice that starts at ``start``.
+
+    The rest of the level is one slice when it cannot trip the budget:
+    no state has more than ``fanout`` successors, so the rest generates
+    at most ``remaining`` fresh keys.  Otherwise the slice covers about
+    ``max(3 * remaining, _SLICE_FLOOR)`` successors at ``per_state``
+    (positive) expected successors per state.  On the N=3 sweep at
+    budgets 200k to 1.5M every tripping level then trips in its first
+    slice, so the level's tail is never expanded.
+    """
+    left = n_states - start
+    if left * fanout <= remaining:
+        return n_states
+    wanted = max(3 * remaining, _SLICE_FLOOR) / per_state
+    return start + min(left, max(1, int(wanted)))
+
+
 def explore_batch(
     spec: FastSnapshotSpec,
     max_states: int = 200_000_000,
@@ -841,6 +894,11 @@ def explore_batch(
     selector — see the module docstring.  ``kernel`` names the level
     kernel (see :func:`make_kernel`); every kernel is bit-identical,
     so the choice never affects results.
+
+    A level whose admissions could cross ``max_states`` is expanded
+    and admitted in frontier slices (:func:`_slice_end`), so the tail
+    of a level after the budget trip is never generated.  The slices
+    of a level share its POR selection, heartbeat tick and checkpoint.
 
     Unlike the scalar loop, this one keeps no raw-successor cache: it
     canonicalizes every generated successor.  The cache is pure
@@ -934,6 +992,9 @@ def explore_batch(
             frontier = np.array([initial], dtype=np.uint64)
 
         complete = True
+        fanout = spec.n * spec.m
+        # Expected successors per frontier state, from the last level.
+        per_state = float(fanout)
         while frontier.size:
             if heartbeat is not None:
                 heartbeat.tick(n_seen, int(frontier.size), transitions)
@@ -950,107 +1011,120 @@ def explore_batch(
                     counters.update(selector.counters.as_dict())
                 checkpointer.write(frontier, counters, store_obj.key_arrays())
 
+            selected: Optional["I64Array"] = None
             if selector is not None:
                 selected = selector.select(frontier, _key_of, _in_visited)
+            n_front = int(frontier.size)
+            level_start = transitions
+            admitted_parts: List["U64Array"] = []
+            start = 0
+            while start < n_front:
+                stop = _slice_end(
+                    start, n_front, max_states - n_seen, fanout, per_state
+                )
                 successors, succ_counts = level_kernel.expand_level(
-                    frontier, selected
+                    frontier[start:stop],
+                    None if selected is None else selected[start:stop],
                 )
-            else:
-                successors, succ_counts = level_kernel.expand_level(frontier)
-            level_size = int(successors.size)
-            if level_size == 0:
-                break
+                start = stop
+                level_size = int(successors.size)
+                if level_size == 0:
+                    continue
 
-            keys = _key_of(successors)
-            # One argsort buys both views at once (measured faster here
-            # than hash-based ``np.unique`` plus a searchsorted
-            # inverse, and than prefiltering occurrences against the
-            # visited array — frontier-heavy workloads are mostly
-            # fresh, so the prefilter pass just adds work): sorted
-            # distinct keys and the first generation position of each.
-            # The per-position rank (``return_inverse``) is only needed
-            # by the once-per-run budget-trip branch, which recovers it
-            # there with a searchsorted.
-            unique_keys, first_occurrence = level_kernel.unique_first(keys)
-            visited_at: Optional["I64Array"] = None
-            if store_obj is not None:
-                present = store_obj.contains_many(unique_keys)
-            else:
-                assert fast_visited is not None
-                present, visited_at = level_kernel.probe_sorted(
-                    fast_visited, unique_keys
-                )
-            fresh_mask = ~present
-            # Admission order is generation order, i.e. ascending first
-            # occurrence; first occurrences are distinct positions, so a
-            # plain sort replaces the argsort permutation.
-            ordered_first = np.sort(first_occurrence[fresh_mask])
-            n_new = int(ordered_first.size)
-            remaining = max_states - n_seen
-            admit_count = n_new if n_new <= remaining else remaining
-            admitted_idx = ordered_first[:admit_count]
-            admitted = keys[admitted_idx]
+                keys = _key_of(successors)
+                # Sorted distinct keys and the first generation position
+                # of each, from one dedup pass.  The native kernel first
+                # drops the repeats a small recent-key table catches
+                # (half of a level's repeats sit within 16 positions of
+                # the earlier occurrence), so only the survivors are
+                # sorted.  The per-position rank (``return_inverse``) is
+                # only needed by the once-per-run budget-trip branch,
+                # which recovers it there with a searchsorted.
+                unique_keys, first_occurrence = level_kernel.unique_first(keys)
+                visited_at: Optional["I64Array"] = None
+                if store_obj is not None:
+                    present = store_obj.contains_many(unique_keys)
+                else:
+                    assert fast_visited is not None
+                    present, visited_at = level_kernel.probe_sorted(
+                        fast_visited, unique_keys
+                    )
+                fresh_mask = ~present
+                # Admission order is generation order, i.e. ascending
+                # first occurrence; first occurrences are distinct
+                # positions, so a plain sort replaces the argsort
+                # permutation.
+                ordered_first = np.sort(first_occurrence[fresh_mask])
+                n_new = int(ordered_first.size)
+                remaining = max_states - n_seen
+                admit_count = n_new if n_new <= remaining else remaining
+                admitted_idx = ordered_first[:admit_count]
+                admitted = keys[admitted_idx]
 
-            violating_rank = -1
-            message: Optional[str] = None
-            if admit_count:
-                violating_rank, message = _first_violation(
-                    spec, level_kernel, admitted
-                )
-            if violating_rank >= 0:
-                # The scalar loop returns after counting the violating
-                # state's parent buffer in full.
-                admitted = admitted[:violating_rank + 1]
-                transitions += _buffer_end(
-                    succ_counts, int(admitted_idx[violating_rank])
-                )
+                violating_rank = -1
+                message: Optional[str] = None
+                if admit_count:
+                    violating_rank, message = _first_violation(
+                        spec, level_kernel, admitted
+                    )
+                if violating_rank >= 0:
+                    # The scalar loop returns after counting the
+                    # violating state's parent buffer in full.
+                    admitted = admitted[:violating_rank + 1]
+                    transitions += _buffer_end(
+                        succ_counts, int(admitted_idx[violating_rank])
+                    )
+                elif n_new > remaining:
+                    # Budget trip: the scalar loop flips ``complete`` at
+                    # the first occurrence of the (budget+1)-th new key,
+                    # keeps counting truncated occurrences through the
+                    # end of that parent's buffer, then stops.
+                    complete = False
+                    trip = int(ordered_first[admit_count])
+                    buffer_end = _buffer_end(succ_counts, trip)
+                    transitions += buffer_end
+                    # Unadmitted fresh keys are exactly the fresh keys
+                    # whose first occurrence sorts at or after the trip
+                    # position; rank only the trip parent's buffer tail
+                    # (at most n*m entries), not the whole slice.
+                    unadmitted = fresh_mask & (first_occurrence >= trip)
+                    inverse = np.searchsorted(
+                        unique_keys, keys[trip:buffer_end]
+                    )
+                    truncated += int(unadmitted[inverse].sum())
+                else:
+                    transitions += level_size
+                    if store_obj is None:
+                        assert fast_visited is not None
+                        assert visited_at is not None
+                        fast_visited = _insert_sorted(
+                            level_kernel,
+                            fast_visited,
+                            visited_at[fresh_mask],
+                            unique_keys[fresh_mask],
+                        )
+                    admitted_parts.append(admitted)
                 if store_obj is not None:
                     store_obj.add_many(admitted)
                 n_seen += int(admitted.size)
                 if batch_canon is not None:
                     covered += int(batch_canon.orbit_sizes(admitted).sum())
-                return _result(
-                    n_seen, transitions, complete, truncated, covered,
-                    message,
-                )
+                if violating_rank >= 0:
+                    return _result(
+                        n_seen, transitions, complete, truncated, covered,
+                        message,
+                    )
+                if not complete:
+                    break
 
-            if n_new > remaining:
-                # Budget trip: the scalar loop flips ``complete`` at
-                # the first occurrence of the (budget+1)-th new key,
-                # keeps counting truncated occurrences through the end
-                # of that parent's buffer, then stops.
-                complete = False
-                trip = int(ordered_first[admit_count])
-                buffer_end = _buffer_end(succ_counts, trip)
-                transitions += buffer_end
-                # Unadmitted fresh keys are exactly the fresh keys whose
-                # first occurrence sorts at or after the trip position;
-                # rank only the trip parent's buffer tail (at most
-                # n*(m+1) entries), not the whole level.
-                unadmitted = fresh_mask & (first_occurrence >= trip)
-                inverse = np.searchsorted(unique_keys, keys[trip:buffer_end])
-                truncated += int(unadmitted[inverse].sum())
-                if store_obj is not None:
-                    store_obj.add_many(admitted)
-                n_seen += admit_count
-                if batch_canon is not None:
-                    covered += int(batch_canon.orbit_sizes(admitted).sum())
+            if not complete or not admitted_parts:
                 break
-
-            transitions += level_size
-            if store_obj is not None:
-                store_obj.add_many(admitted)
-            else:
-                assert fast_visited is not None and visited_at is not None
-                fast_visited = _insert_sorted(
-                    fast_visited,
-                    visited_at[fresh_mask],
-                    unique_keys[fresh_mask],
-                )
-            n_seen += admit_count
-            if batch_canon is not None:
-                covered += int(batch_canon.orbit_sizes(admitted).sum())
-            frontier = admitted
+            per_state = (transitions - level_start) / n_front
+            frontier = (
+                admitted_parts[0]
+                if len(admitted_parts) == 1
+                else np.concatenate(admitted_parts)
+            )
 
         return _result(n_seen, transitions, complete, truncated, covered)
     finally:

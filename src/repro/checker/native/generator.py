@@ -3,8 +3,9 @@
 The generated source is the native twin of :mod:`repro.checker.batch`:
 successor expansion, the scan micro-step, splitmix64 fingerprinting,
 orbit-min canonicalization (stabilizer permutation tables baked in as
-``static const`` arrays), sorted in-level dedup, the vectorized output
-check, and the C0/C1 bitmask phase of the POR ample selector.  Every
+``static const`` arrays), sorted in-level dedup, the merge into the
+sorted visited array, the vectorized output check, and the C0/C1
+bitmask phase of the POR ample selector.  Every
 machine-dependent quantity — field offsets, masks, reset templates,
 wiring shifts, footprint tables, symmetry gather tables — is burned
 into the source as a ``#define`` or a constant array, so the compiler
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 5
+GENERATOR_VERSION = 6
 
 
 def _u64(value: int) -> str:
@@ -213,6 +214,7 @@ def generate_source(
         " */\n"
         "#include <stdint.h>\n"
         "#include <stdlib.h>\n"
+        "#include <string.h>\n"
     )
 
     defines: List[Tuple[str, str]] = [
@@ -279,6 +281,7 @@ def generate_source(
     emit(_emit_canonical(n_elements))
     emit(_UNIQUE_FIRST)
     emit(_PROBE_SORTED)
+    emit(_MERGE_SORTED)
     emit(_VIOLATIONS)
     emit(_POR_C0C1)
     emit(_STATE_BITS_FN)
@@ -448,82 +451,104 @@ _UNIQUE_FIRST = """\
 int64_t rk_unique_first(const uint64_t *keys, int64_t n, uint64_t *out_keys,
                         int64_t *out_first) {
     if (n <= 0) return 0;
-    /* One scan feeds both fast paths: sorted input skips the sort
-     * entirely, and the maximum key bounds how many radix passes the
-     * unsorted path needs (states and fingerprints rarely fill all
-     * eight bytes). */
-    int already_sorted = 1;
-    uint64_t maxk = keys[0];
-    for (int64_t i = 1; i < n; i++) {
-        if (keys[i] < keys[i - 1]) already_sorted = 0;
-        if (keys[i] > maxk) maxk = keys[i];
-    }
-    if (already_sorted) {
-        /* Sorted input: run starts are already the minimal original
-         * positions, so dedup is a single linear pass. */
+    int64_t i = 1;
+    while (i < n && keys[i] >= keys[i - 1]) i++;
+    if (i == n) {
+        /* Sorted input (spill merges hand levels back in key order):
+         * run starts are already the minimal original positions, so
+         * dedup is a single linear pass. */
         int64_t u = 0;
-        for (int64_t i = 0; i < n; i++) {
-            if (i == 0 || keys[i] != keys[i - 1]) {
-                out_keys[u] = keys[i];
-                out_first[u] = i;
+        for (int64_t j = 0; j < n; j++) {
+            if (j == 0 || keys[j] != keys[j - 1]) {
+                out_keys[u] = keys[j];
+                out_first[u] = j;
                 u++;
             }
         }
         return u;
     }
+    if ((uint64_t)n > 0xffffffffULL) return -1; /* positions are u32 */
+    /* Recent-repeat filter: a direct-mapped table of the last key seen
+     * per slot, sized to the level (small POR and shard calls do not
+     * pay for the full table).  Every slot starts as keys[0], which
+     * position 0 already carries, so no key value is reserved.  A key
+     * equal to its slot's content repeats an earlier position and is
+     * dropped; a key's first occurrence always survives.  Survivors
+     * keep ascending positions. */
+    int bits = 6;
+    while (bits < 14 && ((int64_t)1 << bits) < n) bits++;
+    size_t slots = (size_t)1 << bits;
+    uint64_t *table = (uint64_t *)malloc(slots * sizeof(uint64_t));
     uint64_t *ka = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    uint64_t *kb = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    int64_t *ia = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    int64_t *ib = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    if (!ka || !kb || !ia || !ib) {
-        free(ka); free(kb); free(ia); free(ib);
+    uint32_t *pa = (uint32_t *)malloc((size_t)n * sizeof(uint32_t));
+    if (!table || !ka || !pa) {
+        free(table); free(ka); free(pa);
         return -1;
     }
-    for (int64_t i = 0; i < n; i++) { ka[i] = keys[i]; ia[i] = i; }
-    /* Stable LSD radix sort on (key, original index): stability makes
-     * each run's first entry carry the minimal original position.
-     * Byte digits keep the scatter to 256 open streams (wider digits
-     * measured slower here — 64Ki streams thrash the cache), the
-     * maximum key trims passes the keys never reach, digits the whole
-     * level agrees on are skipped, and all eight histograms are built
-     * in one scan instead of one per pass. */
-    int passes = 1;
-    while (passes < 8 && (maxk >> (8 * passes)) != 0) passes++;
-    int64_t hist[8][256];
-    for (int p = 0; p < passes; p++)
-        for (int b = 0; b < 256; b++) hist[p][b] = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t v = ka[i];
-        for (int p = 0; p < passes; p++) hist[p][(v >> (8 * p)) & 0xff]++;
+    uint64_t first = keys[0], any_bits = keys[0];
+    for (size_t s = 0; s < slots; s++) table[s] = first;
+    int hash_shift = 64 - bits; /* Fibonacci hashing, golden gamma */
+    ka[0] = first;
+    pa[0] = 0;
+    int64_t m = 1;
+    for (i = 1; i < n; i++) {
+        uint64_t k = keys[i];
+        uint64_t *slot = &table[(k * RK_SM_GAMMA) >> hash_shift];
+        ka[m] = k;
+        pa[m] = (uint32_t)i;
+        m += *slot != k;
+        *slot = k;
+        any_bits |= k;
     }
-    for (int pass = 0; pass < passes; pass++) {
-        int shift = pass * 8;
-        int64_t *count = hist[pass];
-        if (count[(ka[0] >> shift) & 0xff] == n)
+    free(table);
+    /* Stable LSD radix sort of the survivors on (key, position):
+     * stability keeps each equal-key run's first entry at its minimal
+     * position.  11-bit digits, the pass count trimmed by the widest
+     * key, digits the whole level agrees on skipped, and every
+     * histogram built in one scan. */
+    int passes = 1;
+    while (passes < 6 && (any_bits >> (11 * passes)) != 0) passes++;
+    uint64_t *kb = (uint64_t *)malloc((size_t)m * sizeof(uint64_t));
+    uint32_t *pb = (uint32_t *)malloc((size_t)m * sizeof(uint32_t));
+    uint32_t *hist = (uint32_t *)calloc((size_t)passes * 2048,
+                                        sizeof(uint32_t));
+    if (!kb || !pb || !hist) {
+        free(ka); free(pa); free(kb); free(pb); free(hist);
+        return -1;
+    }
+    for (int64_t j = 0; j < m; j++) {
+        uint64_t v = ka[j];
+        for (int p = 0; p < passes; p++)
+            hist[p * 2048 + ((v >> (11 * p)) & 0x7ff)]++;
+    }
+    for (int p = 0; p < passes; p++) {
+        int shift = 11 * p;
+        uint32_t *count = hist + p * 2048;
+        if (count[(ka[0] >> shift) & 0x7ff] == (uint32_t)m)
             continue; /* constant digit */
-        int64_t offset = 0;
-        for (int b = 0; b < 256; b++) {
-            int64_t c = count[b];
+        uint32_t offset = 0;
+        for (int b = 0; b < 2048; b++) {
+            uint32_t c = count[b];
             count[b] = offset;
             offset += c;
         }
-        for (int64_t i = 0; i < n; i++) {
-            int64_t dst = count[(ka[i] >> shift) & 0xff]++;
-            kb[dst] = ka[i];
-            ib[dst] = ia[i];
+        for (int64_t j = 0; j < m; j++) {
+            uint32_t dst = count[(ka[j] >> shift) & 0x7ff]++;
+            kb[dst] = ka[j];
+            pb[dst] = pa[j];
         }
         uint64_t *tk = ka; ka = kb; kb = tk;
-        int64_t *ti = ia; ia = ib; ib = ti;
+        uint32_t *tp = pa; pa = pb; pb = tp;
     }
     int64_t u = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (i == 0 || ka[i] != ka[i - 1]) {
-            out_keys[u] = ka[i];
-            out_first[u] = ia[i];
+    for (int64_t j = 0; j < m; j++) {
+        if (j == 0 || ka[j] != ka[j - 1]) {
+            out_keys[u] = ka[j];
+            out_first[u] = pa[j];
             u++;
         }
     }
-    free(ka); free(kb); free(ia); free(ib);
+    free(ka); free(pa); free(kb); free(pb); free(hist);
     return u;
 }
 """
@@ -542,6 +567,31 @@ void rk_probe_sorted(const uint64_t *haystack, int64_t h_n,
         out_at[i] = j;
         out_present[i] = (unsigned char)(j < h_n && haystack[j] == v);
     }
+}
+"""
+
+_MERGE_SORTED = """\
+int64_t rk_merge_sorted(const uint64_t *sorted, int64_t n, const int64_t *at,
+                        const uint64_t *fresh, int64_t n_fresh,
+                        uint64_t *out) {
+    /* np.insert(sorted, at, fresh) for ascending at: each fresh key
+     * follows the block of set keys below its insertion position.
+     * Positions that go backwards or past the end are refused (-1). */
+    int64_t src = 0;
+    uint64_t *dst = out;
+    for (int64_t i = 0; i < n_fresh; i++) {
+        if (at[i] < src || at[i] > n) return -1;
+        int64_t block = at[i] - src;
+        if (block > 0) {
+            memcpy(dst, sorted + src, (size_t)block * sizeof(uint64_t));
+            dst += block;
+            src = at[i];
+        }
+        *dst++ = fresh[i];
+    }
+    if (n > src)
+        memcpy(dst, sorted + src, (size_t)(n - src) * sizeof(uint64_t));
+    return 0;
 }
 """
 
@@ -621,6 +671,17 @@ int64_t rk_state_bits(void) {
 """
 
 
+#: Digest of the fixed function bodies, part of every cache index key:
+#: editing a body re-keys the index even without a version bump.
+_BODIES_DIGEST = hashlib.sha256(
+    "".join((
+        _SCAN_ONE, _EXPAND, _SCAN_STEP, _FINGERPRINT, _UNIQUE_FIRST,
+        _PROBE_SORTED, _MERGE_SORTED, _VIOLATIONS, _POR_C0C1,
+        _STATE_BITS_FN,
+    )).encode()
+).hexdigest()
+
+
 def spec_cache_key(
     spec: "FastSnapshotSpec",
     element_tables: Sequence[Mapping[str, object]] = (),
@@ -629,7 +690,8 @@ def spec_cache_key(
 
     :func:`generate_source` is a deterministic pure function of the
     machine parameters, the stabilizer element tables, and the module
-    constants (versioned by :data:`GENERATOR_VERSION`), so hashing
+    constants (the fixed function bodies by their digest, the rest
+    versioned by :data:`GENERATOR_VERSION`), so hashing
     those inputs identifies the emitted translation unit without
     re-emitting megabytes of C per process.  The build cache uses this
     as a fast index in front of the source-hash key (see
@@ -643,6 +705,7 @@ def spec_cache_key(
         repr(
             (
                 GENERATOR_VERSION,
+                _BODIES_DIGEST,
                 spec.n,
                 spec.m,
                 spec.k,

@@ -9,8 +9,9 @@ wrappers below are backend-agnostic.
 :class:`NativeKernel` subclasses
 :class:`~repro.checker.batch.BatchKernel` and overrides exactly the
 hot methods the generated translation unit implements — expansion,
-the scan micro-step, fingerprinting, in-level dedup, the vectorized
-safety mask, canonicalization, and the C0/C1 selector phase — so the
+the scan micro-step, fingerprinting, in-level dedup, the merge into
+the sorted visited array, the vectorized safety mask,
+canonicalization, and the C0/C1 selector phase — so the
 level loop, the visited set, the stores, and the POR phase-2 logic
 are shared verbatim with the numpy kernel.  Every override is
 bit-identical to its numpy twin by construction (same tables, same
@@ -158,6 +159,17 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
             "int64_t",
             "unsigned char *",
             "int64_t *",
+        ),
+    ),
+    "rk_merge_sorted": (
+        "int64_t",
+        (
+            "const uint64_t *",
+            "int64_t",
+            "const int64_t *",
+            "const uint64_t *",
+            "int64_t",
+            "uint64_t *",
         ),
     ),
     "rk_violations": (
@@ -420,7 +432,7 @@ class NativeKernel(BatchKernel):
             out_keys.ctypes.data,
             out_first.ctypes.data,
         )
-        if unique < 0:  # allocation failure inside the radix sort
+        if unique < 0:  # allocation failure, or 2**32 keys or more
             return super().unique_first(keys)
         return out_keys[:unique], out_first[:unique]
 
@@ -443,6 +455,32 @@ class NativeKernel(BatchKernel):
                 at.ctypes.data,
             )
         return present.view(np.bool_), at
+
+    def merge_sorted(
+        self, sorted_keys: "U64Array", at: "I64Array", fresh: "U64Array"
+    ) -> "U64Array":
+        n = int(sorted_keys.size)
+        n_fresh = int(fresh.size)
+        if int(at.size) != n_fresh:
+            raise ValueError("merge_sorted needs one position per fresh key")
+        out = np.empty(n + n_fresh, dtype=np.uint64)
+        sorted_keys = np.ascontiguousarray(sorted_keys, dtype=np.uint64)
+        at = np.ascontiguousarray(at, dtype=np.int64)
+        fresh = np.ascontiguousarray(fresh, dtype=np.uint64)
+        status = self._lib.call(
+            "rk_merge_sorted",
+            sorted_keys.ctypes.data,
+            n,
+            at.ctypes.data,
+            fresh.ctypes.data,
+            n_fresh,
+            out.ctypes.data,
+        )
+        if status < 0:
+            raise ValueError(
+                "merge_sorted positions must ascend within the sorted keys"
+            )
+        return out
 
     # -- safety --------------------------------------------------------
     def violations(self, states: "U64Array") -> "BoolArray":

@@ -97,6 +97,15 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` or cpuset pinning shrinks it), else
+    the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
+
+
 def effective_jobs(requested: int) -> int:
     """Cap a worker count at the host's usable core count, warning once.
 
@@ -106,7 +115,7 @@ def effective_jobs(requested: int) -> int:
     added parallelism.  Both parallel entry points route through this
     cap; benchmarks record the capped value next to the requested one.
     """
-    available = os.cpu_count() or 1
+    available = usable_cpus()
     if requested > available:
         warnings.warn(
             f"jobs={requested} exceeds the {available} usable core(s);"

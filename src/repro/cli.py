@@ -165,7 +165,6 @@ def _por_suffix(result) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import os
     from dataclasses import replace
     from pathlib import Path
 
@@ -176,6 +175,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         class_key,
         engine_label,
         explore_sharded,
+        usable_cpus,
     )
     from repro.checker.fast_snapshot import canonical_wiring_classes
     from repro.checker.properties import SNAPSHOT_SAFETY
@@ -228,7 +228,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.kernel == "native" and kernel != "native":
             warn_kernel_fallback()
 
-    usable = os.cpu_count() or 1
+    usable = usable_cpus()
     jobs = max(1, args.jobs)
     if jobs > usable:
         print(

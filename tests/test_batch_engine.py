@@ -295,6 +295,165 @@ class TestStoreConformance:
 
 
 # ----------------------------------------------------------------------
+# Budget slicing: a level that can trip the budget is admitted in
+# frontier slices
+# ----------------------------------------------------------------------
+
+#: ``(wiring, symmetry, budget)`` whose trip lands in a later slice that
+#: admitted states, at slice floors 1 and 3 (found by scanning every
+#: budget; the budgets above all trip in a level's first slice).
+LATER_SLICE_TRIPS = [
+    (N2_CLASSES[0], False, 7215),
+    (N2_CLASSES[0], True, 3603),
+    (N2_CLASSES[1], False, 3702),
+    (N2_CLASSES[1], True, 3201),
+]
+
+
+@pytest.fixture
+def slice_log(monkeypatch):
+    """Per expanded slice: ``(start, stop, frontier size, admitted)``."""
+    log = []
+    real_end = batch_mod._slice_end
+    real_check = batch_mod._first_violation
+
+    def slice_end(start, n_states, *args):
+        stop = real_end(start, n_states, *args)
+        log.append((start, stop, n_states, []))
+        return stop
+
+    def first_violation(spec, kernel, states):
+        log[-1][3].extend(states.tolist())
+        return real_check(spec, kernel, states)
+
+    monkeypatch.setattr(batch_mod, "_slice_end", slice_end)
+    monkeypatch.setattr(batch_mod, "_first_violation", first_violation)
+    return log
+
+
+@requires_numpy
+class TestSlicedAdmission:
+    """Budget-tripping levels admitted in slices vs the scalar oracle.
+
+    FIFO admission does not change when a level's frontier is cut into
+    consecutive slices that each probe ``visited ∪ earlier slices``, so
+    every result must still equal the scalar loop's.  At the default
+    ``_SLICE_FLOOR`` the budgets elsewhere in this file never slice a
+    level; here the floor shrinks to 1 and 3 successors, so a tripping
+    level's slices cover about ``4 * remaining`` successors each.
+    """
+
+    @pytest.fixture(params=[1, 3], autouse=True)
+    def floor(self, request, monkeypatch):
+        monkeypatch.setattr(batch_mod, "_SLICE_FLOOR", request.param)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize(
+        "budget", [1, 2, 7, 50, 500, 3000, 7235, None]
+    )
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("wiring", N2_CLASSES)
+    def test_n2_matches_scalar(self, wiring, symmetry, budget, kernel):
+        kwargs = {} if budget is None else {"max_states": budget}
+        scalar, batch = _both(
+            wiring, symmetry=symmetry, kernel=kernel, **kwargs
+        )
+        assert scalar == batch
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("budget", [97, 4321, 30000])
+    @pytest.mark.parametrize("wiring", N3_SYMMETRY_CLASSES, ids=str)
+    def test_n3_symmetric_classes_match_scalar(self, wiring, budget, kernel):
+        scalar, batch = _both(
+            wiring, inputs=(1, 2, 3), max_states=budget, symmetry=True,
+            kernel=kernel,
+        )
+        assert scalar == batch
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize(
+        "wiring,symmetry,budget", LATER_SLICE_TRIPS, ids=str
+    )
+    def test_trip_in_a_later_slice_matches_scalar(
+        self, wiring, symmetry, budget, kernel, slice_log
+    ):
+        # The trip's transition count adds every earlier slice's
+        # successors to the tripping parent's buffer end.
+        scalar, batch = _both(
+            wiring, max_states=budget, symmetry=symmetry, kernel=kernel
+        )
+        start, _stop, _n_states, admitted = slice_log[-1]
+        assert start > 0 and admitted
+        assert scalar == batch
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    def test_seeded_violation_in_a_later_slice_matches_scalar(
+        self, kernel, slice_log, monkeypatch
+    ):
+        wiring, symmetry, budget = LATER_SLICE_TRIPS[-1]
+        kwargs = dict(max_states=budget, symmetry=symmetry, kernel=kernel)
+        FastSnapshotSpec([1, 2], wiring).explore(engine="batch", **kwargs)
+        start, _stop, _n_states, admitted = slice_log[-1]
+        assert start > 0 and admitted
+        target = admitted[0]
+        original = FastSnapshotSpec.check_outputs
+
+        def seeded(self, state):
+            if state == target:
+                return _SEEDED_MESSAGE
+            return original(self, state)
+
+        monkeypatch.setattr(FastSnapshotSpec, "check_outputs", seeded)
+        slice_log.clear()
+        scalar, batch = _both(wiring, **kwargs)
+        assert batch["violation"] == _SEEDED_MESSAGE
+        assert slice_log[-1][0] > 0  # the violating slice is a later one
+        assert scalar == batch
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("budget", [500, 3201, None])
+    def test_spill_store_matches_scalar(self, budget, kernel, tmp_path):
+        def run(engine):
+            return asdict(FastSnapshotSpec([1, 2], N2_CLASSES[1]).explore(
+                engine=engine, kernel=kernel, symmetry=True,
+                **({} if budget is None else {"max_states": budget}),
+                store=StoreConfig(
+                    backend="spill", directory=str(tmp_path / engine),
+                    mem_cap=1 << 16,
+                ),
+            ))
+
+        scalar, batch = run("scalar"), run("batch")
+        # Slicing changes which keys each bulk probe sees, so the spill
+        # counters may differ; nothing else may.
+        scalar.pop("store_counters")
+        batch.pop("store_counters")
+        assert scalar == batch
+
+
+@requires_numpy
+class TestSlicedPOR:
+    """Under POR, slicing must not change any field: the ample sets are
+    chosen once per level, before the level is cut."""
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("budget", [7, 50, 500, 3201])
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("wiring", N2_CLASSES)
+    def test_slices_match_one_slice_field_for_field(
+        self, wiring, symmetry, budget, kernel, monkeypatch
+    ):
+        def run(floor):
+            monkeypatch.setattr(batch_mod, "_SLICE_FLOOR", floor)
+            return asdict(FastSnapshotSpec([1, 2], wiring).explore(
+                engine="batch", kernel=kernel, por=True,
+                symmetry=symmetry, max_states=budget,
+            ))
+
+        assert run(1) == run(1 << 62)
+
+
+# ----------------------------------------------------------------------
 # Tentpole: sharded conformance (whole levels across the wire)
 # ----------------------------------------------------------------------
 

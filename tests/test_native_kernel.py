@@ -24,6 +24,7 @@ import pytest
 
 import repro.checker.batch as batch_mod
 from repro.checker.batch import explore_batch, make_kernel
+from repro.checker.constants import MASK64, SPLITMIX_GAMMA
 from repro.checker.fast_snapshot import FastSnapshotSpec
 from repro.store import StoreConfig
 
@@ -82,6 +83,36 @@ def _edge_states(spec, rng, count=10_000):
         same_pid.append(word & mask)
     edges = np.array([0, mask, *same_pid], dtype=np.uint64)
     return np.concatenate([edges, states])
+
+
+def _same_slot_pair(n):
+    """Two keys sharing a slot of ``rk_unique_first``'s recent-key table
+    in a level of ``n`` keys (Fibonacci hashing into 2**6..2**14
+    slots)."""
+    bits = min(14, max(6, (n - 1).bit_length()))
+
+    def slot(key):
+        return ((key * SPLITMIX_GAMMA) & MASK64) >> (64 - bits)
+
+    other = 2
+    while slot(other) != slot(1):
+        other += 1
+    return [1, other]
+
+
+def _canonical_level_keys():
+    """The canonical successors of a real symmetric N=3 BFS level."""
+    from repro.checker.symmetry import FastCanonicalizer
+
+    spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+    kernel = make_kernel(spec, "numpy")
+    canon = kernel.make_canonicalizer(FastCanonicalizer(spec))
+    visited = frontier = np.array([spec.initial_state()], dtype=np.uint64)
+    for _ in range(8):
+        keys = canon.canonical_many(kernel.expand_level(frontier)[0])
+        frontier = np.setdiff1d(keys, visited)
+        visited = np.union1d(visited, frontier)
+    return keys
 
 
 @requires_numpy
@@ -144,6 +175,10 @@ class TestMethodBitIdentity:
         spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
         numpy_kernel, native_kernel, _ = _kernels(spec)
         rng = np.random.default_rng(17)
+        spread = rng.permutation(20_000).astype(np.uint64) << np.uint64(20)
+        pair = _same_slot_pair(4096)
+        late_first = rng.integers(0, 2**30, size=5000, dtype=np.uint64)
+        late_first[[1000, 4000, 4999]] = late_first[0]
         cases = [
             np.empty(0, dtype=np.uint64),
             np.array([42], dtype=np.uint64),
@@ -154,12 +189,62 @@ class TestMethodBitIdentity:
             rng.integers(0, 2**64 - 1, size=4096, dtype=np.uint64,
                          endpoint=True),
             np.sort(rng.integers(0, 2**40, size=4096, dtype=np.uint64)),
+            # every repeat farther back than the largest recent-key table
+            np.concatenate([spread, rng.permutation(spread)]),
+            # two keys evicting each other from one table slot
+            np.array(pair * 2048, dtype=np.uint64),
+            # keys[0] prefills the table, and recurs late
+            late_first,
+            # bit 63 set: no key value is reserved
+            rng.integers(0, 300, size=4096, dtype=np.uint64)
+            | np.uint64(1 << 63),
+            np.sort(rng.integers(0, 2**40, size=4096, dtype=np.uint64))[::-1],
         ]
+        # table sizes 2**6 and 2**14, at and around their edges
+        for size in (63, 64, 65, 16383, 16384, 16385):
+            cases.append(
+                rng.integers(0, size // 2, size=size, dtype=np.uint64)
+            )
+        cases.append(_canonical_level_keys())
         for keys in cases:
             uniq_n, first_n = numpy_kernel.unique_first(keys)
             uniq_c, first_c = native_kernel.unique_first(keys)
             assert np.array_equal(uniq_n, uniq_c)
             assert np.array_equal(first_n, first_c)
+
+    def test_merge_sorted_bit_identical(self):
+        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
+        numpy_kernel, native_kernel, _ = _kernels(spec)
+        rng = np.random.default_rng(19)
+        visited = np.unique(
+            rng.integers(1 << 20, 1 << 40, size=5000, dtype=np.uint64)
+        )
+        interleaved = np.setdiff1d(
+            rng.integers(0, 1 << 41, size=3000, dtype=np.uint64), visited
+        )
+        empty = np.empty(0, dtype=np.uint64)
+        cases = [
+            (empty, empty),
+            (empty, interleaved),
+            (visited, empty),
+            (visited, np.arange(1000, dtype=np.uint64)),  # all before
+            (visited, np.arange(1000, dtype=np.uint64) + (1 << 40)),
+            (visited, interleaved),
+        ]
+        for sorted_keys, fresh in cases:
+            _present, at = native_kernel.probe_sorted(sorted_keys, fresh)
+            merged_n = numpy_kernel.merge_sorted(sorted_keys, at, fresh)
+            merged_c = native_kernel.merge_sorted(sorted_keys, at, fresh)
+            assert np.array_equal(merged_n, merged_c)
+            assert np.array_equal(merged_c, np.union1d(sorted_keys, fresh))
+        # positions that go backwards, run past the end, or are missing
+        # would send the copy out of bounds
+        fresh = np.array([1, 2], dtype=np.uint64)
+        for at in ([3, 1], [0, visited.size + 1], [0]):
+            with pytest.raises(ValueError):
+                native_kernel.merge_sorted(
+                    visited, np.array(at, dtype=np.int64), fresh
+                )
 
     def test_por_c0c1_bit_identical_on_reachable_frontier(self):
         from repro.checker.batch import BatchAmpleSelector
@@ -244,6 +329,16 @@ class TestCacheIndex:
         )
         NativeKernel(spec, canon)
         assert calls == []
+
+    def test_editing_a_fixed_body_rekeys_the_index(self, monkeypatch):
+        # An index entry must never name an object built from an older
+        # body, even when GENERATOR_VERSION was not bumped.
+        from repro.checker.native import generator
+
+        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
+        before = generator.spec_cache_key(spec)
+        monkeypatch.setattr(generator, "_BODIES_DIGEST", "edited")
+        assert generator.spec_cache_key(spec) != before
 
     def test_stale_index_entry_falls_back_to_rebuild(
         self, monkeypatch, tmp_path

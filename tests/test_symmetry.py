@@ -24,7 +24,11 @@ import pytest
 from repro.analysis import aggregate_symmetry_statistics
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import FastSnapshotSpec, canonical_wiring_classes
-from repro.checker.parallel import effective_jobs, explore_sharded
+from repro.checker.parallel import (
+    effective_jobs,
+    explore_sharded,
+    usable_cpus,
+)
 from repro.checker.properties import SNAPSHOT_SAFETY, permutation_invariant
 from repro.checker.symmetry import (
     FastCanonicalizer,
@@ -381,6 +385,21 @@ class TestEffectiveJobs:
             assert effective_jobs(1) == 1
 
     def test_oversubscription_caps_with_warning(self):
-        usable = os.cpu_count() or 1
+        usable = usable_cpus()
         with pytest.warns(RuntimeWarning, match="capping"):
             assert effective_jobs(usable + 5) == usable
+
+    def test_cap_follows_the_affinity_mask(self, monkeypatch, capsys):
+        # A process pinned by taskset or a cpuset may use fewer CPUs
+        # than the machine has; the cap must count the former.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cpus() == 1
+        with pytest.warns(RuntimeWarning, match="capping to 1"):
+            assert effective_jobs(2) == 1
+        from repro.cli import main
+
+        assert main(["check", "--n", "3", "--jobs", "2", "--budget", "50"]) == 0
+        assert "--jobs 2 capped to 1" in capsys.readouterr().out
