@@ -8,6 +8,10 @@ reported the way TLC reports them, so benchmark E4 can print the
 "exhaustively explored all 3-processor executions" result in familiar
 terms.
 
+Every option combination runs one BFS loop, parameterized by a
+reduction (the identity, or the symmetry canonicalizer) and a visited
+set (index/parent tables, or 64-bit fingerprints in a store).
+
 For liveness (wait-freedom) the explorer optionally retains the full
 edge list, which :mod:`repro.checker.liveness` turns into an SCC
 analysis.
@@ -15,9 +19,10 @@ analysis.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.fingerprint import fingerprint_state
 from repro.checker.symmetry import (
@@ -27,11 +32,18 @@ from repro.checker.symmetry import (
     lift_canonical_path,
 )
 from repro.checker.system import Action, GlobalState, SystemSpec
-from repro.store.base import StoreConfig
+from repro.store.base import FingerprintStore, StoreConfig
+
+if TYPE_CHECKING:
+    from repro.checker.por import AmpleSelector
 
 #: An invariant takes the spec and a reachable state; it returns an error
 #: string when violated, or None when satisfied.
 Invariant = Callable[[SystemSpec, GlobalState], Optional[str]]
+
+#: ``parents[i]``: the index the BFS reached state ``i`` from, the action
+#: (in that parent's frame) and the symmetry witness (None unreduced).
+_Parents = List[Optional[Tuple[int, Action, Optional[GroupElement]]]]
 
 
 @dataclass
@@ -86,6 +98,15 @@ class ExplorationResult:
 class Explorer:
     """BFS over a :class:`SystemSpec`.
 
+    Every option combination runs the same BFS loop.  ``symmetry``
+    picks its reduction: each successor is replaced by its orbit
+    representative before the visited-set lookup.  ``fingerprint``
+    picks its visited set: 64-bit fingerprints in a store instead of
+    index/parent tables.  ``por`` narrows each state's expansion,
+    ``max_states`` caps admissions, and the invariants are checked on
+    every admitted state, so the first violation found lies at minimal
+    BFS depth.
+
     Parameters
     ----------
     spec:
@@ -103,13 +124,14 @@ class Explorer:
         capped at ``max_final_states``.
     fingerprint:
         Memory-lean mode: remember only a 64-bit fingerprint per
-        reached state instead of the full state/parent tables (TLC's
+        reached state instead of the index/parent tables (TLC's
         fingerprint set).  Cuts per-state memory roughly an order of
         magnitude, so budgets can rise accordingly; the cost is a
         ~n²/2⁶⁵ collision probability and, when a violation actually
-        fires, a second bounded re-traversal (depth-capped BFS with
-        parent pointers) to reconstruct the minimal counterexample
-        path.  Incompatible with ``keep_edges``.
+        fires, a second run of the same loop with full tables, POR off
+        and no budget, stopped at the violating state.  That run admits
+        states in the same BFS order, so the counterexample is still
+        minimal.  Incompatible with ``keep_edges``.
     symmetry:
         Symmetry reduction: explore one representative per orbit of the
         wiring-stabilizer group (:mod:`repro.checker.symmetry`).  Every
@@ -123,14 +145,14 @@ class Explorer:
         orbit-stable, so the liveness/lasso analysis needs the
         unreduced graph.
     store:
-        Visited-set backend for the fingerprint modes
-        (:mod:`repro.store`); the 64-bit digests slot directly into the
-        disk-backed tables.  Requires ``fingerprint`` — the full modes
-        index whole state objects, which only RAM structures hold.
-        Note that ``fingerprint_state`` digests are randomized per
-        interpreter, so a disk store written by this engine is
-        meaningful within the writing process only (no checkpoint /
-        resume here; use the packed-integer engines for that).
+        Visited-set backend for fingerprint mode (:mod:`repro.store`);
+        the 64-bit digests slot directly into the disk-backed tables.
+        A disk backend requires ``fingerprint`` — index tables hold
+        whole state objects, which only RAM structures hold.  Note that
+        ``fingerprint_state`` digests are randomized per interpreter,
+        so a disk store written by this engine is meaningful within the
+        writing process only (no checkpoint / resume here; use the
+        packed-integer engines for that).
     por:
         Ample-set partial-order reduction (:mod:`repro.checker.por`):
         at each state, when one processor's enabled operations are
@@ -169,24 +191,26 @@ class Explorer:
             raise ValueError(
                 "partial-order reduction prunes interleavings, but"
                 " keep_edges (liveness/lasso analysis) needs the full"
-                " unreduced transition graph — drop --por"
+                " unreduced transition graph — pass por=False"
             )
         if fingerprint and keep_edges:
             raise ValueError(
                 "fingerprint mode stores no state table; keep_edges"
                 " (liveness analysis) needs the full object-encoded run"
+                " — pass fingerprint=False"
             )
         if store is not None and store.backend != "ram" and not fingerprint:
             raise ValueError(
-                "disk-backed stores hold 64-bit digests; the full"
-                " object-encoded modes keep state/parent tables that only"
-                " live in RAM — combine --store with fingerprint mode"
+                "disk-backed stores hold 64-bit digests; without"
+                " fingerprint=True the explorer keeps index/parent tables"
+                " that only live in RAM — pass fingerprint=True with a"
+                " disk store"
             )
         if symmetry and keep_edges:
             raise ValueError(
                 "symmetry reduction relabels processors per state, so"
                 " pid edge labels are not orbit-stable; liveness (lasso)"
-                " analysis needs the unreduced graph — drop symmetry"
+                " analysis needs the unreduced graph — pass symmetry=False"
             )
         if symmetry:
             assert_permutation_invariant(invariants)
@@ -201,532 +225,33 @@ class Explorer:
         self.store = store
         self.por = por
         self.por_cycle_proviso = por_cycle_proviso
-        self._selector = None
-
-    def _make_store(self):
-        return (self.store or StoreConfig()).create()
-
-    def _store_counters(self, store_obj) -> Optional[Dict[str, int]]:
-        if self.store is None:
-            return None
-        counters = dict(store_obj.counters())
-        counters["file_bytes"] = store_obj.file_bytes()
-        return counters
 
     def run(self) -> ExplorationResult:
-        self._selector = None
+        selector = None
         if self.por:
             from repro.checker.por import AmpleSelector
 
-            self._selector = AmpleSelector(
+            selector = AmpleSelector(
                 self.spec, self.invariants,
                 cycle_proviso=self.por_cycle_proviso,
             )
-        if self.symmetry:
-            canonicalizer = StateCanonicalizer(self.spec)
-            if self.fingerprint:
-                result = self._run_fingerprint_symmetric(canonicalizer)
-            else:
-                result = self._run_full_symmetric(canonicalizer)
-        elif self.fingerprint:
-            result = self._run_fingerprint()
-        else:
-            result = self._run_full()
-        if self._selector is not None:
-            result.por_counters = self._selector.counters.as_dict()
+        canonicalizer = StateCanonicalizer(self.spec) if self.symmetry else None
+        seen = (self.store or StoreConfig()).create() if self.fingerprint else None
+        try:
+            result = self._bfs(
+                canonicalizer, seen, self._first_violation_message,
+                selector, self.max_states,
+            )
+            if seen is not None and self.store is not None:
+                result.store_counters = dict(
+                    seen.counters(), file_bytes=seen.file_bytes()
+                )
+        finally:
+            if seen is not None:
+                seen.close()
+        if selector is not None:
+            result.por_counters = selector.counters.as_dict()
         return result
-
-    def _successors_of(self, current, is_new):
-        """The expansion of ``current``: ample-reduced when POR is on."""
-        if self._selector is not None:
-            return self._selector.expand(current, is_new)
-        return list(self.spec.successors(current))
-
-    def _run_full(self) -> ExplorationResult:
-        spec = self.spec
-        initial = spec.initial_state()
-        index_of: Dict[GlobalState, int] = {initial: 0}
-        # parent[i] = (parent index, action) for path reconstruction.
-        parents: List[Optional[Tuple[int, Action]]] = [None]
-        depths: List[int] = [0]
-        states: List[GlobalState] = [initial]
-        queue: deque = deque([0])
-        edges: Optional[List[Tuple[int, int, int]]] = [] if self.keep_edges else None
-        final_states: List[GlobalState] = []
-        transitions = 0
-        max_depth = 0
-        complete = True
-
-        violation = self._check_invariants(initial, 0, parents, states)
-        if violation is not None:
-            return ExplorationResult(
-                states=1,
-                transitions=0,
-                depth=0,
-                violation=violation,
-                final_states=final_states,
-                edges=edges,
-                state_table=states if self.keep_edges else None,
-            )
-
-        truncated = 0
-        is_new = lambda s: s not in index_of
-        while queue:
-            current_index = queue.popleft()
-            current = states[current_index]
-            successors = self._successors_of(current, is_new)
-            if not successors and self.collect_final_states:
-                if len(final_states) < self.max_final_states:
-                    final_states.append(current)
-            for action, successor in successors:
-                transitions += 1
-                successor_index = index_of.get(successor)
-                if successor_index is None:
-                    if len(states) >= self.max_states:
-                        complete = False
-                        truncated += 1
-                        continue
-                    successor_index = len(states)
-                    index_of[successor] = successor_index
-                    states.append(successor)
-                    parents.append((current_index, action))
-                    depth = depths[current_index] + 1
-                    depths.append(depth)
-                    max_depth = max(max_depth, depth)
-                    queue.append(successor_index)
-                    violation = self._check_invariants(
-                        successor, successor_index, parents, states
-                    )
-                    if violation is not None:
-                        return ExplorationResult(
-                            states=len(states),
-                            transitions=transitions,
-                            depth=max_depth,
-                            violation=violation,
-                            complete=complete,
-                            truncated_transitions=truncated,
-                            final_states=final_states,
-                            edges=edges,
-                            state_table=states if self.keep_edges else None,
-                        )
-                if edges is not None:
-                    edges.append((current_index, action.pid, successor_index))
-            if not complete:
-                # The budget is exhausted: no queued state can admit a
-                # new state, so further expansion is invariant-free
-                # wasted work — short-circuit instead of draining the
-                # queue (the seed explorer kept iterating here).
-                break
-
-        return ExplorationResult(
-            states=len(states),
-            transitions=transitions,
-            depth=max_depth,
-            complete=complete,
-            truncated_transitions=truncated,
-            final_states=final_states,
-            edges=edges,
-            state_table=states if self.keep_edges else None,
-        )
-
-    # ------------------------------------------------------------------
-    # Symmetry-reduced mode
-    # ------------------------------------------------------------------
-    def _run_full_symmetric(
-        self, canonicalizer: StateCanonicalizer
-    ) -> ExplorationResult:
-        """BFS over the quotient graph: one state per orbit.
-
-        Each parent entry stores, besides the parent index and the
-        action (in the parent representative's frame), the witness
-        group element mapping the concrete successor to the child
-        representative — exactly what
-        :func:`~repro.checker.symmetry.lift_canonical_path` needs to
-        rebuild a valid concrete execution.  Quotient edges lift to
-        single concrete steps, so BFS depth — and counterexample
-        minimality — carries over unchanged.
-        """
-        spec = self.spec
-        initial = spec.initial_state()
-        root, root_witness = canonicalizer.canonical(initial)
-        index_of: Dict[GlobalState, int] = {root: 0}
-        parents: List[Optional[Tuple[int, Action, GroupElement]]] = [None]
-        depths: List[int] = [0]
-        states: List[GlobalState] = [root]
-        covered = canonicalizer.orbit_size(root)
-        queue: deque = deque([0])
-        final_states: List[GlobalState] = []
-        transitions = 0
-        max_depth = 0
-        complete = True
-        truncated = 0
-
-        violation = self._lifted_violation(
-            canonicalizer, root_witness, 0, parents, states
-        )
-        if violation is not None:
-            return ExplorationResult(
-                states=1, transitions=0, depth=0, violation=violation,
-                final_states=final_states,
-                covered_states=covered,
-                symmetry_group_order=canonicalizer.order,
-            )
-
-        is_new = lambda s: canonicalizer.canonical(s)[0] not in index_of
-        while queue:
-            current_index = queue.popleft()
-            current = states[current_index]
-            successors = self._successors_of(current, is_new)
-            if not successors and self.collect_final_states:
-                if len(final_states) < self.max_final_states:
-                    final_states.append(current)
-            for action, successor in successors:
-                transitions += 1
-                representative, witness = canonicalizer.canonical(successor)
-                successor_index = index_of.get(representative)
-                if successor_index is None:
-                    if len(states) >= self.max_states:
-                        complete = False
-                        truncated += 1
-                        continue
-                    successor_index = len(states)
-                    index_of[representative] = successor_index
-                    states.append(representative)
-                    parents.append((current_index, action, witness))
-                    covered += canonicalizer.orbit_size(representative)
-                    depth = depths[current_index] + 1
-                    depths.append(depth)
-                    max_depth = max(max_depth, depth)
-                    queue.append(successor_index)
-                    violation = self._lifted_violation(
-                        canonicalizer, root_witness,
-                        successor_index, parents, states,
-                    )
-                    if violation is not None:
-                        return ExplorationResult(
-                            states=len(states),
-                            transitions=transitions,
-                            depth=max_depth,
-                            violation=violation,
-                            complete=complete,
-                            truncated_transitions=truncated,
-                            final_states=final_states,
-                            covered_states=covered,
-                            symmetry_group_order=canonicalizer.order,
-                        )
-            if not complete:
-                break
-
-        return ExplorationResult(
-            states=len(states),
-            transitions=transitions,
-            depth=max_depth,
-            complete=complete,
-            truncated_transitions=truncated,
-            final_states=final_states,
-            covered_states=covered,
-            symmetry_group_order=canonicalizer.order,
-        )
-
-    def _run_fingerprint_symmetric(
-        self, canonicalizer: StateCanonicalizer
-    ) -> ExplorationResult:
-        """Fingerprint set over canonical forms: both reductions stack.
-
-        The visited set keys on the fingerprint of the orbit
-        *representative*, so memory shrinks by the reduction ratio on
-        top of fingerprinting's constant factor.  Counterexamples are
-        rebuilt by a depth-bounded re-BFS of the quotient graph that
-        this time records the permutation witnesses, then lifted.
-        """
-        spec = self.spec
-        initial = spec.initial_state()
-        root, root_witness = canonicalizer.canonical(initial)
-        seen = self._make_store()
-        seen_add = seen.add
-        try:
-            seen_add(fingerprint_state(root))
-            n_seen = 1
-            covered = canonicalizer.orbit_size(root)
-            queue: deque = deque([(0, root)])
-            final_states: List[GlobalState] = []
-            transitions = 0
-            truncated = 0
-            max_depth = 0
-            complete = True
-
-            message = self._first_violation_message(root)
-            if message is not None:
-                actions, concrete = lift_canonical_path(
-                    canonicalizer, root_witness, []
-                )
-                return ExplorationResult(
-                    states=1, transitions=0, depth=0,
-                    violation=InvariantViolation(
-                        message=self._first_violation_message(concrete)
-                        or message,
-                        state=concrete,
-                        path=actions,
-                    ),
-                    final_states=final_states,
-                    covered_states=covered,
-                    symmetry_group_order=canonicalizer.order,
-                    store_counters=self._store_counters(seen),
-                )
-
-            is_new = lambda s: (
-                fingerprint_state(canonicalizer.canonical(s)[0]) not in seen
-            )
-            while queue:
-                depth, current = queue.popleft()
-                successors = self._successors_of(current, is_new)
-                if not successors and self.collect_final_states:
-                    if len(final_states) < self.max_final_states:
-                        final_states.append(current)
-                child_depth = depth + 1
-                for _action, successor in successors:
-                    transitions += 1
-                    representative, _ = canonicalizer.canonical(successor)
-                    digest = fingerprint_state(representative)
-                    if n_seen < self.max_states:
-                        if not seen_add(digest):
-                            continue
-                        n_seen += 1
-                    else:
-                        if digest in seen:
-                            continue
-                        complete = False
-                        truncated += 1
-                        continue
-                    covered += canonicalizer.orbit_size(representative)
-                    queue.append((child_depth, representative))
-                    if child_depth > max_depth:
-                        max_depth = child_depth
-                    message = self._first_violation_message(representative)
-                    if message is not None:
-                        actions, concrete = self._shortest_symmetric_path_to(
-                            canonicalizer, root, root_witness,
-                            representative, child_depth,
-                        )
-                        return ExplorationResult(
-                            states=n_seen,
-                            transitions=transitions,
-                            depth=max_depth,
-                            violation=InvariantViolation(
-                                message=self._first_violation_message(concrete)
-                                or message,
-                                state=concrete,
-                                path=actions,
-                            ),
-                            complete=complete,
-                            truncated_transitions=truncated,
-                            final_states=final_states,
-                            covered_states=covered,
-                            symmetry_group_order=canonicalizer.order,
-                            store_counters=self._store_counters(seen),
-                        )
-                if not complete:
-                    break
-
-            return ExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                depth=max_depth,
-                complete=complete,
-                truncated_transitions=truncated,
-                final_states=final_states,
-                covered_states=covered,
-                symmetry_group_order=canonicalizer.order,
-                store_counters=self._store_counters(seen),
-            )
-        finally:
-            seen.close()
-
-    def _lifted_violation(
-        self,
-        canonicalizer: StateCanonicalizer,
-        root_witness: GroupElement,
-        index: int,
-        parents: List[Optional[Tuple[int, Action, GroupElement]]],
-        states: List[GlobalState],
-    ) -> Optional[InvariantViolation]:
-        """Check invariants on a representative; report concretely.
-
-        The verdict is decided on the representative (sound by
-        permutation-invariance); on violation the canonical path is
-        lifted to a concrete execution and the message recomputed on
-        the concrete final state, so the report never mentions the
-        quotient.
-        """
-        message = self._first_violation_message(states[index])
-        if message is None:
-            return None
-        steps: List[Tuple[Action, GroupElement]] = []
-        cursor = index
-        while True:
-            entry = parents[cursor]
-            if entry is None:
-                break
-            parent_index, action, witness = entry
-            steps.append((action, witness))
-            cursor = parent_index
-        steps.reverse()
-        actions, concrete = lift_canonical_path(
-            canonicalizer, root_witness, steps
-        )
-        return InvariantViolation(
-            message=self._first_violation_message(concrete) or message,
-            state=concrete,
-            path=actions,
-        )
-
-    def _shortest_symmetric_path_to(
-        self,
-        canonicalizer: StateCanonicalizer,
-        root: GlobalState,
-        root_witness: GroupElement,
-        target: GlobalState,
-        depth_limit: int,
-    ) -> Tuple[List[Action], GlobalState]:
-        """Depth-bounded quotient re-BFS recording witnesses, then lift.
-
-        The fingerprint-mode twin of :meth:`_shortest_path_to`: only
-        runs when a violation fired, and BFS order over the quotient
-        graph keeps the lifted concrete path minimal.
-        """
-        spec = self.spec
-        if target == root:
-            return lift_canonical_path(canonicalizer, root_witness, [])
-        index_of: Dict[GlobalState, int] = {root: 0}
-        parents: List[Optional[Tuple[int, Action, GroupElement]]] = [None]
-        states: List[GlobalState] = [root]
-        depths: List[int] = [0]
-        queue: deque = deque([0])
-        while queue:
-            current_index = queue.popleft()
-            depth = depths[current_index]
-            if depth >= depth_limit:
-                continue
-            for action, successor in spec.successors(states[current_index]):
-                representative, witness = canonicalizer.canonical(successor)
-                if representative in index_of:
-                    continue
-                successor_index = len(states)
-                index_of[representative] = successor_index
-                states.append(representative)
-                parents.append((current_index, action, witness))
-                depths.append(depth + 1)
-                if representative == target:
-                    steps: List[Tuple[Action, GroupElement]] = []
-                    cursor = successor_index
-                    while True:
-                        entry = parents[cursor]
-                        if entry is None:
-                            break
-                        parent_index, step_action, step_witness = entry
-                        steps.append((step_action, step_witness))
-                        cursor = parent_index
-                    steps.reverse()
-                    return lift_canonical_path(
-                        canonicalizer, root_witness, steps
-                    )
-                queue.append(successor_index)
-        raise RuntimeError(  # pragma: no cover - fingerprint collision
-            "violating representative unreachable within its BFS depth —"
-            " a 64-bit fingerprint collision corrupted the frontier"
-        )
-
-    # ------------------------------------------------------------------
-    # Fingerprint mode
-    # ------------------------------------------------------------------
-    def _run_fingerprint(self) -> ExplorationResult:
-        """BFS keeping a 64-bit fingerprint set instead of state tables.
-
-        The frontier still holds concrete states (successors must be
-        computable), but the visited set — the structure that dominates
-        memory at scale — shrinks to one small int per state, and no
-        parent/index/state tables are kept at all.  Counterexample
-        paths are rebuilt on demand by :meth:`_shortest_path_to`.
-        """
-        spec = self.spec
-        initial = spec.initial_state()
-        seen = self._make_store()
-        seen_add = seen.add
-        try:
-            seen_add(fingerprint_state(initial))
-            n_seen = 1
-            # (depth, state) pairs; depth feeds the bounded re-traversal.
-            queue: deque = deque([(0, initial)])
-            final_states: List[GlobalState] = []
-            transitions = 0
-            truncated = 0
-            max_depth = 0
-            complete = True
-
-            message = self._first_violation_message(initial)
-            if message is not None:
-                return ExplorationResult(
-                    states=1, transitions=0, depth=0,
-                    violation=InvariantViolation(
-                        message=message, state=initial, path=[]
-                    ),
-                    final_states=final_states,
-                    store_counters=self._store_counters(seen),
-                )
-
-            is_new = lambda s: fingerprint_state(s) not in seen
-            while queue:
-                depth, current = queue.popleft()
-                successors = self._successors_of(current, is_new)
-                if not successors and self.collect_final_states:
-                    if len(final_states) < self.max_final_states:
-                        final_states.append(current)
-                child_depth = depth + 1
-                for _action, successor in successors:
-                    transitions += 1
-                    digest = fingerprint_state(successor)
-                    if n_seen < self.max_states:
-                        if not seen_add(digest):
-                            continue
-                        n_seen += 1
-                    else:
-                        if digest in seen:
-                            continue
-                        complete = False
-                        truncated += 1
-                        continue
-                    queue.append((child_depth, successor))
-                    if child_depth > max_depth:
-                        max_depth = child_depth
-                    message = self._first_violation_message(successor)
-                    if message is not None:
-                        path = self._shortest_path_to(successor, child_depth)
-                        return ExplorationResult(
-                            states=n_seen,
-                            transitions=transitions,
-                            depth=max_depth,
-                            violation=InvariantViolation(
-                                message=message, state=successor, path=path
-                            ),
-                            complete=complete,
-                            truncated_transitions=truncated,
-                            final_states=final_states,
-                            store_counters=self._store_counters(seen),
-                        )
-                if not complete:
-                    break
-
-            return ExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                depth=max_depth,
-                complete=complete,
-                truncated_transitions=truncated,
-                final_states=final_states,
-                store_counters=self._store_counters(seen),
-            )
-        finally:
-            seen.close()
 
     def _first_violation_message(self, state: GlobalState) -> Optional[str]:
         for invariant in self.invariants:
@@ -735,75 +260,179 @@ class Explorer:
                 return message
         return None
 
-    def _shortest_path_to(
-        self, target: GlobalState, depth_limit: int
-    ) -> List[Action]:
-        """Depth-bounded BFS with parent pointers, for fingerprint mode.
+    def _bfs(
+        self,
+        canonicalizer: Optional[StateCanonicalizer],
+        seen: Optional[FingerprintStore],
+        violated: Callable[[GlobalState], Optional[str]],
+        selector: Optional[AmpleSelector],
+        max_states: float,
+    ) -> ExplorationResult:
+        """The one BFS loop: admit, check, expand, until a violation.
 
-        Only runs when a violation actually fired; memory is bounded by
-        the states within ``depth_limit`` of the initial state, and BFS
-        order guarantees the returned path is minimal.
+        ``canonicalizer`` is the reduction (None: the identity): the
+        visited set, the budget, ``violated`` and the frontier all see
+        each successor's representative.  ``seen`` is the visited set
+        (None: index/parent tables).  ``selector`` narrows each
+        expansion to an ample set.
         """
         spec = self.spec
-        initial = spec.initial_state()
-        if target == initial:
-            return []
-        index_of: Dict[GlobalState, int] = {initial: 0}
-        parents: List[Optional[Tuple[int, Action]]] = [None]
-        states: List[GlobalState] = [initial]
-        depths: List[int] = [0]
-        queue: deque = deque([0])
-        while queue:
-            current_index = queue.popleft()
-            depth = depths[current_index]
-            if depth >= depth_limit:
-                continue
-            for action, successor in spec.successors(states[current_index]):
-                if successor in index_of:
-                    continue
-                successor_index = len(states)
-                index_of[successor] = successor_index
-                states.append(successor)
-                parents.append((current_index, action))
-                depths.append(depth + 1)
-                if successor == target:
-                    return _reconstruct_path(successor_index, parents)
-                queue.append(successor_index)
-        raise RuntimeError(  # pragma: no cover - fingerprint collision
-            "violating state unreachable within its BFS depth — a"
-            " 64-bit fingerprint collision corrupted the frontier"
+        canonical = canonicalizer.canonical if canonicalizer else None
+        root = spec.initial_state()
+        root_witness = covered = order = None
+        if canonicalizer is not None:
+            root, root_witness = canonical(root)
+            covered = canonicalizer.orbit_size(root)
+            order = canonicalizer.order
+        index_of: Dict[GlobalState, int] = {}
+        parents: Optional[_Parents] = None
+        if seen is None:
+            index_of[root] = 0
+            parents = [None]
+        else:
+            seen.add(fingerprint_state(root))
+        states = [root] if self.keep_edges else None
+        edges: Optional[List[Tuple[int, int, int]]] = (
+            [] if self.keep_edges else None
         )
+        final_states: List[GlobalState] = []
 
-    # ------------------------------------------------------------------
-    def _check_invariants(
+        def is_new(state: GlobalState) -> bool:
+            if canonical is not None:
+                state = canonical(state)[0]
+            if seen is None:
+                return state not in index_of
+            return fingerprint_state(state) not in seen
+
+        # The k-th state popped is the k-th admitted (index k); the depth
+        # steps up when the pops reach the states admitted while the
+        # previous level was expanded.
+        queue: deque = deque([root])
+        count, transitions, truncated, max_depth = 1, 0, 0, 0
+        current_index, depth, level_end = -1, -1, 0
+        complete = True
+        witness = None
+        target, target_index = root, 0
+        message = violated(root)
+        while queue and message is None:
+            current = queue.popleft()
+            current_index += 1
+            if current_index == level_end:
+                depth, level_end = depth + 1, count
+            if parents is not None:
+                # The int admission stored: parents and edges then hold
+                # one per state, not a second one per expansion.
+                current_index = index_of[current]
+            if selector is None:
+                successors = list(spec.successors(current))
+            else:
+                successors = selector.expand(current, is_new)
+            if (
+                not successors and self.collect_final_states
+                and len(final_states) < self.max_final_states
+            ):
+                final_states.append(current)
+            for action, successor in successors:
+                transitions += 1
+                if canonical is not None:
+                    # From here on ``successor`` is the representative.
+                    successor, witness = canonical(successor)
+                if seen is None:
+                    # One lookup per transition: ``get``, not ``in`` + ``[]``.
+                    index = index_of.get(successor)
+                    if index is not None:
+                        if edges is not None:
+                            edges.append((current_index, action.pid, index))
+                        continue
+                else:
+                    key = fingerprint_state(successor)
+                    if count < max_states:
+                        if not seen.add(key):
+                            continue
+                    elif key in seen:
+                        continue
+                if count >= max_states:
+                    complete = False
+                    truncated += 1
+                    continue
+                index = count
+                count += 1
+                if parents is not None:
+                    index_of[successor] = index
+                    parents.append((current_index, action, witness))
+                if states is not None:
+                    states.append(successor)
+                if canonicalizer is not None:
+                    covered += canonicalizer.orbit_size(successor)
+                max_depth = depth + 1
+                queue.append(successor)
+                message = violated(successor)
+                if message is not None:
+                    target, target_index = successor, index
+                    break
+                if edges is not None:
+                    edges.append((current_index, action.pid, index))
+            if not complete:
+                # The budget is exhausted: no queued state can admit a
+                # new one, so draining the queue would be wasted work.
+                break
+
+        result = ExplorationResult(
+            states=count,
+            transitions=transitions,
+            depth=max_depth,
+            complete=complete,
+            truncated_transitions=truncated,
+            final_states=final_states,
+            edges=edges,
+            state_table=states,
+            covered_states=covered,
+            symmetry_group_order=order,
+        )
+        if message is not None:
+            result.violation = self._violation(
+                canonicalizer, root_witness, message,
+                target, target_index, parents,
+            )
+        return result
+
+    def _violation(
         self,
+        canonicalizer: Optional[StateCanonicalizer],
+        root_witness: Optional[GroupElement],
+        message: str,
         state: GlobalState,
         index: int,
-        parents: List[Optional[Tuple[int, Action]]],
-        states: List[GlobalState],
-    ) -> Optional[InvariantViolation]:
-        for invariant in self.invariants:
-            message = invariant(self.spec, state)
-            if message is not None:
-                return InvariantViolation(
-                    message=message,
-                    state=state,
-                    path=_reconstruct_path(index, parents),
-                )
-        return None
-
-
-def _reconstruct_path(
-    index: int, parents: List[Optional[Tuple[int, Action]]]
-) -> List[Action]:
-    path: List[Action] = []
-    cursor: Optional[int] = index
-    while cursor is not None:
-        entry = parents[cursor]
-        if entry is None:
-            break
-        parent_index, action = entry
-        path.append(action)
-        cursor = parent_index
-    path.reverse()
-    return path
+        parents: Optional[_Parents],
+    ) -> InvariantViolation:
+        """The counterexample ending at admitted ``state``."""
+        if parents is None:
+            # Fingerprint mode keeps no parents: run the same loop again
+            # with full tables, POR off and no budget, until it admits
+            # ``state``.  It admits in the same BFS order, so the path
+            # is the minimal one.
+            return self._bfs(
+                canonicalizer, None,
+                lambda other: message if other == state else None,
+                None, math.inf,
+            ).violation
+        steps = []
+        while index:
+            index, action, witness = parents[index]
+            steps.append((action, witness))
+        steps.reverse()
+        if canonicalizer is None:
+            return InvariantViolation(
+                message=message, state=state,
+                path=[action for action, _ in steps],
+            )
+        # The verdict was decided on the representative (sound by
+        # permutation invariance); the report lifts the path to a
+        # concrete execution and rechecks its final state, so it never
+        # mentions the quotient.
+        path, concrete = lift_canonical_path(canonicalizer, root_witness, steps)
+        return InvariantViolation(
+            message=self._first_violation_message(concrete) or message,
+            state=concrete,
+            path=path,
+        )

@@ -861,7 +861,13 @@ class FastSnapshotSpec:
 
         bad_pid = None
         if complete:
-            bad_pid = self._find_bad_lasso(order, edges)
+            from repro.checker.liveness import bad_lasso_state
+
+            for pid in range(self.n):
+                alive = [not self.done(state, pid) for state in order]
+                if bad_lasso_state(edges, len(order), pid, alive) is not None:
+                    bad_pid = pid
+                    break
         return FastExplorationResult(
             states=len(index_of),
             transitions=transitions,
@@ -869,38 +875,6 @@ class FastSnapshotSpec:
             bad_lasso_pid=bad_pid,
             truncated_transitions=truncated,
         )
-
-    def _find_bad_lasso(
-        self, order: List[int], edges: List[Tuple[int, int, int]]
-    ) -> Optional[int]:
-        from repro.checker.liveness import _scc_ids
-
-        n_states = len(order)
-        alive_cache: List[int] = [0] * n_states
-        for index, state in enumerate(order):
-            mask = 0
-            for pid in range(self.n):
-                if not self.done(state, pid):
-                    mask |= 1 << pid
-            alive_cache[index] = mask
-        for pid in range(self.n):
-            bit = 1 << pid
-            adjacency: Dict[int, List[int]] = {}
-            pid_edges: List[Tuple[int, int]] = []
-            for src, actor, dst in edges:
-                if alive_cache[src] & bit and alive_cache[dst] & bit:
-                    adjacency.setdefault(src, []).append(dst)
-                    if actor == pid:
-                        pid_edges.append((src, dst))
-            if not pid_edges:
-                continue
-            component = _scc_ids(adjacency, n_states)
-            for src, dst in pid_edges:
-                if src == dst or (
-                    component[src] == component[dst] and component[src] != -1
-                ):
-                    return pid
-        return None
 
 
 #: ``check_outputs`` as defined by the class body above, captured before

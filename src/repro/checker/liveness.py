@@ -18,7 +18,7 @@ labelled ``p``.  Self-loops count (a single-edge cycle is a cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.explorer import ExplorationResult
 from repro.checker.system import GlobalState, SystemSpec
@@ -51,27 +51,44 @@ def check_wait_freedom(
     violations: List[WaitFreedomViolation] = []
     for pid in range(spec.n_processors):
         alive = [not spec.terminated(state, pid) for state in states]
-        # Adjacency restricted to states where pid is unterminated.
-        adjacency: Dict[int, List[int]] = {}
-        pid_edges: List[Tuple[int, int]] = []
-        for src, actor, dst in exploration.edges:
-            if alive[src] and alive[dst]:
-                adjacency.setdefault(src, []).append(dst)
-                if actor == pid:
-                    pid_edges.append((src, dst))
-        if not pid_edges:
-            continue
-        component = _scc_ids(adjacency, len(states))
-        for src, dst in pid_edges:
-            same_component = component[src] == component[dst] and component[src] != -1
-            if same_component or src == dst:
-                violations.append(
-                    WaitFreedomViolation(
-                        pid=pid, cycle_state_index=src, cycle_state=states[src]
-                    )
+        index = bad_lasso_state(exploration.edges, len(states), pid, alive)
+        if index is not None:
+            violations.append(
+                WaitFreedomViolation(
+                    pid=pid, cycle_state_index=index, cycle_state=states[index]
                 )
-                break
+            )
     return violations
+
+
+def bad_lasso_state(
+    edges: Sequence[Tuple[int, int, int]],
+    n_states: int,
+    pid: int,
+    alive: Sequence[bool],
+) -> Optional[int]:
+    """A state on a cycle in which ``pid`` steps while unterminated.
+
+    ``edges`` are ``(src, pid, dst)`` over state indices ``0..n_states``;
+    ``alive[i]`` says ``pid`` has not terminated in state ``i``.  The
+    graph is restricted to alive states, and the source of the first
+    ``pid``-labelled edge inside one SCC (a self-loop counts) is
+    returned; None when there is none.
+    """
+    adjacency: Dict[int, List[int]] = {}
+    pid_edges: List[Tuple[int, int]] = []
+    for src, actor, dst in edges:
+        if alive[src] and alive[dst]:
+            adjacency.setdefault(src, []).append(dst)
+            if actor == pid:
+                pid_edges.append((src, dst))
+    if not pid_edges:
+        return None
+    component = _scc_ids(adjacency, n_states)
+    for src, dst in pid_edges:
+        if src == dst or (component[src] == component[dst] and component[src] != -1):
+            return src
+    return None
 
 
 def _scc_ids(adjacency: Dict[int, List[int]], n_states: int) -> List[int]:

@@ -59,6 +59,7 @@ trace is a valid execution of the *unreduced* system.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.system import Action, GlobalState, SystemSpec
@@ -125,6 +126,27 @@ def _identity_renamer(value: Any, mapping: Dict[Any, Any]) -> Any:
     return value
 
 
+def value_text(value: Any) -> str:
+    """``repr`` made a function of the value: equal values, equal text.
+
+    A set's ``repr`` lists its elements in hash-table order, which
+    follows the interpreter's string-hash seed and the insertion
+    history; here they are sorted.  Tuples and dataclasses (by their
+    compared fields) recurse; every other value is spelled by its
+    ``repr``.
+    """
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(value_text, value)) + ")"
+    if isinstance(value, (frozenset, set)):
+        return "{" + ",".join(sorted(map(value_text, value))) + "}"
+    if is_dataclass(value) and not isinstance(value, type):
+        return type(value).__name__ + "(" + ",".join(
+            value_text(getattr(value, spec.name))
+            for spec in fields(value) if spec.compare
+        ) + ")"
+    return repr(value)
+
+
 class StateCanonicalizer:
     """Orbit canonicalization for object-encoded :class:`GlobalState`.
 
@@ -168,6 +190,7 @@ class StateCanonicalizer:
             if element.is_identity or self.apply(element, initial) == initial
         ]
         self.order = len(self.elements)
+        self._texts: Dict[Any, str] = {}
 
     @property
     def trivial(self) -> bool:
@@ -208,24 +231,39 @@ class StateCanonicalizer:
     def canonical(self, state: GlobalState) -> Tuple[GlobalState, GroupElement]:
         """The orbit representative and a witness ``g`` with ``rep = g.state``.
 
-        The representative is the image minimizing ``(hash, repr)`` —
-        a function of the orbit (the image multiset is identical for
-        every member), hence a sound canonical form; ties across
-        *distinct* equal-keyed states would be resolved arbitrarily,
-        with the same vanishing probability budget as a 64-bit
-        fingerprint collision.
+        The representative is the image with the smallest :meth:`_key`
+        — a function of the orbit (the image multiset is identical for
+        every member), hence a sound canonical form, and the same in
+        every interpreter.
         """
         elements = self.elements
         best = state
         witness = elements[0]
         if self.order > 1:
-            best_key = (best._hash, repr(best))
+            best_key = self._key(best)
             for element in elements[1:]:
                 image = self.apply(element, state)
-                key = (image._hash, repr(image))
+                key = self._key(image)
                 if key < best_key:
                     best, best_key, witness = image, key, element
         return best, witness
+
+    def _key(self, state: GlobalState) -> List[str]:
+        """The order on images: :func:`value_text` of each register and
+        local, built from the state's value alone, so equal states get
+        equal keys in every process (``hash`` is per-interpreter: string
+        hashing is seeded, and ``hash(None)`` is an address before
+        Python 3.12).  The texts are cached per component, which few
+        distinct values fill.
+        """
+        texts = self._texts
+        key = []
+        for part in state.registers + state.locals:
+            text = texts.get(part)
+            if text is None:
+                text = texts[part] = value_text(part)
+            key.append(text)
+        return key
 
     def orbit_size(self, state: GlobalState) -> int:
         """Number of distinct states in ``state``'s orbit (<= group order)."""

@@ -3,10 +3,22 @@
 import pytest
 
 from repro.checker import Explorer, SystemSpec
-from repro.checker.liveness import check_wait_freedom, certify_wait_free, _scc_ids
-from repro.checker.properties import SNAPSHOT_SAFETY
+from repro.checker.liveness import (
+    _scc_ids,
+    bad_lasso_state,
+    certify_wait_free,
+    check_wait_freedom,
+)
+from repro.checker.properties import (
+    SNAPSHOT_SAFETY,
+    permutation_invariant,
+    snapshot_outputs_comparable,
+    snapshot_outputs_valid,
+    visibility_footprint,
+)
 from repro.core import SnapshotMachine, WriteScanMachine
 from repro.memory.wiring import WiringAssignment, enumerate_wiring_assignments
+from repro.store import StoreConfig
 
 
 class TestExplorerOnSnapshotN2:
@@ -114,6 +126,108 @@ class TestExplorerMechanics:
             check_wait_freedom(spec, result)
 
 
+# ----------------------------------------------------------------------
+# One BFS loop, every mode: fingerprint visited set vs index tables
+# ----------------------------------------------------------------------
+
+
+@visibility_footprint(outputs=True)
+@permutation_invariant
+def _always_broken(spec, state):
+    return "always broken"
+
+
+@visibility_footprint(outputs=True)
+@permutation_invariant
+def _no_full_output(spec, state):
+    """A deep violation whose outputs-only footprint lets POR prune."""
+    for pid, output in spec.outputs(state).items():
+        if len(output) >= spec.n_processors:
+            return f"processor {pid} output a full view"
+    return None
+
+
+_OUTPUT_SAFETY = (snapshot_outputs_comparable, snapshot_outputs_valid)
+_MODE_CASES = {
+    "safe": (_OUTPUT_SAFETY, {}),
+    "violated_initially": ((_always_broken,), {}),
+    "violated_deep": ((_no_full_output,), {}),
+    "budget_500": (_OUTPUT_SAFETY, {"max_states": 500}),
+}
+
+
+def _replay(spec, path):
+    """Run ``path`` through the unreduced transition relation."""
+    state = spec.initial_state()
+    for action in path:
+        replayed, state = spec.apply(state, action.pid, action.op)
+        assert replayed == action
+    return state
+
+
+@pytest.mark.parametrize(
+    "wiring", list(enumerate_wiring_assignments(2, 2)),
+    ids=lambda wiring: str(wiring.permutations()),
+)
+@pytest.mark.parametrize("case", list(_MODE_CASES))
+@pytest.mark.parametrize("por", [False, True], ids=["por_off", "por_on"])
+@pytest.mark.parametrize("symmetry", [False, True], ids=["identity", "symmetry"])
+def test_fingerprint_mode_matches_index_tables(symmetry, por, case, wiring):
+    spec = SystemSpec(SnapshotMachine(2), [1, 2], wiring)
+    invariants, budget = _MODE_CASES[case]
+    index, lean = (
+        Explorer(
+            spec, invariants, symmetry=symmetry, por=por, fingerprint=fingerprint,
+            collect_final_states=True, **budget,
+        ).run()
+        for fingerprint in (False, True)
+    )
+
+    def counts(result):
+        return (
+            result.states, result.transitions, result.depth, result.complete,
+            result.truncated_transitions, result.final_states,
+            result.covered_states, result.symmetry_group_order,
+            result.por_counters,
+        )
+
+    assert counts(lean) == counts(index)
+    if case == "budget_500":
+        assert index.states == 500 and index.truncated_transitions > 0
+    if case in ("safe", "budget_500"):
+        assert index.ok and lean.ok
+        assert index.complete == (case == "safe")
+        return
+    assert index.violation and lean.violation
+    assert lean.violation.message == index.violation.message
+    assert lean.violation.state == index.violation.state
+    assert any(check(spec, index.violation.state) for check in invariants)
+    for result in (index, lean):
+        assert _replay(spec, result.violation.path) == result.violation.state
+    if por:
+        # The rebuild runs unreduced, so its path is a shortest one.
+        assert len(lean.violation.path) <= len(index.violation.path)
+    else:
+        assert lean.violation.path == index.violation.path
+
+
+@pytest.mark.parametrize(
+    "options, remedy",
+    [
+        (dict(por=True, keep_edges=True), "por=False"),
+        (dict(fingerprint=True, keep_edges=True), "fingerprint=False"),
+        (dict(store=StoreConfig(backend="mmap")), "fingerprint=True"),
+        (dict(symmetry=True, keep_edges=True), "symmetry=False"),
+    ],
+)
+def test_refusals_name_explorer_parameters(options, remedy):
+    """No CLI path passes these options, so the remedy is a parameter."""
+    spec = SystemSpec(SnapshotMachine(2), [1, 2], WiringAssignment.identity(2, 2))
+    with pytest.raises(ValueError, match=remedy) as refusal:
+        Explorer(spec, **options)
+    assert "--" not in str(refusal.value)
+
+
 class TestLivenessDetectsNonTermination:
     def test_write_scan_loop_is_flagged_as_never_terminating(self):
         """The write-scan loop (no levels) runs forever: every processor
@@ -157,3 +271,27 @@ class TestSCCHelper:
         adjacency = {i: [i + 1] for i in range(n - 1)}
         component = _scc_ids(adjacency, n)
         assert component[0] != component[n - 1]
+
+
+class TestBadLassoState:
+    """The per-processor scan both wait-freedom checks share."""
+
+    # 0 -p0-> 1 -p1-> 2 -p1-> 1 is a two-state cycle of p1 steps that p0
+    # enters but never steps on; 0 -p1-> 3 -p0-> 3 is a p0 self-loop.
+    EDGES = [(0, 0, 1), (1, 1, 2), (2, 1, 1), (0, 1, 3), (3, 0, 3)]
+
+    def test_self_loop(self):
+        assert bad_lasso_state(self.EDGES, 4, 0, [True] * 4) == 3
+
+    def test_multi_state_cycle(self):
+        assert bad_lasso_state(self.EDGES, 4, 1, [True] * 4) == 1
+
+    def test_terminated_states_cut_the_lasso(self):
+        alive = [True, True, False, False]
+        assert bad_lasso_state(self.EDGES, 4, 0, alive) is None
+        assert bad_lasso_state(self.EDGES, 4, 1, alive) is None
+
+    def test_acyclic_graph_has_none(self):
+        edges = [(0, 0, 1), (1, 1, 2), (0, 1, 2)]
+        for pid in (0, 1):
+            assert bad_lasso_state(edges, 3, pid, [True] * 3) is None

@@ -76,12 +76,6 @@ def _seed_fast_violation(monkeypatch):
     monkeypatch.setattr(FastSnapshotSpec, "check_outputs", seeded)
 
 
-def _seeded_generic_invariant(spec, state):
-    if spec.outputs(state):
-        return _SEEDED_MESSAGE
-    return None
-
-
 def _stats(result):
     return (result.states, result.transitions, result.ok, result.complete)
 
@@ -291,51 +285,9 @@ class TestExplorerFingerprintMode:
             SnapshotMachine(2), [1, 2], WiringAssignment.identity(2, 2)
         )
 
-    def test_counts_match_full_mode_exhaustively(self):
-        spec = self._spec()
-        full = Explorer(spec, SNAPSHOT_SAFETY).run()
-        lean = Explorer(spec, SNAPSHOT_SAFETY, fingerprint=True).run()
-        assert full.ok and lean.ok
-        assert (full.states, full.transitions, full.depth) == (
-            lean.states, lean.transitions, lean.depth
-        )
-
     def test_keep_edges_is_rejected(self):
         with pytest.raises(ValueError):
             Explorer(self._spec(), keep_edges=True, fingerprint=True)
-
-    def test_counterexample_reconstructed_minimal_and_replayable(self):
-        spec = self._spec()
-        invariants = (_seeded_generic_invariant,)
-        full = Explorer(spec, invariants).run()
-        lean = Explorer(spec, invariants, fingerprint=True).run()
-        assert full.violation is not None and lean.violation is not None
-        assert full.violation.message == lean.violation.message
-        # Same minimal length as the full-table path (BFS on both sides).
-        assert len(lean.violation.path) == len(full.violation.path)
-        # The reconstructed path replays to the reported violating state.
-        state = spec.initial_state()
-        for action in lean.violation.path:
-            matches = [
-                successor
-                for step, successor in spec.successors(state)
-                if step == action
-            ]
-            assert len(matches) == 1
-            state = matches[0]
-        assert state == lean.violation.state
-        assert _seeded_generic_invariant(spec, state) is not None
-
-    def test_budget_cap_and_truncation_counter(self):
-        spec = self._spec()
-        full = Explorer(spec, SNAPSHOT_SAFETY, max_states=100).run()
-        lean = Explorer(
-            spec, SNAPSHOT_SAFETY, max_states=100, fingerprint=True
-        ).run()
-        for result in (full, lean):
-            assert result.states == 100
-            assert not result.complete
-            assert result.truncated_transitions > 0
 
 
 # ----------------------------------------------------------------------

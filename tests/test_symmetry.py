@@ -1,6 +1,6 @@
 """Symmetry reduction: canonicalization soundness and verdict conformance.
 
-Three contracts keep the quotient construction honest:
+Four contracts keep the quotient construction honest:
 
 - **canonical forms are orbit invariants** — ``canon(g . s) == canon(s)``
   for random reachable states and every group element, in both the
@@ -12,12 +12,18 @@ Three contracts keep the quotient construction honest:
   unreduced transition relation here);
 - **refusal** — the incompatible combinations (liveness analysis,
   properties not declared permutation-invariant) raise instead of
-  silently producing unsound reports.
+  silently producing unsound reports;
+- **determinism** — the generic explorer picks the same representatives
+  in every interpreter, so runs that stop early agree across processes.
 """
 
 import os
 import random
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -210,17 +216,6 @@ class TestVerdictConformance:
         assert reduced.covered_states == base.states
         assert reduced.symmetry_group_order == 2
 
-    def test_explorer_fingerprint_symmetry_matches(self):
-        spec = _snapshot_spec(2)
-        reduced = Explorer(spec, SNAPSHOT_SAFETY, symmetry=True).run()
-        lean = Explorer(
-            spec, SNAPSHOT_SAFETY, symmetry=True, fingerprint=True
-        ).run()
-        assert lean.ok
-        assert (lean.states, lean.covered_states) == (
-            reduced.states, reduced.covered_states,
-        )
-
     def test_fast_n2_exhaustive_covers_unreduced_space(self):
         spec = FastSnapshotSpec([1, 2], ((0, 1), (0, 1)))
         base = spec.explore()
@@ -327,16 +322,6 @@ class TestCounterexampleLifting:
         assert len(reduced.violation.path) == len(base.violation.path)
         self._assert_concrete_replay(spec, reduced.violation)
 
-    def test_fingerprint_symmetric_counterexample_replays(self):
-        spec = _snapshot_spec(2)
-        base = Explorer(spec, [_no_full_view]).run()
-        lean = Explorer(
-            spec, [_no_full_view], symmetry=True, fingerprint=True
-        ).run()
-        assert lean.violation
-        assert len(lean.violation.path) == len(base.violation.path)
-        self._assert_concrete_replay(spec, lean.violation)
-
     def test_lift_canonical_path_identity_witnesses_roundtrip(self):
         """With identity witnesses, lifting is plain replay."""
         spec = _snapshot_spec(2)
@@ -351,6 +336,62 @@ class TestCounterexampleLifting:
         actions, final = lift_canonical_path(canonicalizer, identity, steps)
         assert [a.pid for a in actions] == [a.pid for a, _ in steps]
         assert final == state
+
+
+#: One violating and one budgeted symmetric run per N=2 wiring, plus a
+#: budgeted run whose views hold strings; prints what they admitted.
+_EARLY_STOP_SCRIPT = textwrap.dedent('''
+    from repro.checker import Explorer, SystemSpec
+    from repro.checker.properties import (
+        SNAPSHOT_SAFETY, permutation_invariant, renaming_names_valid,
+    )
+    from repro.core import RenamingMachine, SnapshotMachine
+    from repro.memory.wiring import enumerate_wiring_assignments
+
+    @permutation_invariant
+    def no_full_view(spec, state):
+        for pid, local in enumerate(state.locals):
+            if len(local.view) >= spec.n_processors:
+                return f"processor {pid} assembled a full view"
+        return None
+
+    for wiring in enumerate_wiring_assignments(2, 2):
+        runs = (
+            (SystemSpec(SnapshotMachine(2), [1, 2], wiring), [no_full_view], 10**6),
+            (SystemSpec(SnapshotMachine(2), [1, 2], wiring), SNAPSHOT_SAFETY, 500),
+            (SystemSpec(RenamingMachine(2), ["a", "b"], wiring),
+             [renaming_names_valid], 300),
+        )
+        for spec, invariants, budget in runs:
+            result = Explorer(
+                spec, invariants, symmetry=True, max_states=budget
+            ).run()
+            print(result.states, result.transitions, result.depth,
+                  result.covered_states, result.truncated_transitions)
+            if result.violation:
+                print(result.violation.message, result.violation.state,
+                      result.violation.path)
+''')
+
+
+class TestDeterminism:
+    def test_early_stopping_runs_agree_across_interpreters(self):
+        """``hash`` differs between interpreters (string hashing is
+        seeded, ``hash(None)`` is an address before Python 3.12), so the
+        representative choice must not use it: a run that stops on a
+        violation or a budget admits exactly the states it picked."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = set()
+        for seed in ("0", "0", "1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-c", _EARLY_STOP_SCRIPT], env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
+        assert "assembled a full view" in outputs.pop()
 
 
 class TestRefusals:
