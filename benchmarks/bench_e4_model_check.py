@@ -36,7 +36,8 @@ def check_n2():
     for wiring in enumerate_wiring_assignments(2, 2):
         spec = SystemSpec(SnapshotMachine(2), [1, 2], wiring)
         result = Explorer(spec, SNAPSHOT_SAFETY, keep_edges=True).run()
-        violations = check_wait_freedom(spec, result)
+        # A safety violation stops the explorer: no whole graph to scan.
+        violations = check_wait_freedom(spec, result) if result.ok else None
         rows.append((wiring.permutations(), result, violations))
     return rows
 

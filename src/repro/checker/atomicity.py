@@ -234,7 +234,7 @@ def extend_avoiding_union(
             return actions
         candidates = []
         for pid in range(spec.n_processors):
-            for op in spec.machine.enabled_ops(state.locals[pid]):
+            for op in spec.enabled(state, pid):
                 candidates.append((pid, op))
         progressed = False
         for pid, op in candidates:
@@ -268,7 +268,7 @@ def random_walk_non_atomic_search(
         for _ in range(max_steps):
             enabled: List[Tuple[int, object]] = []
             for pid in range(spec.n_processors):
-                for op in spec.machine.enabled_ops(state.locals[pid]):
+                for op in spec.enabled(state, pid):
                     enabled.append((pid, op))
             if not enabled:
                 break
@@ -315,12 +315,12 @@ def pattern_walk_non_atomic_search(
             for _ in range(len(pattern)):
                 pid = pattern[cursor % len(pattern)]
                 cursor += 1
-                if spec.machine.enabled_ops(state.locals[pid]):
+                if spec.enabled(state, pid):
                     chosen = pid
                     break
             if chosen is None:
                 break
-            ops = spec.machine.enabled_ops(state.locals[chosen])
+            ops = spec.enabled(state, chosen)
             op = ops[rng.randrange(len(ops))]
             action, state = spec.apply(state, chosen, op)
             actions.append(action)

@@ -1122,8 +1122,7 @@ def replay_fast_hit(machine, inputs, wiring_perms, hit) -> Tuple[dict, bool]:
     state = spec.initial_state()
     unions = {memory_union(state)}
     for pid, reg in hit.schedule:
-        local = state.locals[pid]
-        ops = machine.enabled_ops(local)
+        ops = spec.enabled(state, pid)
         if reg is None:
             (op,) = [o for o in ops if isinstance(o, Read)]
         else:

@@ -39,13 +39,20 @@ def check_wait_freedom(
 ) -> List[WaitFreedomViolation]:
     """Return all per-processor wait-freedom violations (empty = wait-free).
 
-    Requires the exploration to have been run with ``keep_edges=True``
-    and to be complete (a partial graph cannot certify liveness).
+    Requires the exploration to have been run with ``keep_edges=True``,
+    to be complete and to have found no safety violation: the explorer
+    stops at the first violation, so its graph is then partial too, and
+    a partial graph cannot certify liveness.
     """
     if exploration.edges is None or exploration.state_table is None:
         raise ValueError("exploration must retain edges (keep_edges=True)")
     if not exploration.complete:
         raise ValueError("cannot certify wait-freedom from a partial exploration")
+    if exploration.violation is not None:
+        raise ValueError(
+            "cannot certify wait-freedom from an exploration that stopped"
+            " at a safety violation: its graph is partial"
+        )
 
     states = exploration.state_table
     violations: List[WaitFreedomViolation] = []

@@ -563,7 +563,6 @@ class AmpleSelector:
     def expand(self, state: Any, is_new: IsNew) -> List[Tuple[Any, Any]]:
         """The selected ``(action, successor)`` pairs for ``state``."""
         spec = self.spec
-        machine = spec.machine
         counters = self.counters
         visibility = self.visibility
         if visibility.all_steps:
@@ -572,10 +571,10 @@ class AmpleSelector:
 
         physical = spec._physical
         future = self._future
-        infos: List[Tuple[int, List[Any], int, int, int, int]] = []
+        infos: List[Tuple[int, Tuple[Any, ...], int, int, int, int]] = []
         total = 0
         for pid in range(spec.n_processors):
-            ops = list(machine.enabled_ops(state.locals[pid]))
+            ops = spec.enabled(state, pid)
             if not ops:
                 continue
             total += len(ops)
@@ -614,9 +613,9 @@ class AmpleSelector:
                     continue
                 pairs = [spec.apply(state, pid, op) for op in ops]
                 if visibility.outputs:
-                    before = machine.output(state.locals[pid])
+                    before = spec.output(state, pid)
                     if any(
-                        machine.output(successor.locals[pid]) != before
+                        spec.output(successor, pid) != before
                         for _, successor in pairs
                     ):
                         continue

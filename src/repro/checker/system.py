@@ -15,12 +15,18 @@ Because machines are pure, exploring this system is exhaustive over all
 interleavings *for the given wiring*; the experiments iterate over all
 wiring assignments modulo register relabelling
 (:func:`repro.memory.wiring.enumerate_wiring_assignments`).
+
+Processors are anonymous, so what a processor does next depends on its
+local state, the op and the value read, never on its pid.  The spec
+therefore asks the machine once per distinct local state (enabled ops,
+output) and once per distinct step (next local state), and every
+processor reads the same step tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.memory.wiring import WiringAssignment
 from repro.sim.machine import AlgorithmMachine
@@ -82,6 +88,63 @@ class Action:
     physical: int
 
 
+class _Step:
+    """One op taken from one local state, by whichever processor.
+
+    ``actions[pid]`` labels the step when ``pid`` takes it (the
+    physical register depends on the wiring, not on the machine).
+    ``after`` maps the op's result to the next local state: the value
+    read for a read, None for a write, so a write's dict has one entry.
+    It fills as results occur.
+    """
+
+    __slots__ = ("op", "write", "actions", "after")
+
+    def __init__(self, op: Op, physical: Sequence[Sequence[int]]) -> None:
+        if not isinstance(op, (Read, Write)):  # pragma: no cover - defensive
+            raise TypeError(f"unknown op {op!r}")
+        self.op = op
+        self.write = isinstance(op, Write)
+        self.actions = tuple(
+            Action(pid=pid, op=op, physical=table[op.reg])
+            for pid, table in enumerate(physical)
+        )
+        self.after: Dict[Any, Any] = {}
+
+
+class _LocalSteps:
+    """What the machine does from one local state, asked once.
+
+    ``ops`` and ``output`` are the machine's answers for the state;
+    ``moves`` holds one :class:`_Step` per enabled op, in the machine's
+    order, and ``steps`` finds the step of any op for ``apply``.
+    """
+
+    __slots__ = ("local", "ops", "output", "moves", "steps")
+
+    def __init__(
+        self,
+        machine: AlgorithmMachine,
+        local: Any,
+        physical: Sequence[Sequence[int]],
+    ) -> None:
+        self.local = local
+        self.ops = machine.enabled_ops(local)
+        self.output = machine.output(local)
+        self.steps: Dict[Op, _Step] = {}
+        self.moves = tuple(self.step(op, physical) for op in self.ops)
+
+    def step(self, op: Op, physical: Sequence[Sequence[int]]) -> _Step:
+        step = self.steps.get(op)
+        if step is None:
+            step = self.steps[op] = _Step(op, physical)
+        return step
+
+
+#: ``dict.get`` default telling "not computed yet" from any local state.
+_UNSEEN = object()
+
+
 class SystemSpec:
     """The global transition system of ``n`` copies of one machine.
 
@@ -94,6 +157,13 @@ class SystemSpec:
     wiring:
         The wiring assignment fixing each processor's register
         permutation.
+
+    The machine is called through step tables keyed by local state, not
+    per transition.  This is sound because machines are pure over
+    immutable hashable states, and the tables compare local states and
+    values read with the same equality the visited sets compare global
+    states with.  The tables grow with the distinct local steps only
+    (69 local states and 269 steps per N=2 snapshot wiring).
     """
 
     def __init__(
@@ -111,9 +181,19 @@ class SystemSpec:
         self.wiring = wiring
         self.n_processors = len(self.inputs)
         self.n_registers = wiring.n_registers
-        # Hot-path table: local register index -> physical index, per
-        # processor (avoids a method call per transition in `apply`).
+        # Local register index -> physical index, per processor.
         self._physical = tuple(w.permutation for w in wiring)
+        #: Step tables: local state -> what the machine does from it.
+        self._tables: Dict[Any, _LocalSteps] = {}
+
+    def _local_steps(self, local: Any) -> _LocalSteps:
+        """The step table of ``local``, asked of the machine on first sight."""
+        table = self._tables.get(local)
+        if table is None:
+            table = self._tables[local] = _LocalSteps(
+                self.machine, local, self._physical
+            )
+        return table
 
     # ------------------------------------------------------------------
     # Transition relation
@@ -129,47 +209,65 @@ class SystemSpec:
 
     def successors(self, state: GlobalState) -> Iterator[Tuple[Action, GlobalState]]:
         """All one-step successors, branching over processors and ops."""
-        for pid in range(self.n_processors):
-            local = state.locals[pid]
-            for op in self.machine.enabled_ops(local):
-                yield self.apply(state, pid, op)
+        for pid, local in enumerate(state.locals):
+            for step in self._local_steps(local).moves:
+                yield self._step(state, pid, step)
 
     def apply(self, state: GlobalState, pid: int, op: Op) -> Tuple[Action, GlobalState]:
         """Apply one (pid, op) step; returns the action and new state."""
-        physical = self._physical[pid][op.reg]
+        table = self._local_steps(state.locals[pid])
+        return self._step(state, pid, table.step(op, self._physical))
+
+    def _step(
+        self, state: GlobalState, pid: int, step: _Step
+    ) -> Tuple[Action, GlobalState]:
+        action = step.actions[pid]
+        physical = action.physical
         registers = state.registers
-        if isinstance(op, Read):
-            result = registers[physical]
-        elif isinstance(op, Write):
+        if step.write:
             result = None
-            mutable = list(registers)
-            mutable[physical] = op.value
-            registers = tuple(mutable)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown op {op!r}")
-        new_local = self.machine.apply(state.locals[pid], op, result)
-        mutable_locals = list(state.locals)
-        mutable_locals[pid] = new_local
-        return (
-            Action(pid=pid, op=op, physical=physical),
-            GlobalState(registers=registers, locals=tuple(mutable_locals)),
+            registers = (
+                registers[:physical] + (step.op.value,)
+                + registers[physical + 1 :]
+            )
+        else:
+            result = registers[physical]
+        locals_ = state.locals
+        new_local = step.after.get(result, _UNSEEN)
+        if new_local is _UNSEEN:
+            # Keep the table's own object: equal local states are then
+            # one object, which lookups and state comparisons match by
+            # identity before they compare fields.
+            new_local = step.after[result] = self._local_steps(
+                self.machine.apply(locals_[pid], step.op, result)
+            ).local
+        return action, GlobalState(
+            registers, locals_[:pid] + (new_local,) + locals_[pid + 1 :]
         )
 
     # ------------------------------------------------------------------
     # Observations
     # ------------------------------------------------------------------
+    def enabled(self, state: GlobalState, pid: int) -> Tuple[Op, ...]:
+        """The ops ``pid``'s machine allows next in ``state``."""
+        return self._local_steps(state.locals[pid]).ops
+
+    def output(self, state: GlobalState, pid: int) -> Optional[Any]:
+        """``pid``'s output in ``state``, or None while it runs."""
+        return self._local_steps(state.locals[pid]).output
+
     def outputs(self, state: GlobalState) -> dict:
         """pid -> output, for the processors terminated in ``state``."""
         result = {}
         for pid, local in enumerate(state.locals):
-            value = self.machine.output(local)
+            value = self._local_steps(local).output
             if value is not None:
                 result[pid] = value
         return result
 
     def terminated(self, state: GlobalState, pid: int) -> bool:
         """Whether ``pid`` has no enabled operations in ``state``."""
-        return not self.machine.enabled_ops(state.locals[pid])
+        return not self._local_steps(state.locals[pid]).ops
 
     def all_terminated(self, state: GlobalState) -> bool:
         return all(

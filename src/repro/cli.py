@@ -53,6 +53,20 @@ def _parse_mem(text: str) -> int:
     return int(cleaned)
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.api import run_snapshot
     from repro.core.views import all_comparable
@@ -300,9 +314,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             for wiring in enumerate_wiring_assignments(2, 2):
                 spec = SystemSpec(SnapshotMachine(2), [1, 2], wiring)
                 result = Explorer(spec, SNAPSHOT_SAFETY, keep_edges=True).run()
-                violations = check_wait_freedom(spec, result)
+                # The lasso scan needs the whole graph, which the
+                # explorer only builds when safety held.
+                ok = result.ok and not check_wait_freedom(spec, result)
                 suffix = ""
-                ok = result.ok and not violations
                 if args.symmetry:
                     reduced = Explorer(
                         spec, SNAPSHOT_SAFETY, symmetry=True
@@ -822,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--n", type=int, default=2, choices=[2, 3])
     check.add_argument(
-        "--budget", type=int, default=200_000,
+        "--budget", type=_non_negative_int, default=200_000,
         help="states per wiring class for n=3 (n=2 is exhaustive);"
              " 0 means unbudgeted (exhaustive) exploration",
     )
@@ -927,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
              " warned about",
     )
     check.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECS",
+        "--heartbeat", type=_positive_seconds, default=None, metavar="SECS",
         help="print a progress line to stderr every SECS seconds of a"
              " long run: admitted states (with delta and states/s),"
              " frontier size, transitions, and resident set size",

@@ -27,6 +27,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "--store", "redis"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--budget", "-5"],
+            ["--heartbeat", "0"],
+            ["--heartbeat", "-1"],
+            ["--n", "3", "--heartbeat", "0"],
+        ],
+    )
+    def test_check_refuses_negative_budget_and_heartbeat(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["check", *argv])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro check")
+        assert f"argument {argv[-2]}: must be" in err
+
+    def test_check_accepts_zero_budget_and_fractional_heartbeat(self):
+        args = build_parser().parse_args(
+            ["check", "--budget", "0", "--heartbeat", "0.5"]
+        )
+        assert (args.budget, args.heartbeat) == (0, 0.5)
+
     def test_mem_cap_suffixes(self):
         assert _parse_mem("4096") == 4096
         assert _parse_mem("64k") == 64 * 1024

@@ -125,6 +125,28 @@ class TestExplorerMechanics:
         with pytest.raises(ValueError):
             check_wait_freedom(spec, result)
 
+    def test_liveness_refuses_exploration_stopped_by_violation(self):
+        """The explorer stops at the first safety violation, so the
+        graph it kept is partial even though no budget was hit: here 2
+        states, while the whole 1,696-state graph has a bad lasso."""
+        spec = SystemSpec(
+            WriteScanMachine(2), [1, 2], WiringAssignment.identity(2, 2)
+        )
+        initial = spec.initial_state().locals
+
+        def locals_never_move(spec_, state):
+            if state.locals != initial:
+                return "a local state left its initial value"
+            return None
+
+        stopped = Explorer(spec, [locals_never_move], keep_edges=True).run()
+        assert stopped.violation is not None and stopped.states == 2
+        with pytest.raises(ValueError, match="safety violation"):
+            certify_wait_free(spec, stopped)
+        whole = Explorer(spec, keep_edges=True).run()
+        assert whole.states == 1696
+        assert [v.pid for v in check_wait_freedom(spec, whole)] == [0, 1]
+
 
 # ----------------------------------------------------------------------
 # One BFS loop, every mode: fingerprint visited set vs index tables
