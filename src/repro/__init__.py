@@ -28,22 +28,36 @@ Packages
 - :mod:`repro.baselines` — double-collect, Guerraoui–Ruppert, naive rules
 """
 
-from repro.api import (
-    build_runner,
-    run_consensus,
-    run_renaming,
-    run_snapshot,
-    run_write_scan,
-)
-from repro.core import (
-    ConsensusMachine,
-    LongLivedSnapshotMachine,
-    RenamingMachine,
-    SnapshotMachine,
-    WriteScanMachine,
-)
-from repro.memory import AnonymousMemory, Wiring, WiringAssignment
-from repro.sim import Runner
+import importlib
+import sys
+from typing import Callable, List, Mapping, Sequence, Tuple
+
+
+def _lazy_exports(
+    package: str, exports: Mapping[str, Sequence[str]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each defining module to the public names the
+    package re-exports from it.  A name's module is imported on the
+    name's first access and the value is then bound in the package, so
+    importing a package costs nothing until its names are used.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
@@ -64,3 +78,21 @@ __all__ = [
     "Runner",
     "__version__",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.api": [
+        "build_runner",
+        "run_consensus",
+        "run_renaming",
+        "run_snapshot",
+        "run_write_scan",
+    ],
+    "repro.core.consensus": ["ConsensusMachine"],
+    "repro.core.long_lived": ["LongLivedSnapshotMachine"],
+    "repro.core.renaming": ["RenamingMachine"],
+    "repro.core.snapshot": ["SnapshotMachine"],
+    "repro.core.write_scan": ["WriteScanMachine"],
+    "repro.memory.memory": ["AnonymousMemory"],
+    "repro.memory.wiring": ["Wiring", "WiringAssignment"],
+    "repro.sim.runner": ["Runner"],
+})

@@ -30,37 +30,7 @@ caption and Section 8).  This package reproduces that methodology:
   de-canonicalize counterexamples back to concrete executions.
 """
 
-from repro.checker.atomicity import (
-    AtomicityCounterexample,
-    best_first_non_atomic_search,
-    dfs_non_atomic_search,
-    extend_avoiding_union,
-    find_non_atomic_execution,
-    memory_union,
-    pattern_walk_non_atomic_search,
-    random_walk_non_atomic_search,
-)
-from repro.checker.explorer import ExplorationResult, Explorer, InvariantViolation
-from repro.checker.fingerprint import (
-    collision_probability,
-    fingerprint_int,
-    fingerprint_state,
-)
-from repro.checker.liveness import WaitFreedomViolation, check_wait_freedom
-from repro.checker.parallel import (
-    check_snapshot_classes,
-    effective_jobs,
-    explore_sharded,
-    ordered_parallel_map,
-)
-from repro.checker.symmetry import (
-    FastCanonicalizer,
-    GroupElement,
-    StateCanonicalizer,
-    assert_permutation_invariant,
-    lift_canonical_path,
-)
-from repro.checker.system import Action, GlobalState, SystemSpec
+from repro import _lazy_exports
 
 __all__ = [
     "check_snapshot_classes",
@@ -92,3 +62,41 @@ __all__ = [
     "memory_union",
     "AtomicityCounterexample",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.checker.atomicity": [
+        "AtomicityCounterexample",
+        "best_first_non_atomic_search",
+        "dfs_non_atomic_search",
+        "extend_avoiding_union",
+        "find_non_atomic_execution",
+        "memory_union",
+        "pattern_walk_non_atomic_search",
+        "random_walk_non_atomic_search",
+    ],
+    "repro.checker.explorer": [
+        "ExplorationResult",
+        "Explorer",
+        "InvariantViolation",
+    ],
+    "repro.checker.fingerprint": [
+        "collision_probability",
+        "fingerprint_int",
+        "fingerprint_state",
+    ],
+    "repro.checker.liveness": ["WaitFreedomViolation", "check_wait_freedom"],
+    "repro.checker.parallel": [
+        "check_snapshot_classes",
+        "effective_jobs",
+        "explore_sharded",
+        "ordered_parallel_map",
+    ],
+    "repro.checker.symmetry": [
+        "FastCanonicalizer",
+        "GroupElement",
+        "StateCanonicalizer",
+        "assert_permutation_invariant",
+        "lift_canonical_path",
+    ],
+    "repro.checker.system": ["Action", "GlobalState", "SystemSpec"],
+})

@@ -861,13 +861,13 @@ class FastSnapshotSpec:
 
         bad_pid = None
         if complete:
-            from repro.checker.liveness import bad_lasso_state
+            from repro.checker.liveness import bad_lassos
 
-            for pid in range(self.n):
-                alive = [not self.done(state, pid) for state in order]
-                if bad_lasso_state(edges, len(order), pid, alive) is not None:
-                    bad_pid = pid
-                    break
+            lassos = bad_lassos(
+                edges, len(order), self.n,
+                lambda index, pid: self.done(order[index], pid),
+            )
+            bad_pid = next((pid for pid, _ in lassos), None)
         return FastExplorationResult(
             states=len(index_of),
             transitions=transitions,

@@ -8,17 +8,28 @@ remaining unterminated throughout — the cycle can be repeated forever,
 giving an infinite execution in which ``p`` takes infinitely many steps
 without ever outputting.
 
-We check absence of such "bad lassos" per processor by restricting the
-graph to states where ``p`` is not terminated, computing strongly
-connected components (iterative Tarjan — state graphs are deep, no
-recursion), and asking whether any SCC contains an internal edge
-labelled ``p``.  Self-loops count (a single-edge cycle is a cycle).
+Termination is absorbing: a terminated processor has no enabled
+operation, so it never steps again and stays terminated.  Every cycle is
+therefore a bad lasso for each processor that steps on it, and a graph
+has no bad lasso exactly when it has no cycle.  One topological peel
+decides that for every processor at once (Kahn's algorithm: repeatedly
+drop states with no remaining in-edge; the graph is acyclic exactly
+when nothing is left).
+
+What the peel leaves, the *core*, holds every cycle.  Only when it is
+non-empty do we check each processor ``p`` on it: restrict the core to
+states where ``p`` is not terminated, compute strongly connected
+components (iterative Tarjan — state graphs are deep, no recursion),
+and ask whether any SCC contains an internal edge labelled ``p``.
+Self-loops count (a single-edge cycle is a cycle).  Every SCC-internal
+edge lies inside the core and the filter keeps edge order, so the
+reported cycle state is the one the scan over the whole graph finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.checker.explorer import ExplorationResult
 from repro.checker.system import GlobalState, SystemSpec
@@ -55,17 +66,73 @@ def check_wait_freedom(
         )
 
     states = exploration.state_table
-    violations: List[WaitFreedomViolation] = []
-    for pid in range(spec.n_processors):
-        alive = [not spec.terminated(state, pid) for state in states]
-        index = bad_lasso_state(exploration.edges, len(states), pid, alive)
+    return [
+        WaitFreedomViolation(
+            pid=pid, cycle_state_index=index, cycle_state=states[index]
+        )
+        for pid, index in bad_lassos(
+            exploration.edges,
+            len(states),
+            spec.n_processors,
+            lambda index, pid: spec.terminated(states[index], pid),
+        )
+    ]
+
+
+def bad_lassos(
+    edges: Sequence[Tuple[int, int, int]],
+    n_states: int,
+    n_processors: int,
+    terminated: Callable[[int, int], bool],
+) -> Iterator[Tuple[int, int]]:
+    """``(pid, cycle state index)`` for each processor with a bad lasso.
+
+    ``edges`` are ``(src, pid, dst)`` over state indices
+    ``0..n_states``; ``terminated(index, pid)`` says ``pid`` has no
+    enabled operation in state ``index``.  Processors are yielded in
+    pid order, each with the state :func:`bad_lasso_state` picks on the
+    whole graph.  An acyclic graph yields nothing after one peel, with
+    no SCC computed.
+    """
+    core = _cyclic_core(edges, n_states)
+    if core is None:
+        return
+    core_edges = [edge for edge in edges if core[edge[0]] and core[edge[2]]]
+    for pid in range(n_processors):
+        alive = [
+            in_core and not terminated(index, pid)
+            for index, in_core in enumerate(core)
+        ]
+        index = bad_lasso_state(core_edges, n_states, pid, alive)
         if index is not None:
-            violations.append(
-                WaitFreedomViolation(
-                    pid=pid, cycle_state_index=index, cycle_state=states[index]
-                )
-            )
-    return violations
+            yield pid, index
+
+
+def _cyclic_core(
+    edges: Sequence[Tuple[int, int, int]], n_states: int
+) -> Optional[List[bool]]:
+    """Kahn's peel: which states survive it, or None when none does.
+
+    A state survives when it lies on a cycle or is reachable from one;
+    None means the graph is acyclic.
+    """
+    in_degree = [0] * n_states
+    successors: List[List[int]] = [[] for _ in range(n_states)]
+    for src, _, dst in edges:
+        in_degree[dst] += 1
+        successors[src].append(dst)
+    sources = [state for state, degree in enumerate(in_degree) if degree == 0]
+    peeled = 0
+    while sources:
+        state = sources.pop()
+        peeled += 1
+        for dst in successors[state]:
+            in_degree[dst] -= 1
+            if in_degree[dst] == 0:
+                sources.append(dst)
+    if peeled == n_states:
+        return None
+    return [degree > 0 for degree in in_degree]
 
 
 def bad_lasso_state(

@@ -1,10 +1,8 @@
 """Load compiled kernels and wrap them in the batch-kernel interface.
 
-Two dynamic-loading backends share one signature table: cffi in ABI
-mode (``ffi.cdef`` + ``ffi.dlopen`` — no ``Python.h`` needed) when
-cffi is importable, plain ``ctypes.CDLL`` otherwise.  Both receive
-numpy buffer addresses (``array.ctypes.data``) as integers, so the
-wrappers below are backend-agnostic.
+Libraries are opened with ``ctypes.CDLL`` (no ``Python.h`` needed) and
+typed from one signature table; the wrappers below pass numpy buffer
+addresses (``array.ctypes.data``) as integers.
 
 :class:`NativeKernel` subclasses
 :class:`~repro.checker.batch.BatchKernel` and overrides exactly the
@@ -21,7 +19,6 @@ demand field-identical results rather than mere verdict agreement.
 
 from __future__ import annotations
 
-import functools
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -111,7 +108,7 @@ def warn_kernel_fallback() -> None:
 
 
 # ----------------------------------------------------------------------
-# Library loading: one signature table, two backends
+# Library loading: one signature table, ctypes
 # ----------------------------------------------------------------------
 
 #: name -> (return C type, argument C types).  Pointer arguments are
@@ -201,44 +198,6 @@ class NativeLibrary:
         return 0 if result is None else int(result)
 
 
-@functools.cache
-def _cffi_ffi() -> Any:
-    """The process's one cffi ``FFI``: every class's library exports
-    :data:`_SIGNATURES`, so the ``cdef`` is parsed once, not per class."""
-    import cffi
-
-    ffi = cffi.FFI()
-    declarations = []
-    for name, (ret, args) in _SIGNATURES.items():
-        arg_list = ", ".join(args) if args else "void"
-        declarations.append(f"{ret} {name}({arg_list});")
-    ffi.cdef("\n".join(declarations))
-    return ffi
-
-
-def _open_cffi(path: str) -> NativeLibrary:
-    ffi = _cffi_ffi()
-    lib = ffi.dlopen(path)
-    fns: Dict[str, Callable[..., Any]] = {}
-    for name, (_ret, args) in _SIGNATURES.items():
-        raw = getattr(lib, name)
-
-        def call(
-            *values: int,
-            _raw: Any = raw,
-            _args: Tuple[str, ...] = args,
-            _cast: Any = ffi.cast,
-        ) -> Any:
-            converted = [
-                _cast(ctype, value) if ctype.endswith("*") else value
-                for ctype, value in zip(_args, values)
-            ]
-            return _raw(*converted)
-
-        fns[name] = call
-    return NativeLibrary(fns)
-
-
 def _open_ctypes(path: str) -> NativeLibrary:
     import ctypes
 
@@ -262,16 +221,11 @@ _loaded: Dict[str, NativeLibrary] = {}
 
 
 def _load_path(path: str) -> NativeLibrary:
-    """dlopen ``path`` (cffi preferred), memoized per process."""
+    """dlopen ``path``, memoized per process."""
     cached = _loaded.get(path)
-    if cached is not None:
-        return cached
-    try:
-        library = _open_cffi(path)
-    except ImportError:  # no cffi: the ctypes backend
-        library = _open_ctypes(path)
-    _loaded[path] = library
-    return library
+    if cached is None:
+        cached = _loaded[path] = _open_ctypes(path)
+    return cached
 
 
 def load_library(source: str) -> NativeLibrary:

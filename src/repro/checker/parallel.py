@@ -35,6 +35,7 @@ identical semantics.
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import warnings
@@ -126,6 +127,28 @@ def effective_jobs(requested: int) -> int:
         )
         return available
     return max(1, requested)
+
+
+def _import_worker_modules(
+    store: Optional[StoreConfig], por: bool, engine: str, heartbeat: bool
+) -> None:
+    """Import, before forking, the modules the workers will run.
+
+    A forked worker shares every module its driver had imported; one it
+    imports itself is loaded again in each worker, and compiled from
+    source where no bytecode is cached.
+    """
+    modules = []
+    if store is not None and store.backend != "ram":
+        modules += ["repro.store.mmap_table", "repro.store.spill"]
+    if por:
+        modules.append("repro.checker.por")
+    if engine == "batch":
+        modules += ["repro.checker.batch", "repro.checker.native.loader"]
+    if heartbeat:
+        modules.append("repro.service.heartbeat")
+    for name in modules:
+        importlib.import_module(name)
 
 
 def ordered_parallel_map(func, items: Sequence, jobs: int) -> List:
@@ -267,7 +290,10 @@ def check_snapshot_classes(
          engine, kernel, heartbeat_every)
         for index in pending
     ]
-    for index, result in _run_class_tasks(tasks, effective_jobs(jobs)):
+    jobs = effective_jobs(jobs)
+    if jobs > 1 and len(tasks) > 1:
+        _import_worker_modules(store, por, engine, heartbeat_every is not None)
+    for index, result in _run_class_tasks(tasks, jobs):
         results[index] = result
         if sweep is not None:
             sweep.record(class_key(classes[index]), asdict(result))
@@ -767,6 +793,7 @@ def explore_sharded(
             checkpointer.mark_complete(asdict(result))
         return result
 
+    _import_worker_modules(store, por, engine, heartbeat=False)
     ctx = _mp_context()
     connections = []
     workers = []

@@ -25,6 +25,7 @@ demonstrates, so the CLI doubles as a smoke check in scripts/CI.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -179,29 +180,11 @@ def _por_suffix(result) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    # Each branch imports the engines it runs, so plain N=2 loads neither
+    # the class sweep, the sharded driver, nor the disk stores.
     from pathlib import Path
 
-    from repro.checker import Explorer, SystemSpec
-    from repro.checker.liveness import check_wait_freedom
-    from repro.checker.parallel import (
-        check_snapshot_classes,
-        class_key,
-        engine_label,
-        explore_sharded,
-        usable_cpus,
-    )
-    from repro.checker.fast_snapshot import canonical_wiring_classes
-    from repro.checker.properties import SNAPSHOT_SAFETY
-    from repro.core import SnapshotMachine
-    from repro.memory.wiring import enumerate_wiring_assignments
-    from repro.store import (
-        CheckpointIncompatible,
-        RunCheckpointer,
-        StoreConfig,
-        StoreError,
-    )
-    from repro.store.checkpoint import git_sha
+    import repro.store as store
 
     if (
         args.por
@@ -242,15 +225,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.kernel == "native" and kernel != "native":
             warn_kernel_fallback()
 
-    usable = usable_cpus()
     jobs = max(1, args.jobs)
-    if jobs > usable:
-        print(
-            f"note: --jobs {jobs} capped to {usable} — this host has"
-            f" {usable} usable core(s), and oversubscribed workers are"
-            " pure fork/IPC overhead (measured slower than serial)"
-        )
-        jobs = usable
+    if jobs > 1:
+        from repro.checker.parallel import usable_cpus
+
+        usable = usable_cpus()
+        if jobs > usable:
+            print(
+                f"note: --jobs {jobs} capped to {usable} — this host has"
+                f" {usable} usable core(s), and oversubscribed workers are"
+                " pure fork/IPC overhead (measured slower than serial)"
+            )
+            jobs = usable
 
     if args.resume is not None and not Path(args.resume).is_dir():
         print(f"error: --resume {args.resume}: no such checkpoint directory")
@@ -278,9 +264,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "budget": args.budget,
         "symmetry": bool(args.symmetry),
         "por": bool(args.por),
-        # Advisory (resume ignores it), and only checkpoints record it.
-        "git_sha": git_sha() if ckpt_base is not None else None,
+        "git_sha": None,
     }
+    if ckpt_base is not None:
+        # Advisory (resume ignores it), and only checkpoints record it.
+        from repro.store.checkpoint import git_sha
+
+        meta_base["git_sha"] = git_sha()
     # --budget 0 means unbudgeted (exhaustive) exploration.
     budget = args.budget if args.budget > 0 else None
     max_states = budget if budget is not None else 10 ** 9
@@ -301,12 +291,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # store without numpy) is reported as a one-line error.
         store_cfg = None
         if args.store != "ram" or args.store_dir is not None:
-            store_cfg = StoreConfig(
+            store_cfg = store.StoreConfig(
                 backend=args.store,
                 directory=args.store_dir,
                 mem_cap=args.mem_cap,
             )
         if args.n == 2:
+            from repro.checker import Explorer, SystemSpec
+            from repro.checker.liveness import check_wait_freedom
+            from repro.checker.properties import SNAPSHOT_SAFETY
+            from repro.core import SnapshotMachine
+            from repro.memory.wiring import enumerate_wiring_assignments
+
             # Safety + wait-freedom need the full edge list (pid labels
             # are not orbit-stable), so liveness always runs unreduced;
             # with --symmetry the safety pass additionally runs reduced
@@ -343,6 +339,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 # graph), so --store / checkpointing / --por / --engine
                 # batch run through a fast class sweep on top (the
                 # --symmetry precedent: both passes, one command).
+                from repro.checker.parallel import check_snapshot_classes
+
                 rows = check_snapshot_classes(
                     2, budget=budget, jobs=jobs, symmetry=args.symmetry,
                     store=store_cfg, por=args.por, engine=args.engine,
@@ -372,6 +370,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
             # One class at a time, its BFS frontier sharded across
             # workers; store files and checkpoints are namespaced
             # class-NNN/ so classes never share state.
+            from dataclasses import replace
+
+            from repro.checker.fast_snapshot import canonical_wiring_classes
+            from repro.checker.parallel import (
+                class_key,
+                engine_label,
+                explore_sharded,
+            )
+            from repro.store.checkpoint import RunCheckpointer
+
             inputs = list(range(1, args.n + 1))
             for index, wiring in enumerate(
                 canonical_wiring_classes(args.n, args.n)
@@ -423,6 +431,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                       f"{_por_suffix(result)}, {status}")
         else:
             # One whole class per worker (E4's natural grain).
+            from repro.checker.parallel import check_snapshot_classes
+
             rows = check_snapshot_classes(
                 args.n, budget=budget, jobs=jobs, symmetry=args.symmetry,
                 store=store_cfg, por=args.por, engine=args.engine,
@@ -460,10 +470,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     result for _, result in rows
                 )
                 print(f"por total: {stats.summary()}")
-    except CheckpointIncompatible as exc:
-        print(f"error: {exc}")
-        return 2
-    except StoreError as exc:
+    # Named through the lazy package: an except clause is evaluated only
+    # when an exception reaches it, so the checkpoint module loads then.
+    except (store.CheckpointIncompatible, store.StoreError) as exc:
         print(f"error: {exc}")
         return 2
     finally:
@@ -1139,6 +1148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # repro calls no BLAS routine, but importing numpy starts OpenBLAS's
+    # thread pool, whose idle threads spin; a user's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)

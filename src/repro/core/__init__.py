@@ -16,12 +16,7 @@ All machines are anonymous by construction: they are parameterized only
 by ``(n_processors, n_registers)`` and the processor's private input.
 """
 
-from repro.core.consensus import ConsensusMachine, ConsensusState, TimestampedValue
-from repro.core.long_lived import LongLivedSnapshotMachine, LongLivedState
-from repro.core.renaming import RenamingMachine, RenamingState, bar_noy_dolev_name
-from repro.core.snapshot import SnapshotMachine, SnapshotState
-from repro.core.views import RegisterRecord, View, view
-from repro.core.write_scan import WriteScanMachine, WriteScanState
+from repro import _lazy_exports
 
 __all__ = [
     "View",
@@ -40,3 +35,20 @@ __all__ = [
     "ConsensusState",
     "TimestampedValue",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.consensus": [
+        "ConsensusMachine",
+        "ConsensusState",
+        "TimestampedValue",
+    ],
+    "repro.core.long_lived": ["LongLivedSnapshotMachine", "LongLivedState"],
+    "repro.core.renaming": [
+        "RenamingMachine",
+        "RenamingState",
+        "bar_noy_dolev_name",
+    ],
+    "repro.core.snapshot": ["SnapshotMachine", "SnapshotState"],
+    "repro.core.views": ["RegisterRecord", "View", "view"],
+    "repro.core.write_scan": ["WriteScanMachine", "WriteScanState"],
+})

@@ -16,10 +16,7 @@ This package implements the memory model of Section 2 of the paper:
   analysis of Section 2 and the replay/verification tooling.
 """
 
-from repro.memory.memory import AnonymousMemory
-from repro.memory.registers import RegisterArray
-from repro.memory.trace import OutputEvent, ReadEvent, Trace, WriteEvent
-from repro.memory.wiring import Wiring, WiringAssignment
+from repro import _lazy_exports
 
 __all__ = [
     "AnonymousMemory",
@@ -31,3 +28,10 @@ __all__ = [
     "WriteEvent",
     "OutputEvent",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.memory.memory": ["AnonymousMemory"],
+    "repro.memory.registers": ["RegisterArray"],
+    "repro.memory.trace": ["OutputEvent", "ReadEvent", "Trace", "WriteEvent"],
+    "repro.memory.wiring": ["Wiring", "WiringAssignment"],
+})

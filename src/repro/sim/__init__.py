@@ -19,17 +19,7 @@ steps chosen by an adversary.  This package provides:
   adversary of the Section 2.1 lower bound.
 """
 
-from repro.sim.machine import AlgorithmMachine, FIRST_ENABLED, RandomPolicy
-from repro.sim.ops import Read, Write
-from repro.sim.process import GeneratorProcess, MachineProcess, ProcessStatus
-from repro.sim.runner import ExecutionResult, Runner
-from repro.sim.schedulers import (
-    PeriodicScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    ScriptScheduler,
-    SoloScheduler,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "Read",
@@ -48,3 +38,21 @@ __all__ = [
     "SoloScheduler",
     "PeriodicScheduler",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.sim.machine": ["AlgorithmMachine", "FIRST_ENABLED", "RandomPolicy"],
+    "repro.sim.ops": ["Read", "Write"],
+    "repro.sim.process": [
+        "GeneratorProcess",
+        "MachineProcess",
+        "ProcessStatus",
+    ],
+    "repro.sim.runner": ["ExecutionResult", "Runner"],
+    "repro.sim.schedulers": [
+        "PeriodicScheduler",
+        "RandomScheduler",
+        "RoundRobinScheduler",
+        "ScriptScheduler",
+        "SoloScheduler",
+    ],
+})

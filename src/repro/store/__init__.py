@@ -30,26 +30,7 @@ so a killed exhaustive run resumes exactly where it stopped:
 ``python -m repro check --resume DIR``.
 """
 
-from repro.store.base import (
-    DEFAULT_MEM_CAP,
-    BACKENDS,
-    FingerprintStore,
-    StoreConfig,
-    StoreError,
-    StoreFullError,
-)
-from repro.store.checkpoint import (
-    CheckpointError,
-    CheckpointIncompatible,
-    RunCheckpointer,
-    SweepCheckpoint,
-    load_meta,
-    read_u64_file,
-    write_u64_file,
-)
-from repro.store.mmap_table import MmapStore
-from repro.store.ram import RamStore
-from repro.store.spill import SpillStore
+from repro import _lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -69,3 +50,26 @@ __all__ = [
     "read_u64_file",
     "write_u64_file",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.store.base": [
+        "BACKENDS",
+        "DEFAULT_MEM_CAP",
+        "FingerprintStore",
+        "StoreConfig",
+        "StoreError",
+        "StoreFullError",
+    ],
+    "repro.store.checkpoint": [
+        "CheckpointError",
+        "CheckpointIncompatible",
+        "RunCheckpointer",
+        "SweepCheckpoint",
+        "load_meta",
+        "read_u64_file",
+        "write_u64_file",
+    ],
+    "repro.store.mmap_table": ["MmapStore"],
+    "repro.store.ram": ["RamStore"],
+    "repro.store.spill": ["SpillStore"],
+})

@@ -298,11 +298,9 @@ class StoreConfig:
 
     def create(self, shard: Optional[str] = None) -> FingerprintStore:
         """Build the configured backend (namespaced under ``shard``)."""
-        from repro.store.mmap_table import MmapStore
-        from repro.store.ram import RamStore
-        from repro.store.spill import SpillStore
-
         if self.backend == "ram":
+            from repro.store.ram import RamStore
+
             return RamStore()
         owned: Optional[Path] = None
         if self.directory is None:
@@ -313,8 +311,12 @@ class StoreConfig:
         directory.mkdir(parents=True, exist_ok=True)
         store: FingerprintStore
         if self.backend == "mmap":
+            from repro.store.mmap_table import MmapStore
+
             store = MmapStore(directory, mem_cap=self.mem_cap)
         else:
+            from repro.store.spill import SpillStore
+
             store = SpillStore(
                 directory, mem_cap=self.mem_cap, merge_jobs=self.merge_jobs
             )

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _parse_mem, build_parser, main
@@ -49,6 +54,37 @@ class TestParser:
             ["check", "--budget", "0", "--heartbeat", "0.5"]
         )
         assert (args.budget, args.heartbeat) == (0, 0.5)
+
+    @pytest.mark.parametrize("user_value", [None, "3"])
+    def test_main_pins_openblas_threads_unless_the_user_set_them(
+        self, user_value
+    ):
+        # Importing numpy starts OpenBLAS's spinning thread pool, which
+        # repro never uses; importing repro as a library sets nothing.
+        env = {
+            key: value for key, value in os.environ.items()
+            if key != "OPENBLAS_NUM_THREADS"
+        }
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        probe = (
+            "import os, repro.cli\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "try:\n"
+            "    repro.cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == str(user_value)
+        assert lines[-1] == (user_value or "1")
 
     def test_mem_cap_suffixes(self):
         assert _parse_mem("4096") == 4096

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.checker import Explorer, SystemSpec
+import repro.checker.liveness as liveness
+from repro.checker.fast_snapshot import FastSnapshotSpec
 from repro.checker.liveness import (
     _scc_ids,
     bad_lasso_state,
+    bad_lassos,
     certify_wait_free,
     check_wait_freedom,
 )
@@ -251,18 +254,105 @@ def test_refusals_name_explorer_parameters(options, remedy):
 
 
 class TestLivenessDetectsNonTermination:
-    def test_write_scan_loop_is_flagged_as_never_terminating(self):
+    @pytest.mark.parametrize(
+        "wiring", list(enumerate_wiring_assignments(2, 2)),
+        ids=lambda wiring: str(wiring.permutations()),
+    )
+    def test_write_scan_loop_is_flagged_as_never_terminating(self, wiring):
         """The write-scan loop (no levels) runs forever: every processor
         has a bad lasso.  This validates the liveness analysis itself —
         the same machinery that certifies the snapshot algorithm
-        wait-free must flag the loop without termination."""
-        spec = SystemSpec(
-            WriteScanMachine(2), [1, 2], WiringAssignment.identity(2, 2)
-        )
+        wait-free must flag the loop without termination.  The graph is
+        cyclic, so the per-processor scan runs, on the peel's core, and
+        must pick the cycle states the scan over the whole graph does."""
+        spec = SystemSpec(WriteScanMachine(2), [1, 2], wiring)
         result = Explorer(spec, keep_edges=True).run()
         assert result.complete
         violations = check_wait_freedom(spec, result)
-        assert {v.pid for v in violations} == {0, 1}
+        assert [(v.pid, v.cycle_state_index) for v in violations] == [
+            (0, 35), (1, 60),
+        ]
+        for violation in violations:
+            assert violation.cycle_state == result.state_table[
+                violation.cycle_state_index
+            ]
+
+
+class TestAcyclicPeel:
+    """One topological peel certifies acyclic graphs; cyclic ones get the
+    per-processor SCC scan on the peel's core, with the same answers."""
+
+    # Each case: (edges, n_states, terminated (state, pid) pairs, expected).
+    CASES = {
+        "acyclic": (
+            [(0, 0, 1), (0, 1, 2), (1, 1, 3), (2, 0, 3), (1, 0, 2)],
+            4, set(), [],
+        ),
+        # A 40-state chain of alternating steps, then 40 -p0-> 41
+        # -p1-> 42 -p0-> 40.
+        "cycle_behind_long_prefix": (
+            [(i, i % 2, i + 1) for i in range(40)]
+            + [(40, 0, 41), (41, 1, 42), (42, 0, 40)],
+            43, set(), [(0, 40), (1, 41)],
+        ),
+        # p1 alone cycles 1 -> 2 -> 1; p0 only enters the cycle.
+        "cycle_without_p0_edge": (
+            [(0, 0, 1), (1, 1, 2), (2, 1, 1), (0, 1, 3)],
+            4, set(), [(1, 1)],
+        ),
+        "self_loop": (
+            [(0, 0, 1), (0, 1, 2), (2, 1, 2), (1, 1, 2)],
+            3, set(), [(1, 2)],
+        ),
+        # The p0/p1 cycle 1 -> 2 -> 1 runs through states where p0 has
+        # terminated, so only p1 has a bad lasso there.
+        "cycle_through_p0_terminated_states": (
+            [(0, 0, 1), (1, 1, 2), (2, 0, 1), (0, 1, 3), (3, 0, 4)],
+            5, {(1, 0), (2, 0)}, [(1, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_scc_scan_alone(self, case, monkeypatch):
+        edges, n_states, terminated, expected = self.CASES[case]
+
+        def is_terminated(index, pid):
+            return (index, pid) in terminated
+
+        scc_alone = []
+        for pid in range(2):
+            alive = [not is_terminated(i, pid) for i in range(n_states)]
+            index = bad_lasso_state(edges, n_states, pid, alive)
+            if index is not None:
+                scc_alone.append((pid, index))
+        assert scc_alone == expected
+        scc_calls = []
+        scc_ids = liveness._scc_ids
+        monkeypatch.setattr(
+            liveness, "_scc_ids",
+            lambda *args: scc_calls.append(1) or scc_ids(*args),
+        )
+        assert list(bad_lassos(edges, n_states, 2, is_terminated)) == expected
+        assert bool(scc_calls) == (case != "acyclic")
+
+    @pytest.mark.parametrize(
+        "wiring", list(enumerate_wiring_assignments(2, 2)),
+        ids=lambda wiring: str(wiring.permutations()),
+    )
+    def test_n2_snapshot_certification_never_runs_an_scc(
+        self, wiring, monkeypatch
+    ):
+        def no_scc(*args):
+            raise AssertionError("the acyclic N=2 graph needs no SCC")
+
+        monkeypatch.setattr(liveness, "_scc_ids", no_scc)
+        spec = SystemSpec(SnapshotMachine(2), [1, 2], wiring)
+        result = Explorer(spec, SNAPSHOT_SAFETY, keep_edges=True).run()
+        assert check_wait_freedom(spec, result) == []
+        fast = FastSnapshotSpec([1, 2], wiring.permutations()).explore(
+            check_wait_freedom=True
+        )
+        assert fast.complete and fast.bad_lasso_pid is None
 
 
 class TestSCCHelper:

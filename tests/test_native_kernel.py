@@ -376,24 +376,25 @@ class TestCacheIndex:
             spec_n3, tables
         )
 
-    def test_one_cffi_cdef_per_process(self, monkeypatch):
-        # Every class library is dlopened through one FFI, so the
-        # signature table is parsed once however many classes load.
-        cffi = pytest.importorskip("cffi")
+    def test_each_library_is_dlopened_once_per_process(self, monkeypatch):
+        # Repeated explores of one class reuse its open library.
+        import ctypes
+
         import repro.checker.native.loader as loader
 
-        parsed = []
-        cdef = cffi.FFI.cdef
+        opened = []
+        cdll = ctypes.CDLL
         monkeypatch.setattr(
-            cffi.FFI, "cdef",
-            lambda ffi, source, **kw: (parsed.append(1), cdef(ffi, source, **kw))[1],
+            ctypes, "CDLL",
+            lambda path, *args, **kw: (
+                opened.append(path), cdll(path, *args, **kw)
+            )[1],
         )
         monkeypatch.setattr(loader, "_loaded", {})
-        loader._cffi_ffi.cache_clear()
-        for wiring in N2_CLASSES:
+        for wiring in N2_CLASSES + N2_CLASSES:
             loader.NativeKernel(FastSnapshotSpec([1, 2], wiring))
-        assert len(loader._loaded) == 2
-        assert parsed == [1]
+        assert len(opened) == len(set(opened)) == 2
+        assert sorted(loader._loaded) == sorted(opened)
 
 
 @requires_numpy

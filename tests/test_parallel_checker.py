@@ -257,6 +257,89 @@ class TestShardedConformance:
 
 
 # ----------------------------------------------------------------------
+# Forked workers import nothing the driver has not
+# ----------------------------------------------------------------------
+
+# Run in a fresh interpreter: this test process has imported every
+# module already.  Each forked worker writes the repro modules it holds
+# when it closes its spill store; the driver records its own before
+# every fork.
+_FORK_IMPORTS_SCRIPT = """
+import json, multiprocessing.process, os, sys
+from repro.checker import parallel
+from repro.store.base import StoreConfig
+
+grain, out = sys.argv[1], sys.argv[2]
+driver = os.getpid()
+
+def repro_modules():
+    return sorted(name for name in sys.modules if name.startswith("repro"))
+
+at_fork = []
+start = multiprocessing.process.BaseProcess.start
+def recording_start(self):
+    at_fork.append(repro_modules())
+    return start(self)
+multiprocessing.process.BaseProcess.start = recording_start
+
+create = StoreConfig.create
+def recording_create(self, shard=None):
+    store = create(self, shard)
+    close = store.close
+    def recording_close():
+        if os.getpid() != driver:
+            with open(os.path.join(out, f"{os.getpid()}.json"), "w") as f:
+                json.dump(repro_modules(), f)
+        close()
+    store.close = recording_close
+    return store
+StoreConfig.create = recording_create
+
+parallel.effective_jobs = lambda requested: requested
+spill = StoreConfig(backend="spill", mem_cap=1 << 18)
+if grain == "sharded":
+    result = parallel.explore_sharded(
+        [1, 2, 3], ((0, 1, 2), (0, 1, 2), (1, 2, 0)), jobs=2,
+        max_states=500, store=spill,
+    )
+    assert result.ok
+else:
+    rows = parallel.check_snapshot_classes(2, jobs=2, store=spill)
+    assert all(result.ok for _, result in rows)
+print(json.dumps(at_fork[0]))
+"""
+
+
+@pytest.mark.parametrize("grain", ["sharded", "classes"])
+def test_forked_workers_import_nothing_the_driver_has_not(grain, tmp_path):
+    import json
+    import multiprocessing
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pytest.importorskip("numpy")  # the spill store
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("forked workers need the fork start method")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_IMPORTS_SCRIPT, grain, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    at_fork = set(json.loads(done.stdout.splitlines()[-1]))
+    workers = [
+        set(json.loads(path.read_text())) for path in tmp_path.glob("*.json")
+    ]
+    assert workers
+    for modules in workers:
+        assert "repro.store.spill" in modules
+        assert modules <= at_fork, sorted(modules - at_fork)
+
+
+# ----------------------------------------------------------------------
 # Determinism: same jobs, same answer
 # ----------------------------------------------------------------------
 
