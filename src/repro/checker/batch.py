@@ -553,7 +553,7 @@ def make_kernel(
     bit-identical, so degradation never changes results, only speed
     (the CLI owns the one-time warning for an explicit ``native``
     request).  ``canonicalizer`` lets the native kernel bake the
-    stabilizer tables into the translation unit.
+    stabilizer's field maps into the translation unit.
     """
     if kernel not in ("auto", "numpy", "native"):
         raise ValueError(
@@ -964,8 +964,10 @@ def explore_batch(
     try:
         initial = spec.initial_state()
         transitions = truncated = covered = 0
+        # The one state outside the level loop goes field by field:
+        # the kernel's batched reducer holds the fused tables.
         if canonicalizer is not None:
-            initial = canonicalizer.canonical(initial)
+            initial = canonicalizer.canonical_per_field(initial)
         resumed = checkpointer.latest() if checkpointer is not None else None
         if resumed is not None:
             assert store_obj is not None
@@ -980,7 +982,7 @@ def explore_batch(
             frontier = np.array(resumed.frontier(), dtype=np.uint64)
         else:
             if canonicalizer is not None:
-                covered = canonicalizer.orbit_size(initial)
+                covered = canonicalizer.orbit_size_per_field(initial)
             violation = spec.check_outputs(initial)
             if violation:
                 return _result(1, 0, True, 0, covered, violation)

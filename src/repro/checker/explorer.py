@@ -25,17 +25,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.fingerprint import fingerprint_state
-from repro.checker.symmetry import (
-    GroupElement,
-    StateCanonicalizer,
-    assert_permutation_invariant,
-    lift_canonical_path,
-)
 from repro.checker.system import Action, GlobalState, SystemSpec
-from repro.store.base import FingerprintStore, StoreConfig
 
+# Symmetry and the stores run only under ``symmetry``/``fingerprint``,
+# so plain ``repro check`` never compiles them.
 if TYPE_CHECKING:
     from repro.checker.por import AmpleSelector
+    from repro.checker.symmetry import GroupElement, StateCanonicalizer
+    from repro.store.base import FingerprintStore, StoreConfig
 
 #: An invariant takes the spec and a reachable state; it returns an error
 #: string when violated, or None when satisfied.
@@ -43,7 +40,7 @@ Invariant = Callable[[SystemSpec, GlobalState], Optional[str]]
 
 #: ``parents[i]``: the index the BFS reached state ``i`` from, the action
 #: (in that parent's frame) and the symmetry witness (None unreduced).
-_Parents = List[Optional[Tuple[int, Action, Optional[GroupElement]]]]
+_Parents = List[Optional[Tuple[int, Action, Optional["GroupElement"]]]]
 
 
 @dataclass
@@ -213,6 +210,8 @@ class Explorer:
                 " analysis needs the unreduced graph — pass symmetry=False"
             )
         if symmetry:
+            from repro.checker.symmetry import assert_permutation_invariant
+
             assert_permutation_invariant(invariants)
         self.spec = spec
         self.invariants = list(invariants)
@@ -235,8 +234,16 @@ class Explorer:
                 self.spec, self.invariants,
                 cycle_proviso=self.por_cycle_proviso,
             )
-        canonicalizer = StateCanonicalizer(self.spec) if self.symmetry else None
-        seen = (self.store or StoreConfig()).create() if self.fingerprint else None
+        canonicalizer = None
+        if self.symmetry:
+            from repro.checker.symmetry import StateCanonicalizer
+
+            canonicalizer = StateCanonicalizer(self.spec)
+        seen = None
+        if self.fingerprint:
+            from repro.store.base import StoreConfig
+
+            seen = (self.store or StoreConfig()).create()
         try:
             result = self._bfs(
                 canonicalizer, seen, self._first_violation_message,
@@ -430,6 +437,8 @@ class Explorer:
         # permutation invariance); the report lifts the path to a
         # concrete execution and rechecks its final state, so it never
         # mentions the quotient.
+        from repro.checker.symmetry import lift_canonical_path
+
         path, concrete = lift_canonical_path(canonicalizer, root_witness, steps)
         return InvariantViolation(
             message=self._first_violation_message(concrete) or message,

@@ -893,11 +893,17 @@ class ClassSetup:
     ``symmetry``) and, for ``engine="batch"``, the level ``kernel`` and
     its batched orbit reducer ``batch_canon``.
 
-    The canonicalizer tables and the native library are the costly
-    parts, so a process tree builds one setup per class: forked shard
-    workers use the driver's as it is.  A spawn start pickles it as its
-    construction parameters and rebuilds it in the child, because a
-    native library handle does not pickle.
+    The canonicalizer is built with its field maps only.  The scalar
+    engine's setup then builds its fused tables and compiled lambdas up
+    front (:meth:`FastCanonicalizer.fuse`), because its hot loops bind
+    ``canonical`` once; the batch engine's leaves that to its kernel:
+    the numpy kernel reads ``element_tables``, and the native kernel
+    bakes the field maps and fills its own tables in C on its first
+    canonicalization.  A process tree builds one setup per class:
+    forked shard workers use the driver's as it is, with whatever
+    tables and open native library it holds.  A spawn start pickles it
+    as its construction parameters and rebuilds it in the child,
+    because a native library handle does not pickle.
     """
 
     def __init__(
@@ -917,6 +923,8 @@ class ClassSetup:
             self.group_order = canonicalizer.order
             if not canonicalizer.trivial:
                 self.canonicalizer = canonicalizer
+                if engine == "scalar":
+                    canonicalizer.fuse()
         self.kernel: Optional[BatchKernel] = None
         self.batch_canon: Optional[Any] = None
         if engine == "batch":

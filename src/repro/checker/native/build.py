@@ -1,13 +1,15 @@
 """Compile generated kernels into shared objects, cached on disk.
 
 The cache key is a hash of the emitted translation unit itself —
-machine layout, wiring tables, symmetry tables, and the generator
-version are all *in* the text, so any change to any of them produces a
-new key and a fresh compile; nothing else can invalidate stale
-objects.  Artifacts live under ``$REPRO_NATIVE_CACHE`` (or
-``$XDG_CACHE_HOME/repro-native``, or ``~/.cache/repro-native``) as
-``rk-<key>.c`` / ``rk-<key>.so`` pairs; the ``.c`` file is kept beside
-the object for debuggability.
+machine layout, wiring tables, the stabilizer's field maps, and the
+generator version are all *in* the text, so any change to any of them
+produces a new key and a fresh compile; nothing else can invalidate
+stale objects.  A source is a few tens of kilobytes (the fused symmetry
+tables are filled at run time, not baked), so every process generates
+and hashes it to find its object.  Artifacts live under
+``$REPRO_NATIVE_CACHE`` (or ``$XDG_CACHE_HOME/repro-native``, or
+``~/.cache/repro-native``) as ``rk-<key>.c`` / ``rk-<key>.so`` pairs;
+the ``.c`` file is kept beside the object for debuggability.
 
 Builds are concurrency-safe: each builder compiles to a private
 temporary name and ``os.replace``\\ s it into place, so parallel
@@ -55,45 +57,6 @@ def find_compiler() -> Optional[str]:
 def source_key(source: str) -> str:
     """Stable cache key: sha256 of the translation unit text."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()[:32]
-
-
-def cached_library_for(meta_key: str) -> Optional[Path]:
-    """A cached ``.so`` recorded under a spec-derived index key, if any.
-
-    ``meta_key`` is :func:`repro.checker.native.generator.spec_cache_key`
-    — a hash of the *inputs* to source generation rather than the
-    emitted text.  On a warm cache this skips regenerating megabytes of
-    C (the dominant per-process setup cost for symmetry kernels) just
-    to recompute the source hash.  A missing or stale index entry
-    returns ``None`` and the caller falls back to the generate-and-hash
-    slow path, which re-records the mapping.
-    """
-    index = cache_root() / f"rk-idx-{meta_key}.txt"
-    try:
-        name = index.read_text(encoding="utf-8").strip()
-    except OSError:
-        return None
-    if not name or "/" in name or not name.startswith("rk-"):
-        return None
-    shared_object = cache_root() / name
-    return shared_object if shared_object.exists() else None
-
-
-def record_library_for(meta_key: str, shared_object: Path) -> None:
-    """Record ``meta_key`` -> ``shared_object.name`` in the cache index.
-
-    Atomic (tmp + ``os.replace``) and best-effort: an unwritable cache
-    just means the next process takes the slow path again.
-    """
-    root = cache_root()
-    index = root / f"rk-idx-{meta_key}.txt"
-    tmp = root / f"rk-idx-{meta_key}.{os.getpid()}.tmp"
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(shared_object.name, encoding="utf-8")
-        os.replace(tmp, index)
-    except OSError:
-        tmp.unlink(missing_ok=True)
 
 
 def build_library(source: str) -> Path:

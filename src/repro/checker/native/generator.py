@@ -2,15 +2,16 @@
 
 The generated source is the native twin of :mod:`repro.checker.batch`:
 successor expansion, the scan micro-step, splitmix64 fingerprinting,
-orbit-min canonicalization (stabilizer permutation tables baked in as
-``static const`` arrays), sorted in-level dedup, the merge into the
+orbit-min canonicalization, sorted in-level dedup, the merge into the
 sorted visited array, the vectorized output check, and the C0/C1
 bitmask phase of the POR ample selector.  Every
 machine-dependent quantity — field offsets, masks, reset templates,
-wiring shifts, footprint tables, symmetry gather tables — is burned
-into the source as a ``#define`` or a constant array, so the compiler
-sees loop bounds and shift distances as literals (the TLC/`pan`
-specialize-then-compile move).
+wiring shifts, footprint tables, the stabilizer's field maps — is
+burned into the source as a ``#define`` or a constant array, so the
+compiler sees loop bounds and shift distances as literals (the
+TLC/`pan` specialize-then-compile move).  The fused symmetry tables
+are not baked: the kernel fills them from the field maps on first use,
+which keeps a source to a few tens of kilobytes.
 
 The module is deliberately free of numpy and of any build machinery:
 it is a pure ``spec -> str`` function, which keeps it cheap to test
@@ -20,8 +21,6 @@ and lets the disk cache key on nothing but the emitted text (see
 
 from __future__ import annotations
 
-import hashlib
-from array import array
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from repro.checker.constants import (
@@ -34,13 +33,14 @@ from repro.checker.constants import (
     SPLITMIX_SHIFT3,
 )
 from repro.checker.por import export_footprint_tables
+from repro.checker.symmetry import fused_tables_fit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checker.fast_snapshot import FastSnapshotSpec
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 6
+GENERATOR_VERSION = 7
 
 
 def _u64(value: int) -> str:
@@ -91,11 +91,11 @@ def _wrap(items: List[str], per_line: int = 8) -> str:
 
 
 class _TablePool:
-    """Content-deduplicating pool of baked ``uint64_t`` arrays.
+    """Content-deduplicating pool of baked ``uint64_t`` field maps.
 
-    Stabilizer elements frequently share sub-tables (elements with the
-    same input-bit renaming share their ``local_table``); emitting each
-    distinct table once keeps the translation unit small.
+    Elements with the same input-bit renaming share their view and
+    record maps; emitting each distinct map once keeps the translation
+    unit small.
     """
 
     def __init__(self) -> None:
@@ -113,50 +113,97 @@ class _TablePool:
         return name
 
 
-def _emit_image_fn(
-    index: int,
-    table: Mapping[str, object],
-    pool: _TablePool,
-) -> str:
-    """One stabilizer element -> ``static inline uint64_t rk_image_i``."""
-    kind = str(table["kind"])
-    lines = [f"static inline uint64_t rk_image_{index}(uint64_t s) {{"]
-    if kind == "fused":
-        register_table = pool.name_for(_as_ints(table["register_table"]))
-        local_table = pool.name_for(_as_ints(table["local_table"]))
-        block_mask = _u64(_as_int(table["block_mask"]))
-        local_mask = _u64(_as_int(table["local_mask"]))
-        terms = [f"{register_table}[s & {block_mask}]"]
-        for dst, src in _as_pairs(table["moves"]):
-            terms.append(
-                f"({local_table}[(s >> {src}) & {local_mask}] << {dst})"
+def _emit_symmetry(
+    spec: "FastSnapshotSpec", field_maps: Sequence[Mapping[str, object]]
+) -> Tuple[str, bool]:
+    """The image function ``rk_image_i`` of each non-identity element,
+    and whether they read fused tables that ``rk_fill_tables`` fills.
+
+    Only the field maps are baked.  Within the ``2^16``-entry bound of
+    :func:`~repro.checker.symmetry.fused_tables_fit` each element gets a
+    register-file table and shares a local table with the elements of
+    the same view map, as :meth:`FastCanonicalizer.fuse` builds them;
+    they are zeroed statics, filled from the field maps by the first
+    ``rk_canonical``/``rk_orbit_sizes`` call, so a process that never
+    canonicalizes never touches their pages.  Past the bound each image
+    is computed field by field.
+    """
+    fused = bool(field_maps) and fused_tables_fit(spec)
+    pool = _TablePool()
+    statics: List[str] = []
+    register_fills: List[str] = []
+    local_fills: List[str] = []
+    local_tables: Dict[str, str] = {}
+    images: List[str] = []
+    for index, maps in enumerate(field_maps):
+        record_map = pool.name_for(_as_ints(maps["record_map"]))
+        view_map = pool.name_for(_as_ints(maps["view_map"]))
+        reg_moves = _as_pairs(maps["reg_moves"])
+        moves = _as_pairs(maps["moves"])
+        lines = [f"static inline uint64_t rk_image_{index}(uint64_t s) {{"]
+        if fused:
+            registers = f"rk_rt{index}"
+            statics.append(f"static uint64_t {registers}[RK_BLOCK_MASK + 1];")
+            register_fills.append(
+                f"        {registers}[i] = "
+                + "\n            | ".join(
+                    f"({record_map}[(i >> {src}) & RK_REG_MASK] << {dst})"
+                    for dst, src in reg_moves
+                )
+                + ";"
             )
-        joined = "\n        | ".join(terms)
-        lines.append(f"    return {joined};")
-    elif kind == "general":
-        record_map = pool.name_for(_as_ints(table["record_map"]))
-        view_map = pool.name_for(_as_ints(table["view_map"]))
-        reg_mask = _u64(_as_int(table["reg_mask"]))
-        local_mask = _u64(_as_int(table["local_mask"]))
-        k_mask = _u64(_as_int(table["k_mask"]))
-        k_clear = _u64(_as_int(table["k_clear"]))
-        lines.append("    uint64_t out = 0, loc;")
-        for dst, src in _as_pairs(table["reg_moves"]):
-            lines.append(
-                f"    out |= {record_map}[(s >> {src}) & {reg_mask}]"
-                f" << {dst};"
-            )
-        for dst, src in _as_pairs(table["moves"]):
-            lines.append(f"    loc = (s >> {src}) & {local_mask};")
-            lines.append(
-                f"    out |= ((loc & {k_clear}) | {view_map}[loc & {k_mask}])"
-                f" << {dst};"
-            )
-        lines.append("    return out;")
-    else:  # pragma: no cover - the canonicalizer emits only these two
-        raise ValueError(f"unknown element table kind: {kind!r}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            local_table = local_tables.get(view_map)
+            if local_table is None:
+                local_table = local_tables[view_map] = (
+                    f"rk_lt{len(local_tables)}"
+                )
+                statics.append(
+                    f"static uint64_t {local_table}[RK_LOCAL_MASK + 1];"
+                )
+                local_fills.append(
+                    f"        {local_table}[i] = (i & ~RK_K_MASK)"
+                    f" | {view_map}[i & RK_K_MASK];"
+                )
+            terms = [f"{registers}[s & RK_BLOCK_MASK]"] + [
+                f"({local_table}[(s >> {src}) & RK_LOCAL_MASK] << {dst})"
+                for dst, src in moves
+            ]
+            lines.append("    return " + "\n        | ".join(terms) + ";")
+        else:
+            lines.append("    uint64_t out = 0, loc;")
+            for dst, src in reg_moves:
+                lines.append(
+                    f"    out |= {record_map}[(s >> {src}) & RK_REG_MASK]"
+                    f" << {dst};"
+                )
+            for dst, src in moves:
+                lines.append(f"    loc = (s >> {src}) & RK_LOCAL_MASK;")
+                lines.append(
+                    f"    out |= ((loc & ~RK_K_MASK) | {view_map}[loc & RK_K_MASK])"
+                    f" << {dst};"
+                )
+            lines.append("    return out;")
+        lines.append("}")
+        images.append("\n".join(lines) + "\n")
+    out = list(pool.chunks)
+    if fused:
+        block_mask = (1 << (spec.m * spec.reg_bits)) - 1
+        out.append(f"#define RK_BLOCK_MASK {_u64(block_mask)}")
+        out.extend(statics)
+        out.append(
+            "static int rk_tables_filled;\n\n"
+            "static void rk_fill_tables(void) {\n"
+            "    for (uint64_t i = 0; i <= RK_BLOCK_MASK; i++) {\n"
+            + "\n".join(register_fills)
+            + "\n    }\n"
+            "    for (uint64_t i = 0; i <= RK_LOCAL_MASK; i++) {\n"
+            + "\n".join(local_fills)
+            + "\n    }\n"
+            "    rk_tables_filled = 1;\n"
+            "}\n"
+        )
+    out.extend(images)
+    return "\n".join(out), fused
 
 
 def _as_int(value: object) -> int:
@@ -184,11 +231,11 @@ def _as_pairs(value: object) -> Tuple[Tuple[int, int], ...]:
 
 def generate_source(
     spec: "FastSnapshotSpec",
-    element_tables: Sequence[Mapping[str, object]] = (),
+    field_maps: Sequence[Mapping[str, object]] = (),
 ) -> str:
     """The full C translation unit for ``spec``.
 
-    ``element_tables`` is :attr:`FastCanonicalizer.element_tables` (the
+    ``field_maps`` is :attr:`FastCanonicalizer.field_maps` (the
     non-identity stabilizer elements); pass an empty sequence for
     symmetry-free kernels — ``rk_canonical`` then degenerates to the
     identity and ``rk_orbit_sizes`` to all-ones.
@@ -199,7 +246,7 @@ def generate_source(
             f" (state_bits={spec.state_bits})"
         )
     wmask, popcount = export_footprint_tables(spec)
-    n_elements = len(element_tables)
+    n_elements = len(field_maps)
 
     out: List[str] = []
     emit = out.append
@@ -266,19 +313,14 @@ def generate_source(
     emit(_array_u64_2d("RK_WMASK", [list(row) for row in wmask]))
     emit(_array_i64("RK_POPCOUNT", list(popcount)))
 
-    pool = _TablePool()
-    image_fns = [
-        _emit_image_fn(index, table, pool)
-        for index, table in enumerate(element_tables)
-    ]
-    out.extend(pool.chunks)
-    out.extend(image_fns)
+    symmetry, fill = _emit_symmetry(spec, field_maps)
+    emit(symmetry)
 
     emit(_SCAN_ONE)
     emit(_EXPAND)
     emit(_SCAN_STEP)
     emit(_FINGERPRINT)
-    emit(_emit_canonical(n_elements))
+    emit(_emit_canonical(n_elements, fill))
     emit(_UNIQUE_FIRST)
     emit(_PROBE_SORTED)
     emit(_MERGE_SORTED)
@@ -288,8 +330,9 @@ def generate_source(
     return "\n".join(out)
 
 
-def _emit_canonical(n_elements: int) -> str:
-    """``rk_canonical`` / ``rk_orbit_sizes`` over the baked images."""
+def _emit_canonical(n_elements: int, fill: bool) -> str:
+    """``rk_canonical`` / ``rk_orbit_sizes`` over the image functions;
+    with ``fill``, each first fills the fused tables if no call has."""
     if n_elements == 0:
         return (
             "void rk_canonical(const uint64_t *in, int64_t n,"
@@ -311,8 +354,10 @@ def _emit_canonical(n_elements: int) -> str:
         f"        orbit[{index + 1}] = rk_image_{index}(s);"
         for index in range(n_elements)
     )
+    ready = "    if (!rk_tables_filled) rk_fill_tables();\n" if fill else ""
     return (
         "void rk_canonical(const uint64_t *in, int64_t n, uint64_t *out) {\n"
+        f"{ready}"
         "    for (int64_t i = 0; i < n; i++) {\n"
         "        uint64_t s = in[i];\n"
         "        uint64_t best = s, img;\n"
@@ -321,6 +366,7 @@ def _emit_canonical(n_elements: int) -> str:
         "    }\n"
         "}\n\n"
         "void rk_orbit_sizes(const uint64_t *in, int64_t n, int64_t *out) {\n"
+        f"{ready}"
         "    uint64_t orbit[RK_N_ELEMENTS + 1];\n"
         "    for (int64_t i = 0; i < n; i++) {\n"
         "        uint64_t s = in[i];\n"
@@ -669,67 +715,3 @@ int64_t rk_state_bits(void) {
     return RK_STATE_BITS;
 }
 """
-
-
-#: Digest of the fixed function bodies, part of every cache index key:
-#: editing a body re-keys the index even without a version bump.
-_BODIES_DIGEST = hashlib.sha256(
-    "".join((
-        _SCAN_ONE, _EXPAND, _SCAN_STEP, _FINGERPRINT, _UNIQUE_FIRST,
-        _PROBE_SORTED, _MERGE_SORTED, _VIOLATIONS, _POR_C0C1,
-        _STATE_BITS_FN,
-    )).encode()
-).hexdigest()
-
-
-def spec_cache_key(
-    spec: "FastSnapshotSpec",
-    element_tables: Sequence[Mapping[str, object]] = (),
-) -> str:
-    """Disk-cache index key for ``spec`` without generating the source.
-
-    :func:`generate_source` is a deterministic pure function of the
-    machine parameters, the stabilizer element tables, and the module
-    constants (the fixed function bodies by their digest, the rest
-    versioned by :data:`GENERATOR_VERSION`), so hashing
-    those inputs identifies the emitted translation unit without
-    re-emitting megabytes of C per process.  The build cache uses this
-    as a fast index in front of the source-hash key (see
-    :func:`repro.checker.native.build.cached_library_for`); a stale or
-    missing index entry merely falls back to the slow path, so the key
-    never needs to be *collision-proof* against adversaries — sha256
-    over the full parameter tuple is far beyond sufficient.
-    """
-    digest = hashlib.sha256()
-    digest.update(
-        repr(
-            (
-                GENERATOR_VERSION,
-                _BODIES_DIGEST,
-                spec.n,
-                spec.m,
-                spec.k,
-                spec.state_bits,
-                spec.level_target,
-                spec.inputs,
-                spec.wiring,
-            )
-        ).encode()
-    )
-    for table in element_tables:
-        for name in sorted(table):
-            value = table[name]
-            digest.update(b"\x00")
-            digest.update(name.encode())
-            digest.update(b"\x01")
-            if isinstance(value, list):
-                # int tables are by far the bulk of the payload; pack
-                # them at C speed and let anything else (negative or
-                # non-int entries) drop to repr
-                try:
-                    digest.update(array("Q", value).tobytes())
-                    continue
-                except (TypeError, OverflowError):
-                    pass
-            digest.update(repr(value).encode())
-    return digest.hexdigest()[:32]

@@ -31,11 +31,9 @@ from repro.checker.batch import BatchKernel
 from repro.checker.native.build import (
     NativeBuildError,
     build_library,
-    cached_library_for,
     find_compiler,
-    record_library_for,
 )
-from repro.checker.native.generator import generate_source, spec_cache_key
+from repro.checker.native.generator import generate_source
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -239,7 +237,7 @@ def load_library(source: str) -> NativeLibrary:
 
 
 class NativeCanonicalizer:
-    """Orbit reduction through the baked stabilizer tables."""
+    """Orbit reduction through the library's fused stabilizer tables."""
 
     def __init__(self, library: NativeLibrary, order: int) -> None:
         self._lib = library
@@ -270,9 +268,10 @@ class NativeKernel(BatchKernel):
     """The compiled twin of :class:`~repro.checker.batch.BatchKernel`.
 
     Construction generates the specialized C source for ``spec`` (with
-    ``canonicalizer``'s stabilizer tables baked in when given and
-    non-trivial), compiles it through the disk cache, and dlopens the
-    result; :exc:`NativeKernelUnavailable` or
+    ``canonicalizer``'s field maps baked in when given and non-trivial;
+    the library fills its fused tables from them on its first
+    canonicalization), compiles it through the disk cache, and dlopens
+    the result; :exc:`NativeKernelUnavailable` or
     :exc:`~repro.checker.native.build.NativeBuildError` signal the
     caller to fall back to the numpy kernel.
     """
@@ -290,21 +289,11 @@ class NativeKernel(BatchKernel):
                 "native kernel unavailable: needs numpy and a C compiler"
                 " (and REPRO_NATIVE_DISABLE unset)"
             )
-        baked: Tuple[Any, ...] = ()
+        field_maps: Tuple[Any, ...] = ()
         if canonicalizer is not None and not canonicalizer.trivial:
-            baked = tuple(canonicalizer.element_tables)
-        self._baked_for = canonicalizer if baked else None
-        # Warm-cache fast path: a spec-derived index key finds the
-        # compiled object without regenerating the (multi-megabyte,
-        # for symmetry kernels) C source just to hash it.
-        meta_key = spec_cache_key(spec, baked)
-        cached_so = cached_library_for(meta_key)
-        if cached_so is not None:
-            self._lib = _load_path(str(cached_so))
-        else:
-            shared_object = build_library(generate_source(spec, baked))
-            record_library_for(meta_key, shared_object)
-            self._lib = _load_path(str(shared_object))
+            field_maps = tuple(canonicalizer.field_maps)
+        self._baked_for = canonicalizer if field_maps else None
+        self._lib = load_library(generate_source(spec, field_maps))
         if self._lib.call("rk_state_bits") != spec.state_bits:
             raise NativeKernelUnavailable(
                 "compiled kernel does not match this spec's layout"
@@ -478,7 +467,7 @@ class NativeKernel(BatchKernel):
             return None
         if canonicalizer is self._baked_for:
             return NativeCanonicalizer(self._lib, canonicalizer.order)
-        # Tables for a different canonicalizer were not baked into this
+        # A different canonicalizer's maps were not baked into this
         # translation unit; serve them through the numpy gather path.
         return super().make_canonicalizer(canonicalizer)
 

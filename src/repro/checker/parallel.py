@@ -878,7 +878,8 @@ def explore_sharded(
             initial = spec.initial_state()
             canonical_bit = 0
             if setup.canonicalizer is not None:
-                initial = setup.canonicalizer.canonical(initial)
+                # Field by field: the fused tables are the workers'.
+                initial = setup.canonicalizer.canonical_per_field(initial)
                 canonical_bit = 1
             inboxes = {
                 fingerprint_int(initial) % jobs: [

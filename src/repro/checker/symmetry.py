@@ -32,11 +32,12 @@ Two canonicalizers share the group:
 
 - :class:`FastCanonicalizer` for the packed-integer states of
   :class:`~repro.checker.fast_snapshot.FastSnapshotSpec` — the hot-path
-  kernel.  Each group element is compiled to fused lookup tables (the
-  whole register file in one table, each local in another), so one
-  image costs a handful of indexed loads; ``canonical`` takes the
-  minimum image, which is a well-defined orbit invariant because the
-  image multiset is the same for every orbit member.
+  kernel.  Each group element is kept as small per-field maps, and on
+  first use compiled to fused lookup tables (the whole register file in
+  one table, each local in another), so one image costs a handful of
+  indexed loads; ``canonical`` takes the minimum image, which is a
+  well-defined orbit invariant because the image multiset is the same
+  for every orbit member.
 - :class:`StateCanonicalizer` for object-encoded
   :class:`~repro.checker.system.GlobalState`\\ s.  Renaming input
   values inside opaque local states is machine-specific, so machines
@@ -59,12 +60,16 @@ trace is a valid execution of the *unreduced* system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.checker.system import Action, GlobalState, SystemSpec
 from repro.memory.wiring import wiring_stabilizer
 from repro.sim.ops import Write
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.checker.fast_snapshot import FastSnapshotSpec
 
 #: Fused lookup tables are built only up to this many index bits
 #: (2^16 entries); wider fields fall back to per-field remapping.
@@ -304,59 +309,90 @@ def lift_canonical_path(
 # Packed-integer canonicalization (the hot-path kernel)
 # ----------------------------------------------------------------------
 
+def fused_tables_fit(spec: "FastSnapshotSpec") -> bool:
+    """Whether ``spec``'s register file and its locals each index a fused
+    table of at most ``2^16`` entries; past that, images stay per field."""
+    return (
+        spec.m * spec.reg_bits <= _MAX_TABLE_BITS
+        and spec.local_bits <= _MAX_TABLE_BITS
+    )
+
+
+def _per_field_image(maps: Dict[str, Any]) -> Callable[[int], int]:
+    """One element's image function, computed field by field from its
+    field maps: one load per register and one per local."""
+    record_map = maps["record_map"]
+    view_map = maps["view_map"]
+    reg_moves = maps["reg_moves"]
+    moves = maps["moves"]
+    reg_mask = maps["reg_mask"]
+    local_mask = maps["local_mask"]
+    k_mask = maps["k_mask"]
+    k_clear = maps["k_clear"]
+
+    def apply(state: int) -> int:
+        out = 0
+        for dst, src in reg_moves:
+            out |= record_map[(state >> src) & reg_mask] << dst
+        for dst, src in moves:
+            local = (state >> src) & local_mask
+            out |= ((local & k_clear) | view_map[local & k_mask]) << dst
+        return out
+
+    return apply
+
+
 class FastCanonicalizer:
     """Symmetry kernel for :class:`FastSnapshotSpec` packed states.
 
-    Receives the same precomputed-table treatment the transition
-    function got in the parallel-engine PR: per group element, the
-    whole register file maps through one fused table (every record
-    remapped by the input-bit permutation and moved to its relabelled
-    slot in a single load) and each local through another (view bits
-    remapped in place), so one orbit image costs ``1 + N`` table loads
-    plus shifts.  ``canonical`` — called once per *generated
-    transition* by the reduced explorer, the hottest call in the whole
-    checker — is additionally compiled (``eval`` of a generated
-    ``min(...)`` lambda with the tables bound as default arguments) so
-    all images and the minimum evaluate in one expression with zero
-    per-element function-call overhead.  Falls back to per-field
-    remapping when a fused index would exceed ``2^16`` entries.
+    Built eagerly, and small: the stabilizer, its ``order`` and, per
+    non-identity element, the element's :attr:`field_maps` — the
+    input-bit permuted view map (``2^k`` entries), the record map
+    (``2^reg_bits`` entries), the register and local moves, and the
+    masks.  :meth:`canonical_per_field` and :meth:`orbit_size_per_field`
+    compute images field by field from them; that is the single-state
+    path (initial states, drivers, tests), and it builds no table.
+
+    Built lazily, on the first use of :meth:`canonical`,
+    :meth:`orbit_size` or :attr:`element_tables` (or by :meth:`fuse`):
+    the fused tables.  Per element the whole register file maps through
+    one table (every record remapped and moved to its relabelled slot in
+    a single load), and each local through another, shared by the
+    elements with the same view map, so one image costs ``1 + N`` loads
+    plus shifts.  ``canonical`` — called once per generated transition
+    by the scalar engine, the hottest call in the checker — then becomes
+    an ``eval``-compiled ``min(...)`` lambda with the tables bound as
+    default arguments, and ``orbit_size`` a ``len({...})`` one; both
+    replace the methods on the instance, so a loop that binds them after
+    :meth:`fuse` calls the lambda directly.  Past ``2^16`` table
+    entries both stay per field.
+
+    The native kernel bakes only the field maps and fills its own fused
+    tables in C, so only the scalar engine and the numpy kernel build
+    the Python tables.  A forked worker inherits whatever its parent
+    built.
     """
 
     def __init__(self, spec) -> None:
         self.spec = spec
         stabilizer = wiring_stabilizer(spec.wiring, spec.inputs)
         self.order = len(stabilizer)
-        self._appliers: List[Callable[[int], int]] = []
-        #: Per non-identity element: the compiled table data behind its
-        #: applier, in stabilizer order.  The level-batched kernel
-        #: (:mod:`repro.checker.batch`) re-expresses the same min-over
-        #: -images reduction as numpy gathers over these tables, so
-        #: they are part of the class's public surface, not a compile
-        #: -time private.
-        self.element_tables: List[Dict[str, object]] = []
-        fused_exprs: List[Optional[str]] = []
-        bindings: Dict[str, List[int]] = {}
-        for index, (pi, rho) in enumerate(stabilizer[1:]):
-            applier, expr = self._compile(pi, rho, index, bindings)
-            self._appliers.append(applier)
-            fused_exprs.append(expr)
-        if self._appliers and all(expr is not None for expr in fused_exprs):
-            defaults = ", ".join(f"{name}={name}" for name in bindings)
-            source = (
-                f"lambda s, {defaults}: min(s, "
-                + ", ".join(fused_exprs)  # type: ignore[arg-type]
-                + ")"
-            )
-            self.canonical = eval(source, dict(bindings))  # noqa: S307
-        elif not self._appliers:
-            self.canonical = lambda state: state
+        #: Per non-identity element, in stabilizer order, the maps every
+        #: image is computed from (the native kernel bakes them into its
+        #: translation unit): ``view_map``, ``record_map``, the
+        #: ``(destination, source)`` bit offsets ``reg_moves`` and
+        #: ``moves``, and the masks.
+        self.field_maps: List[Dict[str, Any]] = [
+            self._field_maps(pi, rho) for pi, rho in stabilizer[1:]
+        ]
+        self._appliers = [_per_field_image(maps) for maps in self.field_maps]
 
     @property
     def trivial(self) -> bool:
         return self.order <= 1
 
     # ------------------------------------------------------------------
-    # Table compilation
+    # Field maps (eager) and fused tables (lazy)
     # ------------------------------------------------------------------
     def _bit_permutation(self, pi: Tuple[int, ...]) -> Tuple[int, ...]:
         """Input-bit renaming induced by ``pi``: ``bit(in[pi[p]]) -> bit(in[p])``."""
@@ -368,146 +404,146 @@ class FastCanonicalizer:
             ]
         return tuple(mapping)
 
-    def _compile(
-        self,
-        pi: Tuple[int, ...],
-        rho: Tuple[int, ...],
-        index: int,
-        bindings: Dict[str, List[int]],
-    ) -> Tuple[Callable[[int], int], Optional[str]]:
-        """One group element -> (applier, fused expression or None).
-
-        The applier is the standalone image function (used by
-        ``orbit_size`` and the tests); the expression, when the fused
-        tables fit, computes the same image inline for the generated
-        ``canonical`` lambda, with its tables registered in
-        ``bindings`` under the names the expression references.
-        """
+    def _field_maps(
+        self, pi: Tuple[int, ...], rho: Tuple[int, ...]
+    ) -> Dict[str, Any]:
+        """One group element's field maps (the ``general`` table kind)."""
         spec = self.spec
         bit_perm = self._bit_permutation(pi)
-        view_map = [
+        view_map = tuple(
             sum(
                 1 << bit_perm[bit]
                 for bit in range(spec.k)
                 if (view >> bit) & 1
             )
             for view in range(1 << spec.k)
-        ]
-        record_map = [
-            view_map[record & spec.k_mask] | (record & ~spec.k_mask)
-            for record in range(1 << spec.reg_bits)
-        ]
-
-        block_bits = spec.m * spec.reg_bits
-        if block_bits <= _MAX_TABLE_BITS:
-            register_table = self._fuse_registers(record_map, rho, block_bits)
-        else:
-            register_table = None
-
-        if spec.local_bits <= _MAX_TABLE_BITS:
-            # The view is a local's low k bits: one block of view_map
-            # per setting of the bits above it.
-            local_table = [
-                high | view
-                for high in range(0, 1 << spec.local_bits, 1 << spec.k)
-                for view in view_map
-            ]
-        else:
-            local_table = None
-
-        # Destination local offset p sources from local pi[p].
-        moves = tuple(
-            (spec.local_offsets[p], spec.local_offsets[pi[p]])
-            for p in range(spec.n)
         )
-        local_mask = spec.local_mask
-        k_mask = spec.k_mask
-        k_clear = local_mask & ~k_mask
-
-        if register_table is not None and local_table is not None:
-            block_mask = (1 << block_bits) - 1
-            self.element_tables.append({
-                "kind": "fused",
-                "register_table": register_table,
-                "block_mask": block_mask,
-                "local_table": local_table,
-                "local_mask": local_mask,
-                "moves": moves,
-            })
-
-            def apply(state: int) -> int:
-                out = register_table[state & block_mask]
-                for dst, src in moves:
-                    out |= local_table[(state >> src) & local_mask] << dst
-                return out
-
-            registers_name = f"rt{index}"
-            locals_name = f"lt{index}"
-            bindings[registers_name] = register_table
-            bindings[locals_name] = local_table
-            expression = f"{registers_name}[s & {block_mask}]" + "".join(
-                f" | ({locals_name}[(s >> {src}) & {local_mask}] << {dst})"
-                for dst, src in moves
-            )
-            return apply, expression
-
-        reg_moves = tuple(
-            (spec.reg_offsets[rho[r]], spec.reg_offsets[r])
-            for r in range(spec.m)
-        )
-        reg_mask = spec.reg_mask
-        self.element_tables.append({
+        return {
             "kind": "general",
-            "record_map": record_map,
-            "reg_moves": reg_moves,
-            "reg_mask": reg_mask,
             "view_map": view_map,
-            "moves": moves,
-            "local_mask": local_mask,
-            "k_mask": k_mask,
-            "k_clear": k_clear,
-        })
-
-        def apply_general(state: int) -> int:
-            out = 0
-            for dst, src in reg_moves:
-                out |= record_map[(state >> src) & reg_mask] << dst
-            for dst, src in moves:
-                local = (state >> src) & local_mask
-                out |= ((local & k_clear) | view_map[local & k_mask]) << dst
-            return out
-
-        return apply_general, None
+            "record_map": tuple(
+                view_map[record & spec.k_mask] | (record & ~spec.k_mask)
+                for record in range(1 << spec.reg_bits)
+            ),
+            # Register r moves to slot rho[r]; destination local p
+            # sources from local pi[p].
+            "reg_moves": tuple(
+                (spec.reg_offsets[rho[r]], spec.reg_offsets[r])
+                for r in range(spec.m)
+            ),
+            "moves": tuple(
+                (spec.local_offsets[p], spec.local_offsets[pi[p]])
+                for p in range(spec.n)
+            ),
+            "reg_mask": spec.reg_mask,
+            "local_mask": spec.local_mask,
+            "k_mask": spec.k_mask,
+            "k_clear": spec.local_mask & ~spec.k_mask,
+        }
 
     def _fuse_registers(
-        self, record_map: List[int], rho: Tuple[int, ...], block_bits: int
+        self,
+        record_map: Sequence[int],
+        reg_moves: Sequence[Tuple[int, int]],
     ) -> List[int]:
         """One table mapping the packed register file to its image.
 
-        Built register by register: start from the single-register
-        remap-and-move table and extend one register slot per round,
-        one copy of the table so far per record of the new (highest)
-        slot, so construction is ``O(m * 2^block_bits)`` table fills.
+        Built register by register, lowest slot first: one copy of the
+        table so far per record of the next slot, so construction is
+        ``O(m * 2^block_bits)`` table fills.
         """
-        spec = self.spec
-        reg_bits = spec.reg_bits
-        table = [
-            record_map[record] << spec.reg_offsets[rho[0]]
-            for record in range(1 << reg_bits)
-        ]
-        for register in range(1, spec.m):
-            shift = spec.reg_offsets[rho[register]]
-            moved = [
-                record_map[record] << shift for record in range(1 << reg_bits)
-            ]
+        records = range(1 << self.spec.reg_bits)
+        table = [0]
+        for dst, _src in reg_moves:
+            moved = [record_map[record] << dst for record in records]
             table = [low | high for high in moved for low in table]
         return table
 
+    def fuse(self) -> None:
+        """Build the fused tables and compile ``canonical``/``orbit_size``.
+
+        Idempotent.  The scalar engine's :class:`ClassSetup` calls it up
+        front, so the loops that bind ``canonical`` once get the
+        compiled lambda.
+        """
+        if "element_tables" in vars(self):
+            return
+        spec = self.spec
+        if not self.field_maps or not fused_tables_fit(spec):
+            self.element_tables = self.field_maps
+            self.canonical = self.canonical_per_field  # type: ignore[method-assign]
+            self.orbit_size = self.orbit_size_per_field  # type: ignore[method-assign]
+            return
+        block_mask = (1 << (spec.m * spec.reg_bits)) - 1
+        local_mask = spec.local_mask
+        bindings: Dict[str, List[int]] = {}
+        local_names: Dict[Tuple[int, ...], str] = {}
+        images: List[str] = []
+        element_tables: List[Dict[str, Any]] = []
+        for index, maps in enumerate(self.field_maps):
+            registers_name = f"rt{index}"
+            bindings[registers_name] = self._fuse_registers(
+                maps["record_map"], maps["reg_moves"]
+            )
+            view_map = maps["view_map"]
+            locals_name = local_names.get(view_map)
+            if locals_name is None:
+                locals_name = local_names[view_map] = f"lt{len(local_names)}"
+                # The view is a local's low k bits: one block of
+                # view_map per setting of the bits above it.
+                bindings[locals_name] = [
+                    high | view
+                    for high in range(0, 1 << spec.local_bits, 1 << spec.k)
+                    for view in view_map
+                ]
+            element_tables.append({
+                "kind": "fused",
+                "register_table": bindings[registers_name],
+                "block_mask": block_mask,
+                "local_table": bindings[locals_name],
+                "local_mask": local_mask,
+                "moves": maps["moves"],
+            })
+            images.append(f"{registers_name}[s & {block_mask}]" + "".join(
+                f" | ({locals_name}[(s >> {src}) & {local_mask}] << {dst})"
+                for dst, src in maps["moves"]
+            ))
+        defaults = ", ".join(f"{name}={name}" for name in bindings)
+        joined = ", ".join(images)
+        self.canonical = eval(  # type: ignore[method-assign]  # noqa: S307
+            f"lambda s, {defaults}: min(s, {joined})", dict(bindings)
+        )
+        self.orbit_size = eval(  # type: ignore[method-assign]  # noqa: S307
+            f"lambda s, {defaults}: len({{s, {joined}}})", dict(bindings)
+        )
+        self.element_tables = element_tables
+
+    @functools.cached_property
+    def element_tables(self) -> List[Dict[str, Any]]:
+        """Per non-identity element, in stabilizer order, the tables
+        behind its image: the fused register and local tables (``kind``
+        ``"fused"``), or past ``2^16`` entries its field maps
+        (``"general"``).  The numpy kernel re-expresses the
+        min-over-images reduction as gathers over them."""
+        self.fuse()
+        return self.element_tables
+
     # ------------------------------------------------------------------
-    # The hot calls
+    # The calls
     # ------------------------------------------------------------------
     def canonical(self, state: int) -> int:
-        """The orbit representative: minimum packed image (orbit invariant)."""
+        """The orbit representative: the minimum packed image (an orbit
+        invariant, since every member has the same image multiset)."""
+        self.fuse()
+        return self.canonical(state)
+
+    def orbit_size(self, state: int) -> int:
+        """Distinct orbit members; called per *admitted* state only."""
+        self.fuse()
+        return self.orbit_size(state)
+
+    def canonical_per_field(self, state: int) -> int:
+        """:meth:`canonical`, computed field by field (no fused table)."""
         best = state
         for apply in self._appliers:
             image = apply(state)
@@ -515,10 +551,8 @@ class FastCanonicalizer:
                 best = image
         return best
 
-    def orbit_size(self, state: int) -> int:
-        """Distinct orbit members; called per *admitted* state only."""
-        if not self._appliers:
-            return 1
+    def orbit_size_per_field(self, state: int) -> int:
+        """:meth:`orbit_size`, computed field by field (no fused table)."""
         return len({state, *(apply(state) for apply in self._appliers)})
 
 

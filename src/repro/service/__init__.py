@@ -9,19 +9,7 @@ spec; see ``docs/service.md`` for the architecture, wire protocol, and
 the failure model behind that guarantee.
 """
 
-from repro.service.heartbeat import Heartbeat, current_rss_bytes, format_bytes
-from repro.service.jobs import JobError, JobQueue, JobRecord, JobSpec
-from repro.service.protocol import (
-    ConnectionClosed,
-    ProtocolError,
-    SyncFrameIO,
-    encode_frame,
-)
-from repro.service.transport import (
-    ServiceClient,
-    ServiceError,
-    discover_endpoint,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "ConnectionClosed",
@@ -39,3 +27,23 @@ __all__ = [
     "encode_frame",
     "format_bytes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.service.heartbeat": [
+        "Heartbeat",
+        "current_rss_bytes",
+        "format_bytes",
+    ],
+    "repro.service.jobs": ["JobError", "JobQueue", "JobRecord", "JobSpec"],
+    "repro.service.protocol": [
+        "ConnectionClosed",
+        "ProtocolError",
+        "SyncFrameIO",
+        "encode_frame",
+    ],
+    "repro.service.transport": [
+        "ServiceClient",
+        "ServiceError",
+        "discover_endpoint",
+    ],
+})

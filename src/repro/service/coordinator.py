@@ -55,13 +55,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.checker.fast_snapshot import (
-    ClassSetup,
     FastExplorationResult,
     FastSnapshotSpec,
     canonical_wiring_classes,
 )
 from repro.checker.fingerprint import fingerprint_int
 from repro.checker.parallel import class_key
+from repro.checker.symmetry import FastCanonicalizer
 from repro.service.jobs import JobError, JobQueue, JobRecord, JobSpec
 from repro.service.protocol import (
     ConnectionClosed,
@@ -519,8 +519,11 @@ class Coordinator:
             return load_result(FastExplorationResult, recorded)
 
         # Workers build their own setups, kernels included, from the
-        # configure frame; this one serves the initial state.
-        setup = ClassSetup(fast_spec, spec.symmetry)
+        # configure frame; the coordinator only canonicalizes the
+        # initial state, field by field, so it builds no fused table.
+        canonicalizer = (
+            FastCanonicalizer(fast_spec) if spec.symmetry else None
+        )
         n_shards = spec.shards
         max_states = spec.budget if spec.budget else 10 ** 9
         epoch = 0
@@ -529,7 +532,7 @@ class Coordinator:
             fleet = await self._acquire_fleet(record)
             try:
                 return await self._run_class_epoch(
-                    record, index, setup,
+                    record, index, fast_spec, canonicalizer,
                     checkpointer, fleet, epoch, n_shards, max_states,
                 )
             except WorkerDied as exc:
@@ -547,7 +550,8 @@ class Coordinator:
         self,
         record: JobRecord,
         index: int,
-        setup: ClassSetup,
+        fast_spec: FastSnapshotSpec,
+        canonicalizer: Optional[FastCanonicalizer],
         checkpointer: RunCheckpointer,
         fleet: List[WorkerHandle],
         epoch: int,
@@ -573,8 +577,8 @@ class Coordinator:
             "epoch": epoch,
             "job_id": record.job_id,
             "class_index": index,
-            "inputs": list(setup.spec.inputs),
-            "wiring": [list(perm) for perm in setup.spec.wiring],
+            "inputs": list(fast_spec.inputs),
+            "wiring": [list(perm) for perm in fast_spec.wiring],
             "n_shards": n_shards,
             "symmetry": spec.symmetry,
             "por": spec.por,
@@ -595,7 +599,9 @@ class Coordinator:
         states = 0
         transitions = 0
         covered: Optional[int] = 0 if spec.symmetry else None
-        group_order = setup.group_order
+        group_order = (
+            canonicalizer.order if canonicalizer is not None else None
+        )
         recanon_skipped: Optional[int] = 0 if spec.symmetry else None
         violation: Optional[str] = None
         por_base: Dict[str, int] = {}
@@ -643,10 +649,10 @@ class Coordinator:
                 for shard in range(n_shards)
             ))
         else:
-            initial = setup.spec.initial_state()
+            initial = fast_spec.initial_state()
             canonical_bit = 0
-            if setup.canonicalizer is not None:
-                initial = setup.canonicalizer.canonical(initial)
+            if canonicalizer is not None and not canonicalizer.trivial:
+                initial = canonicalizer.canonical_per_field(initial)
                 canonical_bit = 1
             inboxes = {
                 fingerprint_int(initial) % n_shards: array(

@@ -30,7 +30,17 @@ so a killed exhaustive run resumes exactly where it stopped:
 ``python -m repro check --resume DIR``.
 """
 
+from typing import Tuple
+
 from repro import _lazy_exports
+
+#: Default total memory budget for the capped backends (bytes).
+DEFAULT_MEM_CAP = 64 * 1024 * 1024
+
+#: The recognised backend names, in CLI order.  Both constants live
+#: here, not in :mod:`repro.store.base`, so building the CLI's parser
+#: loads no store module.
+BACKENDS: Tuple[str, ...] = ("ram", "mmap", "spill")
 
 __all__ = [
     "BACKENDS",
@@ -53,8 +63,6 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.store.base": [
-        "BACKENDS",
-        "DEFAULT_MEM_CAP",
         "FingerprintStore",
         "StoreConfig",
         "StoreError",

@@ -41,10 +41,11 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     Union,
     cast,
 )
+
+from repro.store import BACKENDS, DEFAULT_MEM_CAP
 
 if TYPE_CHECKING:
     from typing import TypeGuard
@@ -63,12 +64,6 @@ if TYPE_CHECKING:
 #: run entry is a raw unsigned 64-bit word.
 KEY_BITS = 64
 KEY_LIMIT = 1 << KEY_BITS
-
-#: Default total memory budget for the capped backends (bytes).
-DEFAULT_MEM_CAP = 64 * 1024 * 1024
-
-#: The recognised backend names, in CLI order.
-BACKENDS: Tuple[str, ...] = ("ram", "mmap", "spill")
 
 #: Keys per ``array('Q')`` block when packing an iterable of ints.
 _PACK = 4096

@@ -28,6 +28,7 @@ PACKAGES = [
     "repro.core",
     "repro.memory",
     "repro.sim",
+    "repro.service",
 ]
 
 #: Modules plain ``repro check`` (N=2: safety plus wait-freedom) never runs.
@@ -39,6 +40,8 @@ NOT_ON_THE_N2_PATH = [
     "repro.store.spill",
     "repro.core.consensus",
     "repro.api",
+    "repro.checker.symmetry",
+    "repro.store.base",
 ]
 
 
@@ -65,6 +68,14 @@ def test_repro_check_loads_only_what_it_runs():
         "wiring ((0, 1), (1, 0)): 7235 states, safety+wait-freedom OK",
     ]
     assert sorted(modules & set(NOT_ON_THE_N2_PATH)) == []
+
+
+def test_heartbeat_loads_neither_asyncio_nor_the_wire_protocol():
+    # Every ``--heartbeat`` run imports it; the service package is lazy.
+    _, modules = _modules_after(
+        "from repro.service.heartbeat import Heartbeat"
+    )
+    assert sorted(modules & {"asyncio", "repro.service.protocol"}) == []
 
 
 def test_import_repro_loads_no_submodule():

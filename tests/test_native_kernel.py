@@ -25,7 +25,11 @@ import pytest
 import repro.checker.batch as batch_mod
 from repro.checker.batch import explore_batch, make_kernel
 from repro.checker.constants import MASK64, SPLITMIX_GAMMA
-from repro.checker.fast_snapshot import FastSnapshotSpec
+from repro.checker.fast_snapshot import (
+    ClassSetup,
+    FastSnapshotSpec,
+    canonical_wiring_classes,
+)
 from repro.store import StoreConfig
 
 requires_numpy = pytest.mark.skipif(
@@ -144,6 +148,38 @@ class TestMethodBitIdentity:
         native_canon = native_kernel.make_canonicalizer(canon)
         rng = np.random.default_rng(13)
         states = _edge_states(spec, rng)
+        assert np.array_equal(
+            numpy_canon.canonical_many(states),
+            native_canon.canonical_many(states),
+        )
+        assert np.array_equal(
+            numpy_canon.orbit_sizes(states),
+            native_canon.orbit_sizes(states),
+        )
+
+    @pytest.mark.parametrize("wiring", canonical_wiring_classes(3, 3))
+    def test_canonical_and_orbit_sizes_match_numpy_on_every_n3_class(
+        self, wiring
+    ):
+        # The kernel fills its fused tables in C; these inputs read every
+        # entry: each register-file word with the locals zero, and each
+        # value of each local slot with everything else zero.
+        spec = FastSnapshotSpec([1, 2, 3], wiring)
+        numpy_kernel, native_kernel, canon = _kernels(spec, symmetry=True)
+        numpy_canon = numpy_kernel.make_canonicalizer(canon)
+        native_canon = native_kernel.make_canonicalizer(canon)
+        if canon.trivial:
+            assert numpy_canon is None and native_canon is None
+            return
+        local_values = np.arange(1 << spec.local_bits, dtype=np.uint64)
+        states = np.concatenate([
+            np.arange(1 << (spec.m * spec.reg_bits), dtype=np.uint64),
+            *(
+                local_values << np.uint64(offset)
+                for offset in spec.local_offsets
+            ),
+            _edge_states(spec, np.random.default_rng(17)),
+        ])
         assert np.array_equal(
             numpy_canon.canonical_many(states),
             native_canon.canonical_many(states),
@@ -310,71 +346,82 @@ class TestExhaustiveN2Matrix:
 
 @requires_numpy
 @requires_native
-class TestCacheIndex:
-    """The spec-keyed index in front of the source-hash cache."""
-
-    def test_warm_start_skips_source_generation(self, monkeypatch):
-        import repro.checker.native.loader as loader
-        from repro.checker.native.loader import NativeKernel
+class TestNativeSetup:
+    def test_native_setups_and_runs_build_no_python_fused_tables(
+        self, monkeypatch
+    ):
+        # The native kernel fills its own tables in C, and the drivers
+        # canonicalize their one initial state field by field.
+        from repro.checker.parallel import explore_sharded
         from repro.checker.symmetry import FastCanonicalizer
 
-        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
-        canon = FastCanonicalizer(spec)
-        NativeKernel(spec, canon)  # ensure cache + index are populated
-        calls = []
-        real = loader.generate_source
+        fused = []
+        real = FastCanonicalizer._fuse_registers
         monkeypatch.setattr(
-            loader, "generate_source",
-            lambda *a, **k: (calls.append(1), real(*a, **k))[1],
+            FastCanonicalizer, "_fuse_registers",
+            lambda self, *a: (fused.append(self.spec.wiring), real(self, *a))[1],
         )
-        NativeKernel(spec, canon)
-        assert calls == []
+        for wiring in canonical_wiring_classes(3, 3):
+            setup = ClassSetup(
+                FastSnapshotSpec([1, 2, 3], wiring), True, "batch", "native"
+            )
+            assert setup.kernel.kernel_name == "native"
+        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+        serial = explore_batch(
+            spec, max_states=3000, symmetry=True, kernel="native"
+        )
+        sharded = explore_sharded(
+            (1, 2, 3), N3_IDENTITY, jobs=2, max_states=3000, symmetry=True,
+            engine="batch", kernel="native",
+        )
+        assert fused == []
+        assert serial.states == 3000 and sharded.states >= 3000
+        assert serial.covered_states > serial.states
 
-    def test_editing_a_fixed_body_rekeys_the_index(self, monkeypatch):
-        # An index entry must never name an object built from an older
-        # body, even when GENERATOR_VERSION was not bumped.
-        from repro.checker.native import generator
 
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        before = generator.spec_cache_key(spec)
-        monkeypatch.setattr(generator, "_BODIES_DIGEST", "edited")
-        assert generator.spec_cache_key(spec) != before
+@requires_numpy
+@requires_native
+class TestBuildCache:
+    """The source-hash cache: small sources, one compile per source."""
 
-    def test_stale_index_entry_falls_back_to_rebuild(
+    def test_every_n3_source_is_small(self):
+        # Only the field maps are baked; the fused tables are filled in
+        # C at first use, so no class's source carries them.
+        from repro.checker.native.generator import generate_source
+        from repro.checker.symmetry import FastCanonicalizer
+
+        for wiring in canonical_wiring_classes(3, 3):
+            spec = FastSnapshotSpec([1, 2, 3], wiring)
+            source = generate_source(
+                spec, FastCanonicalizer(spec).field_maps
+            )
+            assert len(source.encode()) < 64 * 1024, wiring
+
+    def test_a_second_kernel_in_a_fresh_cache_compiles_nothing(
         self, monkeypatch, tmp_path
     ):
-        from repro.checker.native import build
-        from repro.checker.native.loader import NativeKernel
-
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        key = "0" * 32
-        # an index entry naming an object that no longer exists
-        (tmp_path / f"rk-idx-{key}.txt").write_text("rk-gone.so")
-        assert build.cached_library_for(key) is None
-        # and a fresh build both works and re-records the true mapping
-        kernel = NativeKernel(spec)
-        assert kernel.kernel_name == "native"
-        assert list(tmp_path.glob("rk-*.so"))
-
-    def test_spec_cache_key_separates_machines_and_tables(self):
-        from repro.checker.native.generator import spec_cache_key
+        import repro.checker.native.build as build
+        import repro.checker.native.loader as loader
         from repro.checker.symmetry import FastCanonicalizer
 
-        spec_a = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        spec_b = FastSnapshotSpec([1, 2], N2_CLASSES[1])
-        spec_n3 = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
-        tables = tuple(FastCanonicalizer(spec_n3).element_tables)
-        keys = {
-            spec_cache_key(spec_a),
-            spec_cache_key(spec_b),
-            spec_cache_key(spec_n3),
-            spec_cache_key(spec_n3, tables),
-        }
-        assert len(keys) == 4
-        assert spec_cache_key(spec_n3, tables) == spec_cache_key(
-            spec_n3, tables
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(loader, "_loaded", {})
+        compiles = []
+        run = build.subprocess.run
+        monkeypatch.setattr(
+            build.subprocess, "run",
+            lambda *a, **k: (compiles.append(a), run(*a, **k))[1],
         )
+        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+        loader.NativeKernel(spec, FastCanonicalizer(spec))
+        assert len(compiles) == 1
+        monkeypatch.setattr(loader, "_loaded", {})
+        kernel = loader.NativeKernel(spec, FastCanonicalizer(spec))
+        assert len(compiles) == 1
+        assert kernel.make_canonicalizer(kernel._baked_for) is not None
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [
+            ".c", ".so",
+        ]
 
     def test_each_library_is_dlopened_once_per_process(self, monkeypatch):
         # Repeated explores of one class reuse its open library.

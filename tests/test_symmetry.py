@@ -29,7 +29,11 @@ import pytest
 
 from repro.analysis import aggregate_symmetry_statistics
 from repro.checker import Explorer, SystemSpec
-from repro.checker.fast_snapshot import FastSnapshotSpec, canonical_wiring_classes
+from repro.checker.fast_snapshot import (
+    ClassSetup,
+    FastSnapshotSpec,
+    canonical_wiring_classes,
+)
 from repro.checker.parallel import (
     effective_jobs,
     explore_sharded,
@@ -173,7 +177,6 @@ class TestCanonicalInvariance:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fused_tables_match_the_per_index_reference(self, n):
-        # Equal tables also keep every native kernel's cache key.
         for wiring in canonical_wiring_classes(n, n):
             spec = FastSnapshotSpec(list(range(1, n + 1)), wiring)
             tables = FastCanonicalizer(spec).element_tables
@@ -182,6 +185,63 @@ class TestCanonicalInvariance:
                 (element["register_table"], element["local_table"])
                 for element in tables
             ] == _per_index_tables(spec)
+
+    @pytest.mark.parametrize("wiring", [((0, 1), (0, 1)), ((0, 1), (1, 0))])
+    def test_per_field_path_equals_fused_on_every_reachable_n2_state(
+        self, wiring
+    ):
+        spec = FastSnapshotSpec([1, 2], wiring)
+        canonicalizer = FastCanonicalizer(spec)
+        seen = {spec.initial_state()}
+        frontier = list(seen)
+        while frontier:
+            state = frontier.pop()
+            for successor in spec.successor_states_into(state, []):
+                if successor not in seen:
+                    seen.add(successor)
+                    frontier.append(successor)
+        assert len(seen) == 7235
+        for state in seen:
+            assert canonicalizer.canonical_per_field(state) == (
+                canonicalizer.canonical(state)
+            )
+            assert canonicalizer.orbit_size_per_field(state) == (
+                canonicalizer.orbit_size(state)
+            )
+
+    @pytest.mark.parametrize("wiring", canonical_wiring_classes(3, 3))
+    def test_per_field_path_equals_fused_on_sampled_n3_states(self, wiring):
+        spec = FastSnapshotSpec([1, 2, 3], wiring)
+        canonicalizer = FastCanonicalizer(spec)
+        rng = random.Random(hash(wiring) & 0xFFFF)
+        for _ in range(200):
+            state = _random_reachable_fast(spec, rng, rng.randrange(0, 60))
+            assert canonicalizer.canonical_per_field(state) == (
+                canonicalizer.canonical(state)
+            )
+            assert canonicalizer.orbit_size_per_field(state) == (
+                canonicalizer.orbit_size(state)
+            )
+
+    def test_tables_are_built_on_first_use_only(self):
+        spec = FastSnapshotSpec([1, 2, 3], IDENTITY_CLASS)
+        canonicalizer = FastCanonicalizer(spec)
+        assert "element_tables" not in vars(canonicalizer)
+        canonicalizer.canonical_per_field(spec.initial_state())
+        assert "element_tables" not in vars(canonicalizer)
+        assert len(canonicalizer.element_tables) == canonicalizer.order - 1
+        # the first use compiled the hot calls onto the instance
+        assert {"canonical", "orbit_size"} <= set(vars(canonicalizer))
+
+    def test_scalar_setup_binds_the_compiled_lambda(self):
+        # The scalar loops bind ``canonical`` once, before any call.
+        setup = ClassSetup(FastSnapshotSpec([1, 2, 3], IDENTITY_CLASS), True)
+        assert setup.canonicalizer.canonical.__name__ == "<lambda>"
+        assert setup.canonicalizer.orbit_size.__name__ == "<lambda>"
+        batch = ClassSetup(
+            FastSnapshotSpec([1, 2, 3], IDENTITY_CLASS), True, "batch", "numpy"
+        )
+        assert batch.canonicalizer.canonical.__name__ == "<lambda>"
 
     def test_orbit_size_divides_group_order(self):
         spec = _snapshot_spec(3)
