@@ -17,10 +17,13 @@ this module re-expresses the exploration loop over whole BFS levels:
   :class:`~repro.checker.symmetry.FastCanonicalizer` as numpy gathers
   plus an element-wise minimum across the stabilizer orbit;
 - **dedup**: the key of a state is the (canonical) state itself — a
-  packed state fits 64 bits, so it is exact; keys are deduplicated per
-  level and merged against the visited set through the bulk
-  ``contains_many``/``add_many`` store APIs (the spill backend turns a
-  level's sorted fresh keys into a sorted run natively);
+  packed state fits 64 bits, so it is exact.  Without a store backend
+  the visited set is a kernel seam (:meth:`BatchKernel.make_visited`)
+  that admits a whole slice per call: the native kernel's hash set in
+  one pass, the numpy kernel's sorted array by dedup, probe and merge.
+  With a backend, keys are deduplicated per slice and merged through
+  the bulk ``contains_many``/``add_many`` store APIs (the spill backend
+  turns a level's sorted fresh keys into a sorted run natively);
 - **ownership hashing**: :func:`fingerprint_many` is the scalar
   :func:`~repro.checker.fingerprint.fingerprint_int` on u64 arrays,
   which sharded workers use to route states — numpy uint64
@@ -174,7 +177,7 @@ def _probe_sorted(
     sorted_keys: "U64Array", values: "U64Array"
 ) -> Tuple["BoolArray", "I64Array"]:
     """``(membership mask, insertion positions)`` in one binary-search
-    pass — the positions feed :func:`_merge_sorted`, so membership and
+    pass — the positions feed :func:`_insert_sorted`, so membership and
     the later merge share the search instead of each paying their own.
     """
     at = np.searchsorted(sorted_keys, values)
@@ -186,16 +189,15 @@ def _probe_sorted(
     return present, at
 
 
-def _merge_sorted(
+def _insert_sorted(
     sorted_keys: "U64Array", at: "I64Array", fresh: "U64Array"
 ) -> "U64Array":
     """Merge ascending ``fresh`` (disjoint from the set) into the set at
     precomputed :func:`_probe_sorted` positions.
 
     One linear pass (``np.insert``) instead of ``np.union1d``'s full
-    re-sort — the visited set is merged into once per level (per slice
-    of a budget-tripping level), so the re-sort would dominate late
-    levels.
+    re-sort.  A module-level function so that ``perfbench/tracer.py``
+    can time every merge as one span.
     """
     if sorted_keys.size == 0:
         return fresh.copy()
@@ -204,18 +206,47 @@ def _merge_sorted(
     return np.insert(sorted_keys, at, fresh)
 
 
-def _insert_sorted(
-    kernel: "BatchKernel",
-    sorted_keys: "U64Array",
-    at: "I64Array",
-    fresh: "U64Array",
-) -> "U64Array":
-    """The visited array with ``fresh`` merged in, through ``kernel``.
+class SortedVisited:
+    """The numpy visited set: an ascending u64 array, rebuilt on insert.
 
-    A module-level function so that ``perfbench/tracer.py`` can time
-    every merge as one span, whichever kernel serves it.
+    The twin of the native kernel's hash set
+    (:class:`~repro.checker.native.loader.NativeVisited`), and the only
+    visited set on hosts without a compiler.  :meth:`admit` dedups the
+    slice (:meth:`BatchKernel.unique_first`), probes the array
+    (:meth:`BatchKernel.probe_sorted`) and merges the admitted keys into
+    a fresh copy of it (:func:`_insert_sorted`), so each call costs
+    O(visited) and the merge briefly holds the set twice.
     """
-    return kernel.merge_sorted(sorted_keys, at, fresh)
+
+    def __init__(self, kernel: "BatchKernel") -> None:
+        self._kernel = kernel
+        self._keys: "U64Array" = np.empty(0, dtype=np.uint64)
+
+    def admit(self, keys: "U64Array", limit: int) -> Tuple["I64Array", int]:
+        """``(positions, trip)``: the ascending positions in ``keys`` of
+        the first ``limit`` keys not yet in the set, each at its first
+        occurrence, and the position of the next such key (-1 if there
+        is none).  The set then holds the admitted keys too."""
+        unique_keys, first = self._kernel.unique_first(keys)
+        present, at = self._kernel.probe_sorted(self._keys, unique_keys)
+        fresh = ~present
+        # First occurrences are distinct positions, so a plain sort puts
+        # the fresh keys in generation order.
+        positions = np.sort(first[fresh])
+        trip = -1
+        if positions.size > limit:
+            trip = int(positions[limit])
+            positions = positions[:limit]
+            fresh &= first < trip
+        self._keys = _insert_sorted(self._keys, at[fresh], unique_keys[fresh])
+        return positions, trip
+
+    def contains(self, keys: "U64Array") -> "BoolArray":
+        """Membership of each of ``keys``."""
+        return sorted_member(self._keys, keys)
+
+    def close(self) -> None:
+        """Nothing to release: the array is garbage-collected."""
 
 
 # ----------------------------------------------------------------------
@@ -435,9 +466,9 @@ class BatchKernel:
         return bad
 
     # ------------------------------------------------------------------
-    # Kernel seam: keys, dedup, visited-array merge, symmetry, POR
-    # phase 1.  The numpy implementations delegate to the module-level
-    # helpers; the native kernel overrides each with its compiled twin.
+    # Kernel seam: keys, dedup, the visited set, symmetry, POR phase 1.
+    # The numpy implementations delegate to the module-level helpers;
+    # the native kernel overrides each with its compiled twin.
     # ------------------------------------------------------------------
     def fingerprint_many(self, states: "U64Array") -> "U64Array":
         """Batched splitmix64 dedup keys (see module function)."""
@@ -452,23 +483,18 @@ class BatchKernel:
     def probe_sorted(
         self, sorted_keys: "U64Array", values: "U64Array"
     ) -> Tuple["BoolArray", "I64Array"]:
-        """``(membership mask, insertion positions)`` of ``values``.
-
-        Both arrays must be ascending — ``values`` always comes out of
-        :meth:`unique_first` here, which is what lets the native twin
-        replace per-value binary search with one merge walk.
-        """
+        """``(membership mask, insertion positions)`` of ``values``
+        in ascending ``sorted_keys``."""
         return _probe_sorted(sorted_keys, values)
 
-    def merge_sorted(
-        self, sorted_keys: "U64Array", at: "I64Array", fresh: "U64Array"
-    ) -> "U64Array":
-        """``sorted_keys`` with ascending ``fresh`` inserted at ``at``.
+    def make_visited(self, expected: int) -> Any:
+        """An empty visited set for about ``expected`` keys.
 
-        ``at`` holds the :meth:`probe_sorted` insertion positions of
-        ``fresh``, whose keys are all absent from ``sorted_keys``.
+        It has ``admit(keys, limit) -> (positions, trip)`` (see
+        :meth:`SortedVisited.admit`), ``contains(keys) -> bool array``
+        and ``close()``; both kernels' sets give identical answers.
         """
-        return _merge_sorted(sorted_keys, at, fresh)
+        return SortedVisited(self)
 
     def make_canonicalizer(
         self, canonicalizer: Optional["FastCanonicalizer"]
@@ -851,6 +877,10 @@ def _buffer_end(counts: "I64Array", position: int) -> int:
 #: (see :func:`_slice_end`).
 _SLICE_FLOOR = 1 << 16
 
+#: Keys the kernel's visited set is first sized for, at most: the native
+#: table then starts at 2^20 slots (8 MiB) and doubles past 786k keys.
+_VISITED_PRESIZE = 1 << 19
+
 
 def _slice_end(
     start: int, n_states: int, remaining: int, fanout: int, per_state: float
@@ -900,6 +930,15 @@ def explore_batch(
     of a level after the budget trip is never generated.  The slices
     of a level share its POR selection, heartbeat tick and checkpoint.
 
+    Unless a store backend or a checkpointer is given, the visited set
+    is the kernel's own (:meth:`BatchKernel.make_visited`), first sized
+    for ``min(max_states, 2**19)`` keys and freed when the run ends.
+    Each slice is admitted by one ``admit(keys, max_states - seen)``
+    call: the generation-order positions of its fresh keys, up to the
+    budget, and where the next one would have tripped it.  The native
+    hash set finds them in one pass over the slice, so a level costs
+    time in its own size, not in the visited set's.
+
     Unlike the scalar loop, this one keeps no raw-successor cache: it
     canonicalizes every generated successor.  The cache is pure
     memoization, and a gather per successor costs less than the
@@ -918,16 +957,16 @@ def explore_batch(
         selector = BatchAmpleSelector(
             level_kernel, cycle_proviso=por_cycle_proviso
         )
-    # The visited set: when nothing observes the store (no explicit
-    # backend to report counters for, no checkpointer to dump/resume
-    # through) the engine keeps it as its own ascending-sorted u64
-    # array — membership and merge are then pure vectorized passes,
-    # with no per-key Python round-trip.  Semantically the sorted
-    # array IS the default RamStore's set; results are identical.
+    # The visited set.  A configured backend (its counters are
+    # reported) or a checkpointer (it dumps and resumes the store) keeps
+    # it in the store; otherwise it is the kernel's own set, pre-sized
+    # from the budget, which admits a whole slice in one call.  Both
+    # hold the same keys, so results are identical.
     use_store = store is not None or checkpointer is not None
     store_obj = (store or StoreConfig()).create() if use_store else None
-    fast_visited: Optional["U64Array"] = (
-        None if use_store else np.empty(0, dtype=np.uint64)
+    visited: Any = (
+        None if use_store
+        else level_kernel.make_visited(min(max_states, _VISITED_PRESIZE))
     )
 
     def _result(
@@ -947,19 +986,15 @@ def explore_batch(
 
     # The ample selector's C3 callbacks: successor states to dedup keys
     # (their orbit representatives), and bulk membership in the visited
-    # set as of the level boundary.  The closures read
-    # ``fast_visited``/``store_obj`` from this scope, so they always
-    # see the current level's snapshot.
+    # set, which the selector consults at the level boundary.
     def _key_of(states: "U64Array") -> "U64Array":
         if batch_canon is None:
             return states
         return cast("U64Array", batch_canon.canonical_many(states))
 
-    def _in_visited(keys: "U64Array") -> "BoolArray":
-        if store_obj is not None:
-            return store_obj.contains_many(keys)
-        assert fast_visited is not None
-        return sorted_member(fast_visited, keys)
+    _in_visited = (
+        visited.contains if store_obj is None else store_obj.contains_many
+    )
 
     try:
         initial = spec.initial_state()
@@ -986,12 +1021,12 @@ def explore_batch(
             violation = spec.check_outputs(initial)
             if violation:
                 return _result(1, 0, True, 0, covered, violation)
+            n_seen = 1
+            frontier = np.array([initial], dtype=np.uint64)
             if store_obj is not None:
                 store_obj.add(initial)
             else:
-                fast_visited = np.array([initial], dtype=np.uint64)
-            n_seen = 1
-            frontier = np.array([initial], dtype=np.uint64)
+                visited.admit(frontier, 1)
 
         complete = True
         fanout = spec.n * spec.m
@@ -1034,38 +1069,28 @@ def explore_batch(
                     continue
 
                 keys = _key_of(successors)
-                # Sorted distinct keys and the first generation position
-                # of each, from one dedup pass.  The native kernel first
-                # drops the repeats a small recent-key table catches
-                # (half of a level's repeats sit within 16 positions of
-                # the earlier occurrence), so only the survivors are
-                # sorted.  The per-position rank (``return_inverse``) is
-                # only needed by the once-per-run budget-trip branch,
-                # which recovers it there with a searchsorted.
-                unique_keys, first_occurrence = level_kernel.unique_first(keys)
-                visited_at: Optional["I64Array"] = None
-                if store_obj is not None:
-                    present = store_obj.contains_many(unique_keys)
-                else:
-                    assert fast_visited is not None
-                    present, visited_at = level_kernel.probe_sorted(
-                        fast_visited, unique_keys
-                    )
-                fresh_mask = ~present
-                # Admission order is generation order, i.e. ascending
-                # first occurrence; first occurrences are distinct
-                # positions, so a plain sort replaces the argsort
-                # permutation.
-                ordered_first = np.sort(first_occurrence[fresh_mask])
-                n_new = int(ordered_first.size)
                 remaining = max_states - n_seen
-                admit_count = n_new if n_new <= remaining else remaining
-                admitted_idx = ordered_first[:admit_count]
+                if store_obj is None:
+                    admitted_idx, trip = visited.admit(keys, remaining)
+                else:
+                    # Sorted distinct keys and the first generation
+                    # position of each; admission order is ascending
+                    # first occurrence.
+                    unique_keys, first_occurrence = level_kernel.unique_first(
+                        keys
+                    )
+                    fresh_mask = ~store_obj.contains_many(unique_keys)
+                    ordered_first = np.sort(first_occurrence[fresh_mask])
+                    admitted_idx = ordered_first[:remaining]
+                    trip = (
+                        int(ordered_first[remaining])
+                        if ordered_first.size > remaining else -1
+                    )
                 admitted = keys[admitted_idx]
 
                 violating_rank = -1
                 message: Optional[str] = None
-                if admit_count:
+                if admitted.size:
                     violating_rank, message = _first_violation(
                         spec, level_kernel, admitted
                     )
@@ -1076,35 +1101,27 @@ def explore_batch(
                     transitions += _buffer_end(
                         succ_counts, int(admitted_idx[violating_rank])
                     )
-                elif n_new > remaining:
+                elif trip >= 0:
                     # Budget trip: the scalar loop flips ``complete`` at
                     # the first occurrence of the (budget+1)-th new key,
                     # keeps counting truncated occurrences through the
                     # end of that parent's buffer, then stops.
                     complete = False
-                    trip = int(ordered_first[admit_count])
                     buffer_end = _buffer_end(succ_counts, trip)
                     transitions += buffer_end
-                    # Unadmitted fresh keys are exactly the fresh keys
-                    # whose first occurrence sorts at or after the trip
-                    # position; rank only the trip parent's buffer tail
-                    # (at most n*m entries), not the whole slice.
-                    unadmitted = fresh_mask & (first_occurrence >= trip)
-                    inverse = np.searchsorted(
-                        unique_keys, keys[trip:buffer_end]
-                    )
-                    truncated += int(unadmitted[inverse].sum())
+                    # Truncated occurrences are those of the fresh keys
+                    # first met at or after the trip: in the tail of
+                    # the trip parent's buffer (at most n*m entries),
+                    # exactly the keys still outside the set.
+                    tail = keys[trip:buffer_end]
+                    if store_obj is None:
+                        truncated += int((~visited.contains(tail)).sum())
+                    else:
+                        unadmitted = fresh_mask & (first_occurrence >= trip)
+                        inverse = np.searchsorted(unique_keys, tail)
+                        truncated += int(unadmitted[inverse].sum())
                 else:
                     transitions += level_size
-                    if store_obj is None:
-                        assert fast_visited is not None
-                        assert visited_at is not None
-                        fast_visited = _insert_sorted(
-                            level_kernel,
-                            fast_visited,
-                            visited_at[fresh_mask],
-                            unique_keys[fresh_mask],
-                        )
                     admitted_parts.append(admitted)
                 if store_obj is not None:
                     store_obj.add_many(admitted)
@@ -1132,3 +1149,5 @@ def explore_batch(
     finally:
         if store_obj is not None:
             store_obj.close()
+        if visited is not None:
+            visited.close()

@@ -2,9 +2,10 @@
 
 The generated source is the native twin of :mod:`repro.checker.batch`:
 successor expansion, the scan micro-step, splitmix64 fingerprinting,
-orbit-min canonicalization, sorted in-level dedup, the merge into the
-sorted visited array, the vectorized output check, and the C0/C1
-bitmask phase of the POR ample selector.  Every
+orbit-min canonicalization, sorted in-level dedup, the visited set (a
+hash set of exact keys that admits a whole slice in one pass), the
+vectorized output check, and the C0/C1 bitmask phase of the POR ample
+selector.  Every
 machine-dependent quantity — field offsets, masks, reset templates,
 wiring shifts, footprint tables, the stabilizer's field maps — is
 burned into the source as a ``#define`` or a constant array, so the
@@ -40,7 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 7
+GENERATOR_VERSION = 8
+
+#: Overflow slots after the last home slot of the visited set's table:
+#: its linear probing never wraps around.
+VISITED_PAD = 64
+
+#: log2 of the home slots of the smallest visited table.
+VISITED_MIN_BITS = 4
 
 
 def _u64(value: int) -> str:
@@ -300,6 +308,9 @@ def generate_source(
         ("RK_SM_SHIFT1", str(SPLITMIX_SHIFT1)),
         ("RK_SM_SHIFT2", str(SPLITMIX_SHIFT2)),
         ("RK_SM_SHIFT3", str(SPLITMIX_SHIFT3)),
+        ("RK_VIS_PAD", str(VISITED_PAD)),
+        ("RK_VIS_MIN_BITS", str(VISITED_MIN_BITS)),
+        ("RK_VIS_AHEAD", "16"),
     ]
     for name, value in defines:
         emit(f"#define {name} {value}")
@@ -322,8 +333,7 @@ def generate_source(
     emit(_FINGERPRINT)
     emit(_emit_canonical(n_elements, fill))
     emit(_UNIQUE_FIRST)
-    emit(_PROBE_SORTED)
-    emit(_MERGE_SORTED)
+    emit(_VISITED)
     emit(_VIOLATIONS)
     emit(_POR_C0C1)
     emit(_STATE_BITS_FN)
@@ -599,45 +609,221 @@ int64_t rk_unique_first(const uint64_t *keys, int64_t n, uint64_t *out_keys,
 }
 """
 
-_PROBE_SORTED = """\
-void rk_probe_sorted(const uint64_t *haystack, int64_t h_n,
-                     const uint64_t *values, int64_t n,
-                     unsigned char *out_present, int64_t *out_at) {
-    /* Both sides ascending, so one merge walk replaces per-value
-     * binary search: out_at[i] is searchsorted-left(haystack,
-     * values[i]) and the cursor never moves backwards. */
-    int64_t j = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t v = values[i];
-        while (j < h_n && haystack[j] < v) j++;
-        out_at[i] = j;
-        out_present[i] = (unsigned char)(j < h_n && haystack[j] == v);
+_VISITED = """\
+/* The visited set: open addressing over exact u64 keys.  A key's home
+ * is the top `bits` bits of its splitmix64 mix; probing is linear and
+ * never wraps, because RK_VIS_PAD overflow slots follow the last home.
+ * 0 marks an empty slot, so key 0 is held as a flag.  The load stays at
+ * most 3/4: a fresh key past that, or one whose probe runs off the pad,
+ * first doubles the table in place (rk_vis_grow).  Calls stream their
+ * keys in order and prefetch the home slot RK_VIS_AHEAD keys ahead. */
+typedef struct {
+    uint64_t *slots; /* (1 << bits) + RK_VIS_PAD slots */
+    int64_t count;   /* nonzero keys held */
+    int64_t grow_at; /* 3/4 of the home slots */
+    int bits;
+    int has_zero;
+} rk_visited;
+
+static void rk_vis_size(rk_visited *v, int bits) {
+    v->bits = bits;
+    v->grow_at = (int64_t)((3ULL << bits) >> 2);
+}
+
+static inline int64_t rk_vis_end(const rk_visited *v) {
+    return ((int64_t)1 << v->bits) + RK_VIS_PAD;
+}
+
+/* Where the probe for nonzero `k` from home `s` stops: k's slot, the
+ * empty slot k would take, or `end` when it runs off the pad. */
+static inline int64_t rk_vis_find(const uint64_t *slots, int64_t end,
+                                  uint64_t k, int64_t s) {
+    while (s < end && slots[s] != 0 && slots[s] != k) s++;
+    return s;
+}
+
+/* The mixes of the next RK_VIS_AHEAD keys ride in `ring`: returns the
+ * mix of keys[i] and prefetches the home of keys[i + RK_VIS_AHEAD]. */
+static inline uint64_t rk_vis_next(uint64_t *ring, const uint64_t *keys,
+                                   int64_t i, int64_t n,
+                                   const uint64_t *slots, int shift) {
+    uint64_t mix = ring[i & (RK_VIS_AHEAD - 1)];
+    if (i + RK_VIS_AHEAD < n) {
+        uint64_t ahead = rk_splitmix64(keys[i + RK_VIS_AHEAD]);
+        ring[i & (RK_VIS_AHEAD - 1)] = ahead;
+        __builtin_prefetch(slots + (ahead >> shift));
+    }
+    return mix;
+}
+
+static void rk_vis_warm(uint64_t *ring, const uint64_t *keys, int64_t n,
+                        const uint64_t *slots, int shift) {
+    for (int64_t i = 0; i < n && i < RK_VIS_AHEAD; i++) {
+        ring[i] = rk_splitmix64(keys[i]);
+        __builtin_prefetch(slots + (ring[i] >> shift));
     }
 }
-"""
 
-_MERGE_SORTED = """\
-int64_t rk_merge_sorted(const uint64_t *sorted, int64_t n, const int64_t *at,
-                        const uint64_t *fresh, int64_t n_fresh,
-                        uint64_t *out) {
-    /* np.insert(sorted, at, fresh) for ascending at: each fresh key
-     * follows the block of set keys below its insertion position.
-     * Positions that go backwards or past the end are refused (-1). */
-    int64_t src = 0;
-    uint64_t *dst = out;
-    for (int64_t i = 0; i < n_fresh; i++) {
-        if (at[i] < src || at[i] > n) return -1;
-        int64_t block = at[i] - src;
-        if (block > 0) {
-            memcpy(dst, sorted + src, (size_t)block * sizeof(uint64_t));
-            dst += block;
-            src = at[i];
+static int rk_vis_grow(rk_visited *v);
+
+/* Store absent nonzero `k` (mix `mix`), doubling while its probe runs
+ * off the pad.  0, or -1 when memory runs out. */
+static int rk_vis_place(rk_visited *v, uint64_t k, uint64_t mix) {
+    for (;;) {
+        int64_t end = rk_vis_end(v);
+        int64_t s = rk_vis_find(v->slots, end, k, (int64_t)(mix >> (64 - v->bits)));
+        if (s < end) {
+            v->slots[s] = k;
+            return 0;
         }
-        *dst++ = fresh[i];
+        if (rk_vis_grow(v) < 0) return -1;
     }
-    if (n > src)
-        memcpy(dst, sorted + src, (size_t)(n - src) * sizeof(uint64_t));
-    return 0;
+}
+
+/* Double the table without a second copy: realloc to 2x plus the pad,
+ * then sweep the old slots from high to low.  A key's new home is 2h or
+ * 2h+1 for its old home h <= its slot j, and every slot above j is
+ * already swept, so a key whose new home is at or above j is placed
+ * directly.  The few whose home lies below j (near the start of the
+ * table) or whose probe runs off the new pad are stashed and placed
+ * after the sweep.  -1 when memory runs out, leaving the set unusable. */
+static int rk_vis_grow(rk_visited *v) {
+    int64_t old_end = rk_vis_end(v);
+    if (v->bits >= 62) return -1;
+    int bits = v->bits + 1;
+    int64_t end = ((int64_t)1 << bits) + RK_VIS_PAD;
+    uint64_t *slots = (uint64_t *)realloc(v->slots,
+                                          (size_t)end * sizeof(uint64_t));
+    if (!slots) return -1;
+    memset(slots + old_end, 0, (size_t)(end - old_end) * sizeof(uint64_t));
+    v->slots = slots;
+    rk_vis_size(v, bits);
+    int shift = 64 - bits;
+    uint64_t *stash = NULL;
+    int64_t stashed = 0, room = 0;
+    for (int64_t j = old_end - 1; j >= 0; j--) {
+        uint64_t k = slots[j];
+        if (k == 0) continue;
+        slots[j] = 0;
+        int64_t s = (int64_t)(rk_splitmix64(k) >> shift);
+        if (s >= j) {
+            s = rk_vis_find(slots, end, k, s);
+            if (s < end) {
+                slots[s] = k;
+                continue;
+            }
+        }
+        if (stashed == room) {
+            room = room ? 2 * room : 64;
+            uint64_t *more = (uint64_t *)realloc(
+                stash, (size_t)room * sizeof(uint64_t));
+            if (!more) {
+                free(stash);
+                return -1;
+            }
+            stash = more;
+        }
+        stash[stashed++] = k;
+    }
+    int status = 0;
+    for (int64_t i = 0; i < stashed && status == 0; i++)
+        status = rk_vis_place(v, stash[i], rk_splitmix64(stash[i]));
+    free(stash);
+    return status;
+}
+
+/* A set sized so that `expected` keys fit without growing. */
+void *rk_visited_new(int64_t expected) {
+    int bits = RK_VIS_MIN_BITS;
+    while (bits < 62 && (int64_t)((3ULL << bits) >> 2) < expected) bits++;
+    rk_visited *v = (rk_visited *)calloc(1, sizeof(rk_visited));
+    if (!v) return NULL;
+    v->slots = (uint64_t *)calloc(((size_t)1 << bits) + RK_VIS_PAD,
+                                  sizeof(uint64_t));
+    if (!v->slots) {
+        free(v);
+        return NULL;
+    }
+    rk_vis_size(v, bits);
+    return v;
+}
+
+void rk_visited_free(void *handle) {
+    rk_visited *v = (rk_visited *)handle;
+    if (v) free(v->slots);
+    free(v);
+}
+
+int64_t rk_visited_slots(void *handle) {
+    return (int64_t)1 << ((rk_visited *)handle)->bits;
+}
+
+/* Admit keys in order: every key not yet in the set is fresh and is
+ * inserted, and its position written to out_pos, until `limit` keys
+ * were admitted.  The next fresh key is not inserted: its position goes
+ * to *out_trip (-1 when there is none) and the call stops.  Returns the
+ * number admitted, or -1 when memory runs out. */
+int64_t rk_visited_admit(void *handle, const uint64_t *keys, int64_t n,
+                         int64_t limit, int64_t *out_pos,
+                         int64_t *out_trip) {
+    rk_visited *v = (rk_visited *)handle;
+    uint64_t *slots = v->slots;
+    int64_t end = rk_vis_end(v);
+    int shift = 64 - v->bits;
+    uint64_t ring[RK_VIS_AHEAD];
+    int64_t admitted = 0;
+    *out_trip = -1;
+    rk_vis_warm(ring, keys, n, slots, shift);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t k = keys[i];
+        uint64_t mix = rk_vis_next(ring, keys, i, n, slots, shift);
+        int64_t s = 0;
+        if (k == 0) {
+            if (v->has_zero) continue;
+        } else {
+            s = rk_vis_find(slots, end, k, (int64_t)(mix >> shift));
+            if (s < end && slots[s] == k) continue;
+        }
+        if (admitted == limit) {
+            *out_trip = i;
+            break;
+        }
+        if (k == 0) {
+            v->has_zero = 1;
+        } else if (s < end && v->count < v->grow_at) {
+            slots[s] = k;
+            v->count++;
+        } else {
+            if (v->count >= v->grow_at && rk_vis_grow(v) < 0) return -1;
+            if (rk_vis_place(v, k, mix) < 0) return -1;
+            v->count++;
+            slots = v->slots;
+            end = rk_vis_end(v);
+            shift = 64 - v->bits;
+        }
+        out_pos[admitted++] = i;
+    }
+    return admitted;
+}
+
+void rk_visited_contains(void *handle, const uint64_t *keys, int64_t n,
+                         unsigned char *out) {
+    const rk_visited *v = (const rk_visited *)handle;
+    const uint64_t *slots = v->slots;
+    int64_t end = rk_vis_end(v);
+    int shift = 64 - v->bits;
+    uint64_t ring[RK_VIS_AHEAD];
+    rk_vis_warm(ring, keys, n, slots, shift);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t k = keys[i];
+        uint64_t mix = rk_vis_next(ring, keys, i, n, slots, shift);
+        if (k == 0) {
+            out[i] = (unsigned char)v->has_zero;
+            continue;
+        }
+        int64_t s = rk_vis_find(slots, end, k, (int64_t)(mix >> shift));
+        out[i] = (unsigned char)(s < end && slots[s] == k);
+    }
 }
 """
 

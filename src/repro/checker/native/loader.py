@@ -7,14 +7,14 @@ addresses (``array.ctypes.data``) as integers.
 :class:`NativeKernel` subclasses
 :class:`~repro.checker.batch.BatchKernel` and overrides exactly the
 hot methods the generated translation unit implements — expansion,
-the scan micro-step, fingerprinting, in-level dedup, the merge into
-the sorted visited array, the vectorized safety mask,
-canonicalization, and the C0/C1 selector phase — so the
-level loop, the visited set, the stores, and the POR phase-2 logic
-are shared verbatim with the numpy kernel.  Every override is
-bit-identical to its numpy twin by construction (same tables, same
-arithmetic, same ordering), which is what lets the conformance matrix
-demand field-identical results rather than mere verdict agreement.
+the scan micro-step, fingerprinting, in-level dedup, the visited set
+(:class:`NativeVisited`), the vectorized safety mask,
+canonicalization, and the C0/C1 selector phase — so the level loop,
+the stores, and the POR phase-2 logic are shared verbatim with the
+numpy kernel.  Every override is bit-identical to its numpy twin by
+construction (same tables, same arithmetic, same ordering), which is
+what lets the conformance matrix demand field-identical results rather
+than mere verdict agreement.
 """
 
 from __future__ import annotations
@@ -145,27 +145,23 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         "int64_t",
         ("const uint64_t *", "int64_t", "uint64_t *", "int64_t *"),
     ),
-    "rk_probe_sorted": (
-        "void",
+    "rk_visited_new": ("void *", ("int64_t",)),
+    "rk_visited_free": ("void", ("void *",)),
+    "rk_visited_slots": ("int64_t", ("void *",)),
+    "rk_visited_admit": (
+        "int64_t",
         (
+            "void *",
             "const uint64_t *",
             "int64_t",
-            "const uint64_t *",
             "int64_t",
-            "unsigned char *",
+            "int64_t *",
             "int64_t *",
         ),
     ),
-    "rk_merge_sorted": (
-        "int64_t",
-        (
-            "const uint64_t *",
-            "int64_t",
-            "const int64_t *",
-            "const uint64_t *",
-            "int64_t",
-            "uint64_t *",
-        ),
+    "rk_visited_contains": (
+        "void",
+        ("void *", "const uint64_t *", "int64_t", "unsigned char *"),
     ),
     "rk_violations": (
         "void",
@@ -204,7 +200,10 @@ def _open_ctypes(path: str) -> NativeLibrary:
     fns: Dict[str, Callable[..., Any]] = {}
     for name, (ret, args) in _SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.restype = None if ret == "void" else scalar[ret]
+        if ret == "void":
+            fn.restype = None
+        else:
+            fn.restype = ctypes.c_void_p if ret.endswith("*") else scalar[ret]
         fn.argtypes = [
             ctypes.c_void_p if ctype.endswith("*") else scalar[ctype]
             for ctype in args
@@ -262,6 +261,67 @@ class NativeCanonicalizer:
                 "rk_orbit_sizes", states.ctypes.data, n, out.ctypes.data
             )
         return out
+
+
+class NativeVisited:
+    """The library's visited set: an open-addressing hash set of exact
+    u64 keys, C-owned behind a handle until :meth:`close`.
+
+    The native twin of :class:`~repro.checker.batch.SortedVisited`.
+    :meth:`admit` is one pass in generation order that dedups, probes,
+    inserts and stops at the budget; the table doubles in place (see
+    ``rk_vis_grow`` in the generated source).
+    """
+
+    def __init__(self, library: NativeLibrary, expected: int) -> None:
+        self._lib = library
+        self._handle = library.call("rk_visited_new", expected)
+        if not self._handle:
+            raise MemoryError("cannot allocate the native visited set")
+
+    def admit(self, keys: "U64Array", limit: int) -> Tuple["I64Array", int]:
+        n = int(keys.size)
+        positions = np.empty(min(n, limit), dtype=np.int64)
+        if n == 0:
+            return positions, -1
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        trip = np.empty(1, dtype=np.int64)
+        admitted = self._lib.call(
+            "rk_visited_admit",
+            self._handle,
+            keys.ctypes.data,
+            n,
+            limit,
+            positions.ctypes.data,
+            trip.ctypes.data,
+        )
+        if admitted < 0:
+            raise MemoryError("the native visited set cannot grow")
+        return positions[:admitted], int(trip[0])
+
+    def contains(self, keys: "U64Array") -> "BoolArray":
+        n = int(keys.size)
+        out = np.empty(n, dtype=np.uint8)
+        if n:
+            keys = np.ascontiguousarray(keys, dtype=np.uint64)
+            self._lib.call(
+                "rk_visited_contains",
+                self._handle,
+                keys.ctypes.data,
+                n,
+                out.ctypes.data,
+            )
+        return out.view(np.bool_)
+
+    @property
+    def slots(self) -> int:
+        """Home slots of the current table (a power of two)."""
+        return self._lib.call("rk_visited_slots", self._handle)
+
+    def close(self) -> None:
+        if self._handle:
+            self._lib.call("rk_visited_free", self._handle)
+            self._handle = 0
 
 
 class NativeKernel(BatchKernel):
@@ -379,51 +439,8 @@ class NativeKernel(BatchKernel):
             return super().unique_first(keys)
         return out_keys[:unique], out_first[:unique]
 
-    def probe_sorted(
-        self, sorted_keys: "U64Array", values: "U64Array"
-    ) -> Tuple["BoolArray", "I64Array"]:
-        n = int(values.size)
-        present = np.empty(n, dtype=np.uint8)
-        at = np.empty(n, dtype=np.int64)
-        if n:
-            sorted_keys = np.ascontiguousarray(sorted_keys, dtype=np.uint64)
-            values = np.ascontiguousarray(values, dtype=np.uint64)
-            self._lib.call(
-                "rk_probe_sorted",
-                sorted_keys.ctypes.data,
-                int(sorted_keys.size),
-                values.ctypes.data,
-                n,
-                present.ctypes.data,
-                at.ctypes.data,
-            )
-        return present.view(np.bool_), at
-
-    def merge_sorted(
-        self, sorted_keys: "U64Array", at: "I64Array", fresh: "U64Array"
-    ) -> "U64Array":
-        n = int(sorted_keys.size)
-        n_fresh = int(fresh.size)
-        if int(at.size) != n_fresh:
-            raise ValueError("merge_sorted needs one position per fresh key")
-        out = np.empty(n + n_fresh, dtype=np.uint64)
-        sorted_keys = np.ascontiguousarray(sorted_keys, dtype=np.uint64)
-        at = np.ascontiguousarray(at, dtype=np.int64)
-        fresh = np.ascontiguousarray(fresh, dtype=np.uint64)
-        status = self._lib.call(
-            "rk_merge_sorted",
-            sorted_keys.ctypes.data,
-            n,
-            at.ctypes.data,
-            fresh.ctypes.data,
-            n_fresh,
-            out.ctypes.data,
-        )
-        if status < 0:
-            raise ValueError(
-                "merge_sorted positions must ascend within the sorted keys"
-            )
-        return out
+    def make_visited(self, expected: int) -> "NativeVisited":
+        return NativeVisited(self._lib, expected)
 
     # -- safety --------------------------------------------------------
     def violations(self, states: "U64Array") -> "BoolArray":
@@ -479,6 +496,7 @@ __all__ = [
     "NativeKernel",
     "NativeKernelUnavailable",
     "NativeLibrary",
+    "NativeVisited",
     "load_library",
     "native_available",
     "resolve_kernel",

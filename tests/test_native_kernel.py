@@ -2,14 +2,14 @@
 
 The native kernel's contract is stronger than "same verdict": every
 overridden method — fingerprinting, canonicalization, expansion, the
-in-level dedup, the C0/C1 selector phase — must be *bit-identical* to
-the numpy implementation on arbitrary inputs, because the exploration
-loop treats kernels as interchangeable mid-run (a sharded job may
-resume under a different kernel).  The property tests below therefore
-compare raw arrays, not exploration summaries; the exhaustive N=2
-matrix then checks the composed engine end to end (``asdict``-equal
-for non-POR runs, verdict-conformant under POR, mirroring the
-batch-vs-scalar contract in ``test_batch_engine.py``).
+in-level dedup, the visited set, the C0/C1 selector phase — must be
+*bit-identical* to the numpy implementation on arbitrary inputs,
+because the exploration loop treats kernels as interchangeable mid-run
+(a sharded job may resume under a different kernel).  The property
+tests below therefore compare raw arrays, not exploration summaries;
+the exhaustive N=2 matrix then checks the composed engine end to end
+(``asdict``-equal for non-POR runs, verdict-conformant under POR,
+mirroring the batch-vs-scalar contract in ``test_batch_engine.py``).
 
 The native kernel is a *soft* capability: no compiler (or
 ``REPRO_NATIVE_DISABLE=1``) must degrade to the numpy kernel with a
@@ -24,7 +24,15 @@ import pytest
 
 import repro.checker.batch as batch_mod
 from repro.checker.batch import explore_batch, make_kernel
-from repro.checker.constants import MASK64, SPLITMIX_GAMMA
+from repro.checker.constants import (
+    MASK64,
+    SPLITMIX_GAMMA,
+    SPLITMIX_MULT1,
+    SPLITMIX_MULT2,
+    SPLITMIX_SHIFT1,
+    SPLITMIX_SHIFT2,
+    SPLITMIX_SHIFT3,
+)
 from repro.checker.fast_snapshot import (
     ClassSetup,
     FastSnapshotSpec,
@@ -52,6 +60,12 @@ requires_native = pytest.mark.skipif(
 
 N2_CLASSES = [((0, 1), (0, 1)), ((0, 1), (1, 0))]
 N3_IDENTITY = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
+#: N=3 classes with stabilizers of order 6, 2 and 3.
+N3_SYMMETRY_CLASSES = [
+    N3_IDENTITY,
+    ((0, 1, 2), (0, 1, 2), (1, 2, 0)),
+    ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+]
 
 
 def _kernels(spec, symmetry=False):
@@ -248,40 +262,6 @@ class TestMethodBitIdentity:
             assert np.array_equal(uniq_n, uniq_c)
             assert np.array_equal(first_n, first_c)
 
-    def test_merge_sorted_bit_identical(self):
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        numpy_kernel, native_kernel, _ = _kernels(spec)
-        rng = np.random.default_rng(19)
-        visited = np.unique(
-            rng.integers(1 << 20, 1 << 40, size=5000, dtype=np.uint64)
-        )
-        interleaved = np.setdiff1d(
-            rng.integers(0, 1 << 41, size=3000, dtype=np.uint64), visited
-        )
-        empty = np.empty(0, dtype=np.uint64)
-        cases = [
-            (empty, empty),
-            (empty, interleaved),
-            (visited, empty),
-            (visited, np.arange(1000, dtype=np.uint64)),  # all before
-            (visited, np.arange(1000, dtype=np.uint64) + (1 << 40)),
-            (visited, interleaved),
-        ]
-        for sorted_keys, fresh in cases:
-            _present, at = native_kernel.probe_sorted(sorted_keys, fresh)
-            merged_n = numpy_kernel.merge_sorted(sorted_keys, at, fresh)
-            merged_c = native_kernel.merge_sorted(sorted_keys, at, fresh)
-            assert np.array_equal(merged_n, merged_c)
-            assert np.array_equal(merged_c, np.union1d(sorted_keys, fresh))
-        # positions that go backwards, run past the end, or are missing
-        # would send the copy out of bounds
-        fresh = np.array([1, 2], dtype=np.uint64)
-        for at in ([3, 1], [0, visited.size + 1], [0]):
-            with pytest.raises(ValueError):
-                native_kernel.merge_sorted(
-                    visited, np.array(at, dtype=np.int64), fresh
-                )
-
     def test_por_c0c1_bit_identical_on_reachable_frontier(self):
         from repro.checker.batch import BatchAmpleSelector
 
@@ -296,6 +276,215 @@ class TestMethodBitIdentity:
                 assert np.array_equal(left, right)
             succ, _counts = numpy_kernel.expand_level(frontier)
             frontier, _ = numpy_kernel.unique_first(np.sort(succ))
+
+
+def _unmix(mixes):
+    """The keys whose splitmix64 finalizer values are ``mixes``.
+
+    The finalizer is a bijection on u64: each xorshift is undone by
+    re-applying it until the shifted-in bits are settled, and each odd
+    multiplier by its inverse modulo 2**64.
+    """
+    def unshift(values, shift):
+        out = values.copy()
+        for _ in range(64 // shift):
+            out = values ^ (out >> np.uint64(shift))
+        return out
+
+    keys = unshift(np.asarray(mixes, dtype=np.uint64), SPLITMIX_SHIFT3)
+    keys = keys * np.uint64(pow(SPLITMIX_MULT2, -1, 1 << 64))
+    keys = unshift(keys, SPLITMIX_SHIFT2)
+    keys = keys * np.uint64(pow(SPLITMIX_MULT1, -1, 1 << 64))
+    return unshift(keys, SPLITMIX_SHIFT1)
+
+
+def _homed(rng, count, bits, last):
+    """``count`` keys whose home in a table of ``2**bits`` slots (and in
+    every smaller one) is slot 0, or with ``last`` the last slot.  None
+    is key 0, the one key whose mix is 0."""
+    low = rng.integers(0, 1 << (64 - bits), size=count, dtype=np.uint64)
+    if last:
+        return _unmix(low | np.uint64(((1 << bits) - 1) << (64 - bits)))
+    return _unmix(low | np.uint64(1))
+
+
+def _reference_admit(reference, keys, limit):
+    """``admit`` on a Python set: the loop both kernels must replay."""
+    positions, trip = [], -1
+    for position, key in enumerate(keys.tolist()):
+        if key in reference:
+            continue
+        if len(positions) == limit:
+            trip = position
+            break
+        reference.add(key)
+        positions.append(position)
+    return positions, trip
+
+
+@requires_numpy
+@requires_native
+class TestVisitedSet:
+    """The visited-set seam: the native hash set, the numpy sorted array
+    and a Python set answer every ``admit`` and ``contains`` alike."""
+
+    def _replay(self, calls, expected=1):
+        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
+        numpy_kernel, native_kernel, _ = _kernels(spec)
+        numpy_set = numpy_kernel.make_visited(expected)
+        native_set = native_kernel.make_visited(expected)
+        reference = set()
+        rng = np.random.default_rng(23)
+        try:
+            for keys, limit in calls:
+                keys = np.asarray(keys, dtype=np.uint64)
+                if limit == "exact":
+                    limit = len(set(keys.tolist()) - reference)
+                positions, trip = _reference_admit(reference, keys, limit)
+                for visited in (numpy_set, native_set):
+                    got, got_trip = visited.admit(keys, limit)
+                    assert got.tolist() == positions
+                    assert got_trip == trip
+                probe = np.concatenate([
+                    keys,
+                    rng.integers(0, 2**64 - 1, size=100, dtype=np.uint64,
+                                 endpoint=True),
+                    np.array([0, 2**64 - 1], dtype=np.uint64),
+                ])
+                expected_in = [key in reference for key in probe.tolist()]
+                assert numpy_set.contains(probe).tolist() == expected_in
+                assert native_set.contains(probe).tolist() == expected_in
+            return native_set.slots
+        finally:
+            numpy_set.close()
+            native_set.close()
+
+    def test_admit_and_contains_match_numpy_and_a_python_set(self):
+        rng = np.random.default_rng(29)
+        repeats = rng.integers(0, 3000, size=5000, dtype=np.uint64)
+        wide = rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64,
+                            endpoint=True)
+        edges = np.array(
+            [0, 2**64 - 1, 0, 1 << 63, 5, 5, (1 << 63) | 5, 0],
+            dtype=np.uint64,
+        )
+        level = _canonical_level_keys()
+        self._replay([
+            (np.empty(0, dtype=np.uint64), 10),
+            (edges, 0),  # trips at the first key
+            (edges, 2),
+            (edges, "exact"),  # admits the rest, no trip
+            (edges, 100),  # all present now
+            (repeats[:2500], 10**9),
+            (repeats, 700),  # trips mid-slice, repeats after the trip
+            (repeats, "exact"),
+            (np.concatenate([wide, repeats, wide[::-1]]), 3000),
+            (wide[::-1], 10**9),
+            (level, 1),
+            (level, len(level)),
+            (level, 10**9),
+        ])
+
+    def test_growth_from_the_smallest_table_keeps_every_key(self):
+        # Keys homed at slot 0 at every size are stashed by each in-place
+        # doubling; keys homed at the last slot fill the pad.  Random
+        # keys drive the table through ten and more doublings.
+        from repro.checker.fingerprint import splitmix64_many
+        from repro.checker.native.generator import VISITED_PAD
+
+        rng = np.random.default_rng(31)
+        first = _homed(rng, 300, 24, last=False)
+        last = _homed(rng, VISITED_PAD, 24, last=True)
+        top = np.uint64(40)
+        assert (splitmix64_many(first) >> top == 0).all()
+        assert (splitmix64_many(last) >> top == (1 << 24) - 1).all()
+        filler = rng.integers(1, 2**64 - 1, size=20_000, dtype=np.uint64,
+                              endpoint=True)
+        slots = self._replay([
+            (first[:150], 10**9),
+            (last[:32], 10**9),
+            (filler[:5000], 4000),
+            (np.concatenate([first, filler[:5000]]), 10**9),
+            (np.concatenate([last, filler[5000:], first]), 10**9),
+        ])
+        assert slots >= 16 << 10
+
+    def test_an_insert_that_runs_off_the_pad_grows_the_table(self):
+        from repro.checker.native.generator import VISITED_PAD
+
+        rng = np.random.default_rng(37)
+        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
+        native_set = make_kernel(spec, "native").make_visited(3000)
+        try:
+            slots = native_set.slots
+            crowd = _homed(
+                rng, VISITED_PAD + 8, slots.bit_length() - 1, last=True
+            )
+            positions, trip = native_set.admit(crowd, 10**9)
+            assert positions.tolist() == list(range(crowd.size))
+            assert trip == -1
+            # far below the 3/4 load that doubles a table
+            assert native_set.slots > slots
+            assert native_set.contains(crowd).all()
+        finally:
+            native_set.close()
+        self._replay([(crowd, 10**9), (crowd[::-1], 10**9)], expected=3000)
+
+    def test_native_store_less_runs_skip_the_sorted_pipeline(
+        self, monkeypatch
+    ):
+        # The native set admits a slice in one call: no dedup sort, no
+        # probe of a sorted array, no merge into a copy of it.
+        from repro.checker.batch import BatchKernel
+        from repro.checker.native.loader import NativeKernel
+
+        calls = []
+
+        def spy(name, real):
+            return lambda *args: (calls.append(name), real(*args))[1]
+
+        for owner in (BatchKernel, NativeKernel):
+            for name in ("unique_first", "probe_sorted"):
+                monkeypatch.setattr(
+                    owner, name, spy(name, getattr(owner, name))
+                )
+        monkeypatch.setattr(
+            batch_mod, "_insert_sorted",
+            spy("_insert_sorted", batch_mod._insert_sorted),
+        )
+
+        def run(kernel):
+            calls.clear()
+            result = explore_batch(
+                FastSnapshotSpec([1, 2, 3], N3_IDENTITY), max_states=3000,
+                symmetry=True, kernel=kernel,
+            )
+            assert result.states == 3000
+            return set(calls)
+
+        assert run("numpy") == {"unique_first", "probe_sorted", "_insert_sorted"}
+        assert run("native") == set()
+
+    @pytest.mark.parametrize("presize", [1, None])
+    @pytest.mark.parametrize("wiring", N3_SYMMETRY_CLASSES, ids=str)
+    def test_n3_por_runs_are_field_identical_between_kernels(
+        self, wiring, presize, monkeypatch
+    ):
+        # C3 asks the visited set about every candidate pool at a level
+        # boundary.  From a one-key presize the native table grows
+        # eleven times under those queries.
+        if presize is not None:
+            monkeypatch.setattr(batch_mod, "_VISITED_PRESIZE", presize)
+
+        def run(kernel):
+            return asdict(explore_batch(
+                FastSnapshotSpec([1, 2, 3], wiring), max_states=20_000,
+                symmetry=True, por=True, kernel=kernel,
+            ))
+
+        numpy_run = run("numpy")
+        assert numpy_run["states"] == 20_000
+        assert numpy_run == run("native")
 
 
 @requires_numpy
