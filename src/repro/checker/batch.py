@@ -44,10 +44,10 @@ occurrence in generation order) is exactly the scalar FIFO admission
 order, and the mid-level bookkeeping (a violation returns after the
 violating parent's full buffer was counted; a budget trip counts
 truncated occurrences through the end of the tripping parent's buffer)
-is replayed index-for-index from the generation-order arrays.  A level
-that can trip the budget is admitted in consecutive frontier slices,
-each probing ``visited ∪ earlier slices``; cutting a FIFO queue into
-consecutive batches leaves the admission order unchanged.
+is replayed index-for-index from the generation-order arrays.  Every
+level is admitted in consecutive frontier slices, each probing
+``visited ∪ earlier slices``; cutting a FIFO queue into consecutive
+batches leaves the admission order unchanged.
 
 **POR** (``por=True``) composes through a *level-synchronous*
 formulation (:class:`BatchAmpleSelector`): ample sets are selected for
@@ -805,9 +805,11 @@ class BatchAmpleSelector:
             # C3: expand only this pid for the trial states and gather
             # bulk novelty verdicts for the whole round at once.
             if self.cycle_proviso:
-                sel = np.full(n_states, -2, dtype=np.int64)
-                sel[trial] = pid
-                cand, cand_counts = self.kernel.expand_level(frontier, sel)
+                trial_idx = np.flatnonzero(trial)
+                cand, cand_counts = self.kernel.expand_level(
+                    frontier[trial_idx],
+                    np.full(trial_idx.size, pid, dtype=np.int64),
+                )
                 passes = np.zeros(n_states, dtype=bool)
                 if cand.size:
                     keys = key_of(cand)
@@ -815,9 +817,7 @@ class BatchAmpleSelector:
                     fresh = ~in_visited(uniq)
                     certainly_new = np.zeros(keys.size, dtype=bool)
                     certainly_new[first[fresh]] = True
-                    cand_parents = np.repeat(
-                        np.arange(n_states), cand_counts
-                    )
+                    cand_parents = np.repeat(trial_idx, cand_counts)
                     passes[cand_parents[certainly_new]] = True
                 ok = trial & passes
                 blocked |= trial & ~passes
@@ -873,33 +873,26 @@ def _buffer_end(counts: "I64Array", position: int) -> int:
     return int(ends[np.searchsorted(ends, position, side="right")])
 
 
-#: The least number of expected successors one frontier slice covers
-#: (see :func:`_slice_end`).
-_SLICE_FLOOR = 1 << 16
+#: Expected successors one frontier slice covers (see :func:`_slice_end`).
+_SLICE_SUCCESSORS = 1 << 16
 
 #: Keys the kernel's visited set is first sized for, at most: the native
 #: table then starts at 2^20 slots (8 MiB) and doubles past 786k keys.
 _VISITED_PRESIZE = 1 << 19
 
 
-def _slice_end(
-    start: int, n_states: int, remaining: int, fanout: int, per_state: float
-) -> int:
+def _slice_end(start: int, n_states: int, per_state: float) -> int:
     """End (exclusive) of the frontier slice that starts at ``start``.
 
-    The rest of the level is one slice when it cannot trip the budget:
-    no state has more than ``fanout`` successors, so the rest generates
-    at most ``remaining`` fresh keys.  Otherwise the slice covers about
-    ``max(3 * remaining, _SLICE_FLOOR)`` successors at ``per_state``
-    (positive) expected successors per state.  On the N=3 sweep at
-    budgets 200k to 1.5M every tripping level then trips in its first
-    slice, so the level's tail is never expanded.
+    A slice covers about ``_SLICE_SUCCESSORS`` successors at
+    ``per_state`` (positive) expected successors per state, and at
+    least one state.  Every level is cut by this one rule, budgeted or
+    not, so a level's successors and keys are live one slice at a time,
+    and a level that trips the budget is not expanded past its tripping
+    slice.
     """
-    left = n_states - start
-    if left * fanout <= remaining:
-        return n_states
-    wanted = max(3 * remaining, _SLICE_FLOOR) / per_state
-    return start + min(left, max(1, int(wanted)))
+    wanted = max(1, int(_SLICE_SUCCESSORS / per_state))
+    return min(n_states, start + wanted)
 
 
 def explore_batch(
@@ -925,10 +918,11 @@ def explore_batch(
     kernel (see :func:`make_kernel`); every kernel is bit-identical,
     so the choice never affects results.
 
-    A level whose admissions could cross ``max_states`` is expanded
-    and admitted in frontier slices (:func:`_slice_end`), so the tail
-    of a level after the budget trip is never generated.  The slices
-    of a level share its POR selection, heartbeat tick and checkpoint.
+    Every level is expanded and admitted in consecutive frontier
+    slices (:func:`_slice_end`), so peak memory follows the slice, not
+    the level, and the tail of a level after the budget trip is never
+    generated.  The slices of a level share its POR selection and
+    checkpoint; the heartbeat ticks once per slice.
 
     Unless a store backend or a checkpointer is given, the visited set
     is the kernel's own (:meth:`BatchKernel.make_visited`), first sized
@@ -1029,12 +1023,9 @@ def explore_batch(
                 visited.admit(frontier, 1)
 
         complete = True
-        fanout = spec.n * spec.m
         # Expected successors per frontier state, from the last level.
-        per_state = float(fanout)
+        per_state = float(spec.n * spec.m)
         while frontier.size:
-            if heartbeat is not None:
-                heartbeat.tick(n_seen, int(frontier.size), transitions)
             if checkpointer is not None and checkpointer.due(n_seen):
                 assert store_obj is not None
                 counters: Dict[str, int] = {
@@ -1053,12 +1044,18 @@ def explore_batch(
                 selected = selector.select(frontier, _key_of, _in_visited)
             n_front = int(frontier.size)
             level_start = transitions
+            level_seen = n_seen
             admitted_parts: List["U64Array"] = []
             start = 0
             while start < n_front:
-                stop = _slice_end(
-                    start, n_front, max_states - n_seen, fanout, per_state
-                )
+                if heartbeat is not None:
+                    # The frontier still to expand: the rest of this
+                    # level plus the next level admitted so far.
+                    heartbeat.tick(
+                        n_seen, n_front - start + n_seen - level_seen,
+                        transitions,
+                    )
+                stop = _slice_end(start, n_front, per_state)
                 successors, succ_counts = level_kernel.expand_level(
                     frontier[start:stop],
                     None if selected is None else selected[start:stop],

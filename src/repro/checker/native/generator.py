@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 8
+GENERATOR_VERSION = 9
 
 #: Overflow slots after the last home slot of the visited set's table:
 #: its linear probing never wraps around.
@@ -130,11 +130,12 @@ def _emit_symmetry(
     Only the field maps are baked.  Within the ``2^16``-entry bound of
     :func:`~repro.checker.symmetry.fused_tables_fit` each element gets a
     register-file table and shares a local table with the elements of
-    the same view map, as :meth:`FastCanonicalizer.fuse` builds them;
-    they are zeroed statics, filled from the field maps by the first
-    ``rk_canonical``/``rk_orbit_sizes`` call, so a process that never
-    canonicalizes never touches their pages.  Past the bound each image
-    is computed field by field.
+    the same view map, as :meth:`FastCanonicalizer.fuse` builds them.
+    An image has the width of its index, so both tables hold
+    ``uint16_t`` entries.  They are zeroed statics, filled from the
+    field maps by the first ``rk_canonical``/``rk_orbit_sizes`` call, so
+    a process that never canonicalizes never touches their pages.  Past
+    the bound each image is computed field by field.
     """
     fused = bool(field_maps) and fused_tables_fit(spec)
     pool = _TablePool()
@@ -151,14 +152,14 @@ def _emit_symmetry(
         lines = [f"static inline uint64_t rk_image_{index}(uint64_t s) {{"]
         if fused:
             registers = f"rk_rt{index}"
-            statics.append(f"static uint64_t {registers}[RK_BLOCK_MASK + 1];")
+            statics.append(f"static uint16_t {registers}[RK_BLOCK_MASK + 1];")
             register_fills.append(
-                f"        {registers}[i] = "
+                f"        {registers}[i] = (uint16_t)("
                 + "\n            | ".join(
                     f"({record_map}[(i >> {src}) & RK_REG_MASK] << {dst})"
                     for dst, src in reg_moves
                 )
-                + ";"
+                + ");"
             )
             local_table = local_tables.get(view_map)
             if local_table is None:
@@ -166,14 +167,15 @@ def _emit_symmetry(
                     f"rk_lt{len(local_tables)}"
                 )
                 statics.append(
-                    f"static uint64_t {local_table}[RK_LOCAL_MASK + 1];"
+                    f"static uint16_t {local_table}[RK_LOCAL_MASK + 1];"
                 )
                 local_fills.append(
-                    f"        {local_table}[i] = (i & ~RK_K_MASK)"
-                    f" | {view_map}[i & RK_K_MASK];"
+                    f"        {local_table}[i] = (uint16_t)((i & ~RK_K_MASK)"
+                    f" | {view_map}[i & RK_K_MASK]);"
                 )
-            terms = [f"{registers}[s & RK_BLOCK_MASK]"] + [
-                f"({local_table}[(s >> {src}) & RK_LOCAL_MASK] << {dst})"
+            terms = [f"(uint64_t){registers}[s & RK_BLOCK_MASK]"] + [
+                f"((uint64_t){local_table}[(s >> {src}) & RK_LOCAL_MASK]"
+                f" << {dst})"
                 for dst, src in moves
             ]
             lines.append("    return " + "\n        | ".join(terms) + ";")
@@ -323,6 +325,14 @@ def generate_source(
     emit(_array_u64_2d("RK_WRITE_CLEAR", [list(row) for row in spec._write_clear]))
     emit(_array_u64_2d("RK_WMASK", [list(row) for row in wmask]))
     emit(_array_i64("RK_POPCOUNT", list(popcount)))
+    # Successors per pid, indexed by (phase << m) | unwritten registers:
+    # one per unwritten register when writing, none when done, and one
+    # otherwise, as rk_expand_level generates them.
+    emit(_array_i64("RK_SUCC", [
+        bin(unwritten).count("1") if phase == 0 else int(phase != 2)
+        for phase in range(4)
+        for unwritten in range(1 << spec.m)
+    ]))
 
     symmetry, fill = _emit_symmetry(spec, field_maps)
     emit(symmetry)
@@ -441,6 +451,33 @@ static inline uint64_t rk_scan_one(uint64_t state, uint64_t local, int pid) {
 """
 
 _EXPAND = """\
+/* How many successors rk_expand_level writes, so that its caller can
+ * allocate exactly that many.  RK_SUCC holds each pid's count by phase
+ * and unwritten registers, so the pass is branch-free. */
+static inline int64_t rk_pid_total(uint64_t state, int pid) {
+    uint64_t local = state >> RK_LOCAL_OFFSET[pid];
+    return RK_SUCC[(((local >> RK_O_PHASE) & 3u) << RK_M)
+                   | ((local >> RK_O_UNWRITTEN) & RK_M_MASK)];
+}
+
+int64_t rk_expand_total(const uint64_t *frontier, int64_t n_states,
+                        const int64_t *selected) {
+    int64_t total = 0;
+    if (!selected) {
+        for (int64_t i = 0; i < n_states; i++)
+            for (int pid = 0; pid < RK_N; pid++)
+                total += rk_pid_total(frontier[i], pid);
+        return total;
+    }
+    for (int64_t i = 0; i < n_states; i++) {
+        int64_t sel = selected[i];
+        for (int pid = 0; pid < RK_N; pid++)
+            total += ((sel == -1) | (sel == pid))
+                * rk_pid_total(frontier[i], pid);
+    }
+    return total;
+}
+
 int64_t rk_expand_level(const uint64_t *frontier, int64_t n_states,
                         const int64_t *selected, uint64_t *out_succ,
                         int64_t *out_counts) {

@@ -114,6 +114,9 @@ def warn_kernel_fallback() -> None:
 #: NULL.
 _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "rk_state_bits": ("int64_t", ()),
+    "rk_expand_total": (
+        "int64_t", ("const uint64_t *", "int64_t", "const int64_t *"),
+    ),
     "rk_expand_level": (
         "int64_t",
         (
@@ -365,27 +368,32 @@ class NativeKernel(BatchKernel):
         frontier: "U64Array",
         selected: Optional["I64Array"] = None,
     ) -> Tuple["U64Array", "I64Array"]:
-        spec = self.spec
+        # A counting pass sizes the output exactly, so the successors
+        # own no worst-case (n * m per state) reservation.
         n_states = int(frontier.shape[0])
         counts = np.zeros(n_states, dtype=np.int64)
         if n_states == 0:
             return np.empty(0, dtype=np.uint64), counts
         frontier = np.ascontiguousarray(frontier, dtype=np.uint64)
-        out = np.empty(n_states * spec.n * spec.m, dtype=np.uint64)
         if selected is None:
             selected_address = 0
         else:
             selected = np.ascontiguousarray(selected, dtype=np.int64)
             selected_address = selected.ctypes.data
         total = self._lib.call(
-            "rk_expand_level",
-            frontier.ctypes.data,
-            n_states,
-            selected_address,
-            out.ctypes.data,
-            counts.ctypes.data,
+            "rk_expand_total", frontier.ctypes.data, n_states, selected_address
         )
-        return out[:total], counts
+        out = np.empty(total, dtype=np.uint64)
+        if total:
+            self._lib.call(
+                "rk_expand_level",
+                frontier.ctypes.data,
+                n_states,
+                selected_address,
+                out.ctypes.data,
+                counts.ctypes.data,
+            )
+        return out, counts
 
     def _scan_step(
         self,

@@ -295,18 +295,22 @@ class TestStoreConformance:
 
 
 # ----------------------------------------------------------------------
-# Budget slicing: a level that can trip the budget is admitted in
-# frontier slices
+# Slicing: every level is expanded and admitted in frontier slices of
+# about ``_SLICE_SUCCESSORS`` expected successors
 # ----------------------------------------------------------------------
 
+#: Slice bounds small enough to cut N=2 levels (at most 529 states of
+#: about two successors each) into several slices.
+SMALL_BOUNDS = [128, 512]
+
 #: ``(wiring, symmetry, budget)`` whose trip lands in a later slice that
-#: admitted states, at slice floors 1 and 3 (found by scanning every
-#: budget; the budgets above all trip in a level's first slice).
+#: admitted states, at both ``SMALL_BOUNDS`` (found by scanning every
+#: budget; slice ends do not depend on the budget).
 LATER_SLICE_TRIPS = [
-    (N2_CLASSES[0], False, 7215),
-    (N2_CLASSES[0], True, 3603),
-    (N2_CLASSES[1], False, 3702),
-    (N2_CLASSES[1], True, 3201),
+    (N2_CLASSES[0], False, 5001),
+    (N2_CLASSES[0], True, 2360),
+    (N2_CLASSES[1], False, 4100),
+    (N2_CLASSES[1], True, 2120),
 ]
 
 
@@ -333,19 +337,19 @@ def slice_log(monkeypatch):
 
 @requires_numpy
 class TestSlicedAdmission:
-    """Budget-tripping levels admitted in slices vs the scalar oracle.
+    """Levels admitted in slices vs the scalar oracle.
 
     FIFO admission does not change when a level's frontier is cut into
     consecutive slices that each probe ``visited ∪ earlier slices``, so
     every result must still equal the scalar loop's.  At the default
-    ``_SLICE_FLOOR`` the budgets elsewhere in this file never slice a
-    level; here the floor shrinks to 1 and 3 successors, so a tripping
-    level's slices cover about ``4 * remaining`` successors each.
+    ``_SLICE_SUCCESSORS`` no N=2 level is cut; here the bound shrinks
+    to ``SMALL_BOUNDS``, so budgeted and exhaustive runs alike cross
+    many slice boundaries.
     """
 
-    @pytest.fixture(params=[1, 3], autouse=True)
-    def floor(self, request, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_SLICE_FLOOR", request.param)
+    @pytest.fixture(params=SMALL_BOUNDS, autouse=True)
+    def bound(self, request, monkeypatch):
+        monkeypatch.setattr(batch_mod, "_SLICE_SUCCESSORS", request.param)
 
     @pytest.mark.parametrize("kernel", ["numpy", "native"])
     @pytest.mark.parametrize(
@@ -432,6 +436,96 @@ class TestSlicedAdmission:
 
 
 @requires_numpy
+class TestOneSliceRule:
+    """One bound slices every level, with or without a budget."""
+
+    @staticmethod
+    def _slice_sizes(monkeypatch, bound):
+        sizes = []
+        real = batch_mod.BatchKernel.expand_level
+
+        def expand_level(self, frontier, selected=None):
+            sizes.append(int(frontier.size))
+            return real(self, frontier, selected)
+
+        monkeypatch.setattr(batch_mod, "_SLICE_SUCCESSORS", bound)
+        monkeypatch.setattr(
+            batch_mod.BatchKernel, "expand_level", expand_level
+        )
+        result = FastSnapshotSpec([1, 2], N2_CLASSES[0]).explore(
+            engine="batch", kernel="numpy"
+        )
+        monkeypatch.undo()
+        return result, sizes
+
+    def test_an_unbudgeted_run_expands_its_largest_level_in_slices(
+        self, monkeypatch
+    ):
+        whole, levels = self._slice_sizes(monkeypatch, 1 << 62)
+        sliced, slices = self._slice_sizes(monkeypatch, 256)
+        assert whole.complete and asdict(sliced) == asdict(whole)
+        # The same states are expanded, and the largest level (527
+        # states) in more than one call.
+        assert sum(slices) == sum(levels)
+        assert max(slices) < max(levels)
+        assert len(slices) > len(levels)
+
+    def test_heartbeat_ticks_once_per_slice(self, monkeypatch):
+        from repro.service.heartbeat import Heartbeat
+
+        def lines_at(bound):
+            # Each clock read moves one interval on, so every tick emits.
+            now = iter(range(10**6))
+            lines = []
+            heartbeat = Heartbeat(
+                1.0, emit=lines.append, clock=lambda: float(next(now))
+            )
+            monkeypatch.setattr(batch_mod, "_SLICE_SUCCESSORS", bound)
+            FastSnapshotSpec([1, 2], N2_CLASSES[0]).explore(
+                engine="batch", kernel="numpy", heartbeat=heartbeat
+            )
+            return lines
+
+        levels = lines_at(1 << 62)
+        lines = lines_at(64)
+        assert len(levels) == 35  # one tick per level
+        assert len(lines) > len(levels)
+        states = [
+            int(line.split("states=")[1].split()[0]) for line in lines
+        ]
+        assert states == sorted(states)
+        assert states[-1] > states[0]
+
+    def test_level_target_zero_violations_match_scalar(
+        self, slice_log, monkeypatch
+    ):
+        # With level_target=0 every class violates the stock check; the
+        # vectorized mask must name the same state, with the same
+        # counts, as the scalar loop, also when the violating slice is
+        # not the first of its level.
+        from repro.checker.fast_snapshot import canonical_wiring_classes
+
+        monkeypatch.setattr(batch_mod, "_SLICE_SUCCESSORS", 64)
+        later = []
+        for n in (2, 3):
+            inputs = list(range(1, n + 1))
+            for wiring in canonical_wiring_classes(n, n):
+                def run(engine, kernel="numpy"):
+                    spec = FastSnapshotSpec(inputs, wiring, level_target=0)
+                    return asdict(spec.explore(
+                        engine=engine, kernel=kernel, symmetry=True,
+                    ))
+
+                scalar = run("scalar")
+                assert scalar["violation"] is not None, wiring
+                for kernel in ("numpy", "native"):
+                    slice_log.clear()
+                    assert run("batch", kernel) == scalar, (wiring, kernel)
+                    later.append(slice_log[-1][0] > 0)
+        assert any(later)
+
+
+@requires_numpy
 class TestSlicedPOR:
     """Under POR, slicing must not change any field: the ample sets are
     chosen once per level, before the level is cut."""
@@ -443,14 +537,14 @@ class TestSlicedPOR:
     def test_slices_match_one_slice_field_for_field(
         self, wiring, symmetry, budget, kernel, monkeypatch
     ):
-        def run(floor):
-            monkeypatch.setattr(batch_mod, "_SLICE_FLOOR", floor)
+        def run(bound):
+            monkeypatch.setattr(batch_mod, "_SLICE_SUCCESSORS", bound)
             return asdict(FastSnapshotSpec([1, 2], wiring).explore(
                 engine="batch", kernel=kernel, por=True,
                 symmetry=symmetry, max_states=budget,
             ))
 
-        assert run(1) == run(1 << 62)
+        assert run(16) == run(1 << 62)
 
 
 # ----------------------------------------------------------------------

@@ -221,6 +221,48 @@ class TestMethodBitIdentity:
             )
             frontier, _ = numpy_kernel.unique_first(np.sort(succ_n))
 
+    @pytest.mark.parametrize("mask", ["none", "per_pid", "all_skipped"])
+    def test_expand_level_allocates_exactly_what_it_generates(self, mask):
+        # The successors own their buffer and nothing more, so a POR
+        # trial round or a shard round reserves only what it uses.
+        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+        numpy_kernel, native_kernel, _ = _kernels(spec)
+        frontier = np.array([spec.initial_state()], dtype=np.uint64)
+        for _ in range(4):
+            succ, _counts = numpy_kernel.expand_level(frontier)
+            frontier, _ = numpy_kernel.unique_first(np.sort(succ))
+        selected = None
+        if mask == "per_pid":
+            selected = np.full(frontier.size, -2, dtype=np.int64)
+            selected[::2] = 1
+        elif mask == "all_skipped":
+            selected = np.full(frontier.size, -2, dtype=np.int64)
+        results = []
+        for kernel in (numpy_kernel, native_kernel):
+            succ, counts = kernel.expand_level(frontier, selected)
+            assert succ.base is None and succ.flags.owndata
+            assert succ.nbytes == 8 * int(counts.sum())
+            results.append((succ, counts))
+        (succ_n, counts_n), (succ_c, counts_c) = results
+        assert np.array_equal(succ_n, succ_c)
+        assert np.array_equal(counts_n, counts_c)
+        assert (succ_n.size == 0) == (mask == "all_skipped")
+
+    def test_native_expansion_counts_what_it_writes_on_any_word(self):
+        # The counting pass sizes the buffer the expansion writes, so
+        # the two must agree on every word and selection, unreachable
+        # phases and out-of-range pids included.
+        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+        _, native_kernel, _ = _kernels(spec)
+        rng = np.random.default_rng(19)
+        states = _edge_states(spec, rng)
+        for selected in (
+            None,
+            rng.integers(-3, spec.n + 2, size=states.size, dtype=np.int64),
+        ):
+            succ, counts = native_kernel.expand_level(states, selected)
+            assert succ.size == int(counts.sum()) > 0
+
     def test_unique_first_bit_identical_including_edge_shapes(self):
         spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
         numpy_kernel, native_kernel, _ = _kernels(spec)
@@ -631,6 +673,36 @@ class TestBuildCache:
             loader.NativeKernel(FastSnapshotSpec([1, 2], wiring))
         assert len(opened) == len(set(opened)) == 2
         assert sorted(loader._loaded) == sorted(opened)
+
+
+class TestGenerator:
+    def test_fused_symmetry_tables_are_16_bit(self):
+        # Both indexes are at most 16 bits wide (fused_tables_fit), and
+        # an image is as wide as its index, so every entry fits in a
+        # uint16_t: the ten N=3 classes hold 2.4 MB of tables, not 9.4.
+        import re
+
+        from repro.checker.native.generator import generate_source
+        from repro.checker.symmetry import FastCanonicalizer
+
+        total = 0
+        for wiring in canonical_wiring_classes(3, 3):
+            spec = FastSnapshotSpec([1, 2, 3], wiring)
+            source = generate_source(
+                spec, FastCanonicalizer(spec).field_maps
+            )
+            assert not re.search(r"static uint64_t rk_[rl]t\d", source)
+            registers = re.findall(
+                r"static uint16_t rk_rt\d+\[RK_BLOCK_MASK \+ 1\];", source
+            )
+            locals_ = re.findall(
+                r"static uint16_t rk_lt\d+\[RK_LOCAL_MASK \+ 1\];", source
+            )
+            assert len(registers) >= len(locals_)
+            entries = len(registers) << (spec.m * spec.reg_bits)
+            entries += len(locals_) * (spec.local_mask + 1)
+            total += 2 * entries
+        assert total == 2_359_296
 
 
 @requires_numpy
