@@ -107,6 +107,7 @@ if TYPE_CHECKING:
     U64Array = NDArray[np.uint64]
     BoolArray = NDArray[np.bool_]
     I64Array = NDArray[np.int64]
+    U8Array = NDArray[np.uint8]
 
 #: True iff numpy imported; the CLI and tests key degradation on this.
 HAVE_NUMPY = np is not None
@@ -510,16 +511,15 @@ class BatchKernel:
 
     def por_c0c1(
         self, frontier: "U64Array", tables: FootprintTables
-    ) -> Tuple["BoolArray", "I64Array", "BoolArray", "I64Array"]:
+    ) -> Tuple["BoolArray", "U8Array", "BoolArray"]:
         """C0/C1 of the ample selector for a whole frontier at once.
 
-        Returns ``(qualified, nsucc, is_scan, total)``: per-pid rows
-        over the frontier — ``qualified[pid]`` marks states where pid's
-        singleton is a C0/C1-sound ample candidate (at least two active
-        pids, no write/read footprint conflict with any other pid,
-        non-empty successor set), ``nsucc[pid]`` its successor count,
-        ``is_scan[pid]`` its scanning mask — plus the per-state total
-        successor count.
+        Returns ``(qualified, nsucc, is_scan)``: per-pid rows over the
+        frontier — ``qualified[pid]`` marks states where pid's singleton
+        is a C0/C1-sound ample candidate (at least two active pids, no
+        write/read footprint conflict with any other pid, non-empty
+        successor set), ``nsucc[pid]`` its successor count (at most
+        m + 1, so 8 bits), ``is_scan[pid]`` its scanning mask.
         """
         spec = self.spec
         n = spec.n
@@ -528,9 +528,8 @@ class BatchKernel:
         is_scan = np.zeros((n, n_states), dtype=bool)
         wmasks: List["U64Array"] = []
         rmasks: List["U64Array"] = []
-        nsucc = np.zeros((n, n_states), dtype=np.int64)
+        nsucc = np.zeros((n, n_states), dtype=np.uint8)
         active_count = np.zeros(n_states, dtype=np.int64)
-        total = np.zeros(n_states, dtype=np.int64)
         for pid in range(n):
             local = (frontier >> spec.local_offsets[pid]) & spec.local_mask
             phase = (local >> spec.o_phase) & 3
@@ -546,7 +545,6 @@ class BatchKernel:
             ) + scanning
             is_scan[pid] = scanning
             active_count += writing | scanning
-            total += nsucc[pid]
 
         # C1: pid i conflicts with pid j when i's writes touch j's
         # footprint or i's scan reads a cell j writes.  Inactive pids
@@ -562,7 +560,7 @@ class BatchKernel:
                     (wmasks[i] & (wmasks[j] | rmasks[j])) != zero
                 ) | ((rmasks[i] & wmasks[j]) != zero)
             qualified[i] = (nsucc[i] > 0) & eligible & ~conflict
-        return qualified, nsucc, is_scan, total
+        return qualified, nsucc, is_scan
 
 
 def make_kernel(
@@ -773,7 +771,7 @@ class BatchAmpleSelector:
 
         # Phase 1 (C0/C1) runs inside the kernel — footprint gathers
         # and the pairwise conflict bitmasks are its hottest masks.
-        qualified, nsucc, is_scan, total = self.kernel.por_c0c1(
+        qualified, nsucc, is_scan = self.kernel.por_c0c1(
             frontier, self.tables
         )
 
@@ -834,7 +832,10 @@ class BatchAmpleSelector:
         counters.ample_states += n_chosen
         if n_chosen:
             kept = nsucc[selected[chosen], np.flatnonzero(chosen)]
-            counters.transitions_pruned += int((total[chosen] - kept).sum())
+            counters.transitions_pruned += int(
+                nsucc[:, chosen].sum(dtype=np.int64)
+                - kept.sum(dtype=np.int64)
+            )
         counters.fully_expanded_states += n_states - n_chosen
         counters.cycle_proviso_expansions += int((undecided & blocked).sum())
         return cast("I64Array", selected)

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 9
+GENERATOR_VERSION = 10
 
 #: Overflow slots after the last home slot of the visited set's table:
 #: its linear probing never wraps around.
@@ -892,14 +892,13 @@ void rk_violations(const uint64_t *states, int64_t n, unsigned char *out) {
 
 _POR_C0C1 = """\
 void rk_por_c0c1(const uint64_t *frontier, int64_t n_states,
-                 unsigned char *out_qualified, int64_t *out_nsucc,
-                 unsigned char *out_is_scan, int64_t *out_total) {
+                 unsigned char *out_qualified, uint8_t *out_nsucc,
+                 unsigned char *out_is_scan) {
     for (int64_t i = 0; i < n_states; i++) {
         uint64_t state = frontier[i];
         uint64_t w[RK_N], r[RK_N];
-        int64_t cnt[RK_N];
+        uint8_t cnt[RK_N];
         int active = 0;
-        int64_t total = 0;
         for (int pid = 0; pid < RK_N; pid++) {
             uint64_t local = (state >> RK_LOCAL_OFFSET[pid]) & RK_LOCAL_MASK;
             uint64_t phase = (local >> RK_O_PHASE) & 3u;
@@ -908,15 +907,13 @@ void rk_por_c0c1(const uint64_t *frontier, int64_t n_states,
             uint64_t unwritten = (local >> RK_O_UNWRITTEN) & RK_M_MASK;
             w[pid] = writing ? RK_WMASK[pid][unwritten] : 0;
             r[pid] = scanning ? RK_M_MASK : 0;
-            cnt[pid] = (writing ? RK_POPCOUNT[unwritten] : 0)
-                + (scanning ? 1 : 0);
+            cnt[pid] = (uint8_t)((writing ? RK_POPCOUNT[unwritten] : 0)
+                + (scanning ? 1 : 0));
             out_nsucc[(int64_t)pid * n_states + i] = cnt[pid];
             out_is_scan[(int64_t)pid * n_states + i] =
                 (unsigned char)scanning;
             if (writing || scanning) active++;
-            total += cnt[pid];
         }
-        out_total[i] = total;
         int eligible = active >= 2;
         for (int pid = 0; pid < RK_N; pid++) {
             int conflict = 0;

@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     U64Array = NDArray[np.uint64]
     BoolArray = NDArray[np.bool_]
     I64Array = NDArray[np.int64]
+    U8Array = NDArray[np.uint8]
 
 #: Kernel choices accepted everywhere a kernel can be named.
 KERNEL_CHOICES = ("auto", "numpy", "native")
@@ -176,9 +177,8 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
             "const uint64_t *",
             "int64_t",
             "unsigned char *",
-            "int64_t *",
+            "uint8_t *",
             "unsigned char *",
-            "int64_t *",
         ),
     ),
 }
@@ -464,13 +464,12 @@ class NativeKernel(BatchKernel):
     # -- POR phase 1 ---------------------------------------------------
     def por_c0c1(
         self, frontier: "U64Array", tables: Any
-    ) -> Tuple["BoolArray", "I64Array", "BoolArray", "I64Array"]:
+    ) -> Tuple["BoolArray", "U8Array", "BoolArray"]:
         n = self.spec.n
         n_states = int(frontier.shape[0])
         qualified = np.zeros((n, n_states), dtype=np.uint8)
-        nsucc = np.zeros((n, n_states), dtype=np.int64)
+        nsucc = np.zeros((n, n_states), dtype=np.uint8)
         is_scan = np.zeros((n, n_states), dtype=np.uint8)
-        total = np.zeros(n_states, dtype=np.int64)
         if n_states:
             frontier = np.ascontiguousarray(frontier, dtype=np.uint64)
             self._lib.call(
@@ -480,9 +479,8 @@ class NativeKernel(BatchKernel):
                 qualified.ctypes.data,
                 nsucc.ctypes.data,
                 is_scan.ctypes.data,
-                total.ctypes.data,
             )
-        return qualified.view(np.bool_), nsucc, is_scan.view(np.bool_), total
+        return qualified.view(np.bool_), nsucc, is_scan.view(np.bool_)
 
     # -- symmetry ------------------------------------------------------
     def make_canonicalizer(

@@ -15,11 +15,13 @@ regardless of completion order, so the merged report is deterministic.
 for the day one class outgrows a single core.  Every state is owned by
 the shard ``fingerprint_int(state) % jobs`` (the deterministic packed
 -integer fingerprint, *not* Python's randomized object hash, so all
-workers — even spawn-started ones — agree on ownership).  Workers hold
-the visited set of their own shard only, expand one BFS layer per
-round, and hand successors owned by other shards back to the driver,
-which routes them; per-shard statistics are merged in shard order, so
-two runs with the same ``jobs`` produce identical results.
+workers — even spawn-started ones — agree on ownership).  ``jobs``
+shards run in ``jobs`` processes: the driver expands shard 0 itself
+and forks one worker per other shard.  Each shard holds its own
+visited set only and expands one BFS layer per round; workers hand
+successors owned by other shards back to the driver, which routes
+them.  Per-shard statistics are merged in shard order, so two runs
+with the same ``jobs`` produce identical results.
 
 Exhaustive runs are partition-invariant: the sharded engine reports
 exactly the serial engine's ``(states, transitions, ok)`` because both
@@ -331,15 +333,15 @@ class ShardEngine:
     """One frontier shard's exploration state, transport-agnostic.
 
     Owns states with ``fp(state) % n_shards == shard``.  This class is
-    the *engine* half of a shard worker: it holds the shard's visited
-    set and ample selector, uses its class ``setup``'s canonicalizer and
-    batch kernel, and processes one BFS round at a time.  The
-    *transport* half — how rounds arrive and layer replies leave — is
-    supplied by the caller: the pipe-based
-    :func:`_shard_worker` (multiprocessing, same host) and the
-    socket-based service worker (:mod:`repro.service.worker`, any host)
-    both drive the same engine, so the two transports cannot diverge
-    semantically.
+    the *engine* half of a shard: it holds the shard's visited set and
+    ample selector, uses its class ``setup``'s canonicalizer and batch
+    kernel, and processes one BFS round at a time.  The caller decides
+    how rounds arrive and layer replies leave: :func:`explore_sharded`
+    calls shard 0's engine directly in the driver, the pipe-based
+    :func:`_shard_worker` (multiprocessing, same host) runs every other
+    shard, and the socket-based service worker
+    (:mod:`repro.service.worker`, any host) drives the same engine, so
+    no caller can diverge semantically.
 
     :meth:`process_round` admits a round's new entries into the visited
     set, expands that BFS layer, and returns ``(admitted, transitions,
@@ -673,13 +675,17 @@ def explore_sharded(
 ) -> FastExplorationResult:
     """Frontier-sharded BFS over one wiring class across ``jobs`` cores.
 
-    Level-synchronous: each round every worker expands exactly one BFS
-    layer of its shard and exchanges boundary states through the
-    driver.  The driver merges per-shard statistics in shard order and
-    applies the state budget at layer boundaries, so the result is
+    Level-synchronous: each round every shard expands exactly one BFS
+    layer and exchanges boundary states through the driver.  ``jobs``
+    shards run in ``jobs`` processes: the driver forks a worker for
+    each of shards 1 … ``jobs``−1 and expands shard 0 itself while they
+    work, building that engine after the forks so no worker inherits
+    its store.  The driver merges per-shard statistics in shard order
+    and applies the state budget at layer boundaries, so the result is
     deterministic for a fixed ``jobs`` — and equal to the serial
     engine's on any exhaustive (non-truncated) run.  ``jobs`` is capped
-    at the host's core count (:func:`effective_jobs`).
+    at the host's core count (:func:`effective_jobs`); a host that
+    cannot start a process runs the serial engine instead.
 
     With ``symmetry`` the shards jointly explore the quotient graph:
     workers canonicalize successors before the ownership fingerprint
@@ -706,24 +712,24 @@ def explore_sharded(
 
     ``por`` enables ample-set partial-order reduction inside every
     shard (the sharded cycle proviso trusts only locally-owned novelty
-    — see :func:`_shard_worker`); the merged result sums per-shard
+    — see :class:`ShardEngine`); the merged result sums per-shard
     ``por_counters`` and checkpoints persist the running totals, so
     resumed runs report statistics over the whole exploration.
 
-    ``engine="batch"`` runs every shard worker on the vectorized batch
+    ``engine="batch"`` runs every shard on the vectorized batch
     kernel and exchanges boundary batches as numpy u64 arrays (results
-    identical to scalar workers).  It requires numpy and rejects,
+    identical to scalar shards).  It requires numpy and rejects,
     because wire entries are ``(state << 1) | canonical_bit`` in a u64
-    word, state encodings above 63 bits.  With ``por`` the workers run
+    word, state encodings above 63 bits.  With ``por`` the shards run
     the level-synchronous
     :class:`~repro.checker.batch.BatchAmpleSelector` per round
     (verdict-conformant with, not count-identical to, scalar+POR
-    workers — see :mod:`repro.checker.por`); ``por`` totals round-trip
+    shards — see :mod:`repro.checker.por`); ``por`` totals round-trip
     through checkpoints identically for both engines.  ``kernel``
-    selects the batch workers' level kernel
+    selects the batch shards' level kernel
     (``auto``/``numpy``/``native``, :func:`repro.checker.batch.make_kernel`).
-    The driver builds the class's :class:`ClassSetup` once and hands
-    it to every worker.
+    The driver builds the class's :class:`ClassSetup` once, uses it for
+    shard 0 and hands it to every worker.
     """
     spec = FastSnapshotSpec(inputs, wiring)
     jobs = effective_jobs(jobs)
@@ -795,11 +801,13 @@ def explore_sharded(
 
     _import_worker_modules(store, por, engine, heartbeat=False)
     ctx = _mp_context()
-    connections = []
+    connections = {}  # remote shard -> its worker's pipe end
     workers = []
+    local: Optional[ShardEngine] = None
+    remote = range(1, jobs)
     try:
         try:
-            for shard in range(jobs):
+            for shard in remote:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_shard_worker,
@@ -808,9 +816,9 @@ def explore_sharded(
                 )
                 process.start()
                 child_conn.close()
-                connections.append(parent_conn)
+                connections[shard] = parent_conn
                 workers.append(process)
-        except OSError:  # pragma: no cover - process-less environments
+        except OSError:  # fork-less or process-capped hosts
             return spec.explore(
                 max_states=max_states,
                 symmetry=symmetry,
@@ -819,7 +827,11 @@ def explore_sharded(
                 por=por,
                 engine=engine,
                 kernel=kernel,
+                heartbeat=heartbeat,
             )
+        # The driver expands shard 0 itself.  Built after the forks, so
+        # no worker inherits its store.
+        local = ShardEngine(setup, 0, jobs, store_config=store, por=por)
 
         states = 0
         transitions = 0
@@ -864,10 +876,11 @@ def explore_sharded(
             for entry in resumed.frontier():
                 owner = fingerprint_int(entry >> 1) % jobs
                 inboxes.setdefault(owner, []).append(entry)
-            for shard in range(jobs):
+            for shard in remote:
                 path = resumed.directory / f"visited-{shard:03d}.u64"
                 _send(shard, ("load", str(path)))
-            for shard in range(jobs):
+            local.load_from(resumed.directory / "visited-000.u64")
+            for shard in remote:
                 reply = _recv(shard)
                 if reply[0] != "loaded":
                     raise RuntimeError(
@@ -894,15 +907,20 @@ def explore_sharded(
                     sum(len(batch) for batch in inboxes.values()),
                     transitions,
                 )
-            for shard in range(jobs):
+            for shard in remote:
                 _send(shard, ("round", inboxes.get(shard, [])))
-            outboxes: Dict[int, List[int]] = {}
-            for shard in range(jobs):
+            layers = [local.process_round(inboxes.get(0, []))]
+            for shard in remote:
                 reply = _recv(shard)
                 if reply[0] == "error":
                     raise RuntimeError(f"shard {shard} failed: {reply[1]}")
-                (_, admitted, shard_transitions, shard_violation, out,
-                 shard_covered, shard_skipped, shard_por_counters) = reply
+                layers.append(reply[1:])
+            # Merged in shard order, so the result is the same for any
+            # split of the shards between processes.
+            outboxes: Dict[int, List[int]] = {}
+            for shard, layer in enumerate(layers):
+                (admitted, shard_transitions, shard_violation, out,
+                 shard_covered, shard_skipped, shard_por_counters) = layer
                 if shard_por_counters is not None:
                     shard_por[shard] = shard_por_counters
                 states += admitted
@@ -962,10 +980,11 @@ def explore_sharded(
                 and checkpointer.due(states)
             ):
                 staging = checkpointer.begin()
-                for shard in range(jobs):
+                for shard in remote:
                     path = staging / f"visited-{shard:03d}.u64"
                     _send(shard, ("dump", str(path)))
-                for shard in range(jobs):
+                local.dump_to(staging / "visited-000.u64")
+                for shard in remote:
                     reply = _recv(shard)
                     if reply[0] != "dumped":
                         raise RuntimeError(
@@ -1003,7 +1022,9 @@ def explore_sharded(
             por_counters=_por_totals(),
         ))
     finally:
-        for conn in connections:
+        if local is not None:
+            local.close()
+        for conn in connections.values():
             try:
                 conn.send(("stop",))
             except (OSError, BrokenPipeError):

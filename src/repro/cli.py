@@ -367,9 +367,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     )
                     print(f"por total: {stats.summary()}")
         elif args.sharded and jobs > 1:
-            # One class at a time, its BFS frontier sharded across
-            # workers; store files and checkpoints are namespaced
-            # class-NNN/ so classes never share state.
+            # One class at a time, its BFS frontier sharded across this
+            # process and jobs - 1 workers; store files and checkpoints
+            # are namespaced class-NNN/ so classes never share state.
             from dataclasses import replace
 
             from repro.checker.fast_snapshot import canonical_wiring_classes
@@ -852,13 +852,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the n=3 sweep: wiring classes are"
-             " checked in parallel (1 = serial)",
+        help="processes for the n=3 sweep: wiring classes are checked"
+             " in parallel by that many workers (1 = serial)",
     )
     check.add_argument(
         "--sharded", action="store_true",
-        help="with --jobs > 1, shard each class's BFS frontier across"
-             " the workers instead of one whole class per worker",
+        help="with --jobs K > 1, split each class's BFS frontier into K"
+             " shards instead of one whole class per worker: this"
+             " process expands shard 0 and K-1 forked workers the rest",
     )
     check.add_argument(
         "--engine", choices=["scalar", "batch"], default="scalar",

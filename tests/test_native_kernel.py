@@ -314,8 +314,11 @@ class TestMethodBitIdentity:
         for _ in range(5):
             rows_n = numpy_kernel.por_c0c1(frontier, tables)
             rows_c = native_kernel.por_c0c1(frontier, tables)
+            assert len(rows_n) == len(rows_c) == 3
             for left, right in zip(rows_n, rows_c):
+                assert left.dtype == right.dtype
                 assert np.array_equal(left, right)
+            assert rows_c[1].dtype == np.uint8
             succ, _counts = numpy_kernel.expand_level(frontier)
             frontier, _ = numpy_kernel.unique_first(np.sort(succ))
 

@@ -16,7 +16,7 @@ Three contracts, each load-bearing for experiment E4's verdicts:
 
 import pytest
 
-from repro.checker import Explorer, SystemSpec
+from repro.checker import Explorer, SystemSpec, parallel
 from repro.checker.fast_snapshot import (
     FastSnapshotSpec,
     canonical_wiring_classes,
@@ -159,12 +159,17 @@ class TestClassGrainConformance:
 # ----------------------------------------------------------------------
 
 class TestShardedConformance:
+    @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize(
         "wiring", canonical_wiring_classes(2, 2), ids=str
     )
-    def test_n2_exhaustive_partition_invariant(self, wiring):
+    def test_n2_exhaustive_partition_invariant(
+        self, wiring, jobs, monkeypatch
+    ):
+        # jobs=3 is the driver's shard 0 plus two forked workers.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
         serial = FastSnapshotSpec([1, 2], wiring).explore()
-        sharded = explore_sharded([1, 2], wiring, jobs=2)
+        sharded = explore_sharded([1, 2], wiring, jobs=jobs)
         assert serial.complete
         assert _stats(serial) == _stats(sharded)
 
@@ -254,6 +259,140 @@ class TestShardedConformance:
             lambda: multiprocessing.get_context("spawn"),
         )
         assert run() == forked
+
+
+# ----------------------------------------------------------------------
+# Process shape: the driver expands shard 0, K - 1 workers the rest
+# ----------------------------------------------------------------------
+
+class TestShardedProcessShape:
+    @pytest.fixture(autouse=True)
+    def lift_cpu_cap(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_each_class_forks_only_the_shards_past_zero(
+        self, jobs, monkeypatch, tmp_path
+    ):
+        # Engines log "shard pid" per round to a file: a list filled in
+        # a forked worker would not be visible here.
+        import multiprocessing.process
+        import os
+
+        log = tmp_path / "rounds.txt"
+        process_round = parallel.ShardEngine.process_round
+
+        def logged_round(self, batch):
+            with open(log, "a") as handle:
+                handle.write(f"{self.shard} {os.getpid()}\n")
+            return process_round(self, batch)
+
+        monkeypatch.setattr(
+            parallel.ShardEngine, "process_round", logged_round
+        )
+        starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted_start(self):
+            starts.append(self)
+            return start(self)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", counted_start
+        )
+        driver = os.getpid()
+        for wiring in canonical_wiring_classes(2, 2):
+            log.write_text("")
+            starts.clear()
+            result = explore_sharded([1, 2], wiring, jobs=jobs)
+            assert result.ok and result.complete
+            assert len(starts) == jobs - 1
+            pids = {}
+            for line in log.read_text().splitlines():
+                shard, pid = map(int, line.split())
+                pids.setdefault(shard, set()).add(pid)
+            assert pids[0] == {driver}
+            remote = [pids.get(shard, set()) for shard in range(1, jobs)]
+            assert all(len(shard_pids) == 1 for shard_pids in remote)
+            workers = set().union(*remote)
+            assert len(workers) == jobs - 1 and driver not in workers
+
+    def test_a_failing_local_round_stops_every_worker(
+        self, monkeypatch
+    ):
+        pytest.importorskip("numpy")  # the spill store
+        import multiprocessing
+        import os
+
+        from repro.store.base import StoreConfig
+
+        driver = os.getpid()
+        owned = []
+        rounds = []
+        init = parallel.ShardEngine.__init__
+        process_round = parallel.ShardEngine.process_round
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if os.getpid() == driver:
+                owned.append(self.seen.owned_directory)
+
+        def failing_round(self, batch):
+            if os.getpid() == driver:
+                rounds.append(self.shard)
+                if len(rounds) == 3:
+                    raise ValueError("round 3 failed")
+            return process_round(self, batch)
+
+        monkeypatch.setattr(parallel.ShardEngine, "__init__", recording_init)
+        monkeypatch.setattr(
+            parallel.ShardEngine, "process_round", failing_round
+        )
+        with pytest.raises(ValueError, match="round 3 failed"):
+            explore_sharded(
+                [1, 2, 3], N3_CLASS, jobs=3, max_states=5_000,
+                store=StoreConfig(backend="spill", mem_cap=1 << 18),
+            )
+        assert rounds == [0, 0, 0]
+        assert multiprocessing.active_children() == []
+        [directory] = owned
+        assert directory is not None and not directory.exists()
+
+    def test_fork_failure_falls_back_to_serial_with_the_heartbeat(
+        self, monkeypatch
+    ):
+        import multiprocessing
+        from dataclasses import asdict
+
+        from repro.service.heartbeat import Heartbeat
+
+        class RefusedProcess:
+            def __init__(self, **kwargs):
+                pass
+
+            def start(self):
+                raise OSError("no fork here")
+
+        class Forkless:
+            Pipe = staticmethod(multiprocessing.Pipe)
+            Process = RefusedProcess
+
+        monkeypatch.setattr(parallel, "_mp_context", Forkless)
+        # Each clock read moves one interval on, so every tick emits.
+        now = iter(range(10**6))
+        lines = []
+        heartbeat = Heartbeat(
+            1.0, emit=lines.append, clock=lambda: float(next(now))
+        )
+        result = explore_sharded(
+            [1, 2, 3], N3_CLASS, jobs=2, max_states=2_000,
+            heartbeat=heartbeat,
+        )
+        serial = FastSnapshotSpec([1, 2, 3], N3_CLASS).explore(
+            max_states=2_000
+        )
+        assert asdict(result) == asdict(serial)
+        assert lines
 
 
 # ----------------------------------------------------------------------
