@@ -17,13 +17,12 @@ this module re-expresses the exploration loop over whole BFS levels:
   :class:`~repro.checker.symmetry.FastCanonicalizer` as numpy gathers
   plus an element-wise minimum across the stabilizer orbit;
 - **dedup**: the key of a state is the (canonical) state itself — a
-  packed state fits 64 bits, so it is exact.  Without a store backend
-  the visited set is a kernel seam (:meth:`BatchKernel.make_visited`)
-  that admits a whole slice per call: the native kernel's hash set in
-  one pass, the numpy kernel's sorted array by dedup, probe and merge.
-  With a backend, keys are deduplicated per slice and merged through
-  the bulk ``contains_many``/``add_many`` store APIs (the spill backend
-  turns a level's sorted fresh keys into a sorted run natively);
+  packed state fits 64 bits, so it is exact.  The visited set is a
+  kernel seam (:meth:`BatchKernel.make_visited`) that admits a whole
+  slice per call: the native kernel's hash set in one pass, the numpy
+  kernel's sorted array by dedup, probe and merge.  A disk-backed
+  store is a second tier behind it (:class:`TieredVisited`) that takes
+  the sorted keys the capped RAM tier flushes;
 - **ownership hashing**: :func:`fingerprint_many` is the scalar
   :func:`~repro.checker.fingerprint.fingerprint_int` on u64 arrays,
   which sharded workers use to route states — numpy uint64
@@ -55,7 +54,7 @@ the whole frontier at once — C0/C1 as bitmask AND-reductions over
 per-pid footprint arrays compiled by
 :class:`repro.checker.por.FootprintTables`, C2 on vectorized trial
 successors, and a C3 cycle proviso that certifies novelty against
-``visited ∪ earlier-in-level`` via one bulk ``contains_many`` gather
+``visited ∪ earlier-in-level`` via one bulk membership gather
 per trial round (pessimistic within a level, hence sound; see the
 :mod:`repro.checker.por` docstring).  The two engines' C3 oracles
 legitimately pick different ample sets, so batch+POR conformance is
@@ -76,7 +75,7 @@ unaffected.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, cast
 
 from repro.checker.constants import MASK64, SPLITMIX_GAMMA
 from repro.checker.fast_snapshot import (
@@ -91,7 +90,7 @@ from repro.checker.fast_snapshot import (
 )
 from repro.checker.fingerprint import splitmix64_many
 from repro.checker.por import FootprintTables, PORCounters
-from repro.store.base import StoreConfig, sorted_member
+from repro.store.base import FingerprintStore, StoreConfig, sorted_member, u64_array
 from repro.store.checkpoint import RunCheckpointer
 
 try:
@@ -103,6 +102,7 @@ if TYPE_CHECKING:
     from numpy.typing import NDArray
 
     from repro.checker.symmetry import FastCanonicalizer
+    from repro.store.base import U64Keys
 
     U64Array = NDArray[np.uint64]
     BoolArray = NDArray[np.bool_]
@@ -216,18 +216,27 @@ class SortedVisited:
     slice (:meth:`BatchKernel.unique_first`), probes the array
     (:meth:`BatchKernel.probe_sorted`) and merges the admitted keys into
     a fresh copy of it (:func:`_insert_sorted`), so each call costs
-    O(visited) and the merge briefly holds the set twice.
+    O(visited) and the merge briefly holds the set twice.  With
+    ``max_slots`` it holds at most the keys a hash table of that many
+    home slots holds at its 3/4 load limit.
     """
 
-    def __init__(self, kernel: "BatchKernel") -> None:
+    def __init__(
+        self, kernel: "BatchKernel", max_slots: Optional[int] = None
+    ) -> None:
         self._kernel = kernel
         self._keys: "U64Array" = np.empty(0, dtype=np.uint64)
+        self._max_keys = None if max_slots is None else 3 * max_slots // 4
 
     def admit(self, keys: "U64Array", limit: int) -> Tuple["I64Array", int]:
         """``(positions, trip)``: the ascending positions in ``keys`` of
         the first ``limit`` keys not yet in the set, each at its first
         occurrence, and the position of the next such key (-1 if there
-        is none).  The set then holds the admitted keys too."""
+        is none).  The set then holds the admitted keys too.  A full set
+        stops the same way, so fewer than ``limit`` positions with a
+        trip mean the set is full."""
+        if self._max_keys is not None:
+            limit = min(limit, self._max_keys - int(self._keys.size))
         unique_keys, first = self._kernel.unique_first(keys)
         present, at = self._kernel.probe_sorted(self._keys, unique_keys)
         fresh = ~present
@@ -246,8 +255,177 @@ class SortedVisited:
         """Membership of each of ``keys``."""
         return sorted_member(self._keys, keys)
 
+    def __len__(self) -> int:
+        return int(self._keys.size)
+
+    def keys(self) -> "U64Array":
+        """Every key, ascending."""
+        return self._keys
+
+    def reset(self) -> None:
+        """Empty the set."""
+        self._keys = np.empty(0, dtype=np.uint64)
+
     def close(self) -> None:
         """Nothing to release: the array is garbage-collected."""
+
+
+def _ram_tier_slots(mem_cap: int) -> int:
+    """Home slots of the largest table that fits half of ``mem_cap`` at
+    8 bytes a slot: a power of two, and at least the smallest table's
+    16."""
+    slots = max(16, mem_cap // 2 // 8)
+    return 1 << (slots.bit_length() - 1)
+
+
+class TieredVisited:
+    """The batch engines' visited set: the kernel's own set in RAM, and
+    for a disk-backed store a second tier that takes its flushes.
+
+    The RAM tier is the kernel's set (:meth:`BatchKernel.make_visited`),
+    first sized for ``expected`` keys.  Without a store, and for the
+    ``ram`` backend, it is the whole set and grows without bound.  For
+    ``spill`` and ``mmap``, the configured store (created with ``shard``
+    as its namespace) is the disk tier, and the RAM tier is capped at
+    half of the store's ``mem_cap``: home slots × 8 bytes at the table's
+    3/4 load limit, 12,288 keys at 256 KiB.  When an admission finds the
+    RAM tier full, its keys go to the store, sorted, in one
+    ``add_many``, and the RAM tier starts empty.  This is TLC's
+    disk-backed state set (Yu, Manolios & Lamport, CHARME 1999) with the
+    kernel's hash table as its in-memory part.
+
+    The two tiers are disjoint: a key reaches the RAM tier only if the
+    disk tier lacks it, so ``len`` is their sum, and the store's
+    counters report ``entries`` over both.
+    """
+
+    def __init__(
+        self,
+        kernel: "BatchKernel",
+        store: Optional[StoreConfig] = None,
+        expected: int = 0,
+        shard: Optional[str] = None,
+    ) -> None:
+        self._disk: Optional[FingerprintStore] = None
+        max_slots: Optional[int] = None
+        if store is not None and store.backend != "ram":
+            max_slots = _ram_tier_slots(store.mem_cap)
+            self._disk = store.create(shard=shard)
+        self._ram: Any = kernel.make_visited(expected, max_slots)
+
+    def admit(self, keys: "U64Array", limit: int) -> Tuple["I64Array", int]:
+        """:meth:`SortedVisited.admit` over both tiers.
+
+        Keys the RAM tier lacks are probed in the disk tier, once it
+        holds keys, and those it holds are passed over.  A RAM tier with
+        no room left for a fresh key is flushed, and admission goes on
+        from that key.
+        """
+        disk = self._disk
+        if disk is None:
+            return cast("Tuple[I64Array, int]", self._ram.admit(keys, limit))
+        parts: List["I64Array"] = []
+        start = 0
+        while True:
+            rest = keys[start:]
+            kept: Optional["I64Array"] = None
+            if len(disk):
+                lacking = np.flatnonzero(~self._ram.contains(rest))
+                stored = lacking[disk.contains_many(rest[lacking])]
+                if stored.size:
+                    kept = np.delete(np.arange(rest.size), stored)
+                    rest = rest[kept]
+            positions, trip = self._ram.admit(rest, limit)
+            if kept is not None:
+                positions = kept[positions]
+                trip = int(kept[trip]) if trip >= 0 else -1
+            parts.append(positions + start)
+            limit -= int(positions.size)
+            if trip < 0 or limit == 0:
+                break
+            # A trip with budget left: the RAM tier is full.
+            self._flush()
+            start += trip
+        admitted = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return admitted, start + trip if trip >= 0 else -1
+
+    def contains(self, keys: "U64Array") -> "BoolArray":
+        """Membership of each of ``keys`` in either tier."""
+        found = cast("BoolArray", self._ram.contains(keys))
+        if self._disk is not None and len(self._disk):
+            lacking = np.flatnonzero(~found)
+            found[lacking] = self._disk.contains_many(keys[lacking])
+        return found
+
+    def _flush(self) -> None:
+        assert self._disk is not None
+        self._disk.add_many(self._ram.keys())
+        self._ram.reset()
+
+    def key_arrays(self) -> "Iterator[U64Array]":
+        """Every key in ascending order, as u64 arrays: the disk tier's
+        ascending chunks, each merged with the RAM tier's keys up to its
+        last one, then the RAM tier's rest."""
+        ram_keys = cast("U64Array", self._ram.keys())
+        at = 0
+        for chunk in self._disk_chunks():
+            stop = int(ram_keys.searchsorted(chunk[-1], side="right"))
+            merged = np.concatenate((ram_keys[at:stop], chunk))
+            merged.sort(kind="stable")
+            at = stop
+            yield merged
+        if at < ram_keys.size:
+            yield ram_keys[at:]
+
+    def _disk_chunks(self) -> "Iterator[U64Array]":
+        """The disk tier's keys as ascending, non-empty u64 arrays."""
+        disk = self._disk
+        if disk is None or not len(disk):
+            return
+        chunks = (u64_array(chunk) for chunk in disk.key_arrays())
+        if disk.backend == "spill":
+            yield from chunks
+            return
+        # The mmap table streams its keys in slot order.
+        keys = np.concatenate(list(chunks))
+        keys.sort()
+        yield keys
+
+    def load(self, keys: "U64Keys") -> int:
+        """Bulk-load a checkpoint dump into the empty set; returns the
+        number added.  The RAM tier takes the keys it has room for, and
+        the disk tier the rest, sorted, in one ``add_many``."""
+        values = u64_array(keys)
+        positions, trip = self._ram.admit(values, int(values.size))
+        added = int(positions.size)
+        if trip >= 0:
+            assert self._disk is not None  # only a capped tier fills
+            rest = values[trip:]
+            added += self._disk.add_many(
+                np.sort(rest[~self._ram.contains(rest)])
+            )
+        return added
+
+    def __len__(self) -> int:
+        disk = len(self._disk) if self._disk is not None else 0
+        return int(len(self._ram)) + disk
+
+    def counters(self) -> Dict[str, int]:
+        """The store's counters, with ``entries`` over both tiers."""
+        counters = self._disk.counters() if self._disk is not None else {}
+        return {**counters, "entries": len(self)}
+
+    def file_bytes(self) -> int:
+        """Bytes the disk tier occupies (0 without one)."""
+        return self._disk.file_bytes() if self._disk is not None else 0
+
+    def close(self) -> None:
+        """Free the RAM tier and close the store."""
+        try:
+            self._ram.close()
+        finally:
+            if self._disk is not None:
+                self._disk.close()
 
 
 # ----------------------------------------------------------------------
@@ -488,14 +666,19 @@ class BatchKernel:
         in ascending ``sorted_keys``."""
         return _probe_sorted(sorted_keys, values)
 
-    def make_visited(self, expected: int) -> Any:
+    def make_visited(
+        self, expected: int, max_slots: Optional[int] = None
+    ) -> Any:
         """An empty visited set for about ``expected`` keys.
 
         It has ``admit(keys, limit) -> (positions, trip)`` (see
-        :meth:`SortedVisited.admit`), ``contains(keys) -> bool array``
-        and ``close()``; both kernels' sets give identical answers.
+        :meth:`SortedVisited.admit`), ``contains(keys) -> bool array``,
+        ``len``, ascending ``keys()``, ``reset()`` and ``close()``; both
+        kernels' sets give identical answers.  ``max_slots`` (a power of
+        two) caps the hash table's home slots, and the sorted array at
+        the keys such a table holds; a full set refuses fresh keys.
         """
-        return SortedVisited(self)
+        return SortedVisited(self, max_slots)
 
     def make_canonicalizer(
         self, canonicalizer: Optional["FastCanonicalizer"]
@@ -925,14 +1108,17 @@ def explore_batch(
     generated.  The slices of a level share its POR selection and
     checkpoint; the heartbeat ticks once per slice.
 
-    Unless a store backend or a checkpointer is given, the visited set
-    is the kernel's own (:meth:`BatchKernel.make_visited`), first sized
-    for ``min(max_states, 2**19)`` keys and freed when the run ends.
-    Each slice is admitted by one ``admit(keys, max_states - seen)``
-    call: the generation-order positions of its fresh keys, up to the
-    budget, and where the next one would have tripped it.  The native
-    hash set finds them in one pass over the slice, so a level costs
-    time in its own size, not in the visited set's.
+    The visited set is a :class:`TieredVisited`: the kernel's own set
+    (:meth:`BatchKernel.make_visited`), first sized for
+    ``min(max_states, 2**19)`` keys and freed when the run ends, with a
+    ``spill`` or ``mmap`` store as a disk tier that takes what overflows
+    half of its ``mem_cap``.  Each slice is admitted by one
+    ``admit(keys, max_states - seen)`` call: the generation-order
+    positions of its fresh keys, up to the budget, and where the next
+    one would have tripped it.  The native hash set finds them in one
+    pass over the slice, so a level costs time in its own size, not in
+    the visited set's.  A checkpoint dumps the set's keys, and a resume
+    loads them back.
 
     Unlike the scalar loop, this one keeps no raw-successor cache: it
     canonicalizes every generated successor.  The cache is pure
@@ -952,16 +1138,10 @@ def explore_batch(
         selector = BatchAmpleSelector(
             level_kernel, cycle_proviso=por_cycle_proviso
         )
-    # The visited set.  A configured backend (its counters are
-    # reported) or a checkpointer (it dumps and resumes the store) keeps
-    # it in the store; otherwise it is the kernel's own set, pre-sized
-    # from the budget, which admits a whole slice in one call.  Both
-    # hold the same keys, so results are identical.
-    use_store = store is not None or checkpointer is not None
-    store_obj = (store or StoreConfig()).create() if use_store else None
-    visited: Any = (
-        None if use_store
-        else level_kernel.make_visited(min(max_states, _VISITED_PRESIZE))
+    # The visited set: the kernel's own, pre-sized from the budget, with
+    # a disk-backed store as its second tier.
+    visited = TieredVisited(
+        level_kernel, store, min(max_states, _VISITED_PRESIZE)
     )
 
     def _result(
@@ -975,7 +1155,7 @@ def explore_batch(
         return lean_result(
             states, transitions, complete, truncated, violation,
             covered if batch_canon is not None else None, group_order,
-            store_obj if store is not None else None,
+            visited if store is not None else None,
             selector.counters.as_dict() if selector is not None else None,
         )
 
@@ -987,10 +1167,6 @@ def explore_batch(
             return states
         return cast("U64Array", batch_canon.canonical_many(states))
 
-    _in_visited = (
-        visited.contains if store_obj is None else store_obj.contains_many
-    )
-
     try:
         initial = spec.initial_state()
         transitions = truncated = covered = 0
@@ -1000,8 +1176,7 @@ def explore_batch(
             initial = canonicalizer.canonical_per_field(initial)
         resumed = checkpointer.latest() if checkpointer is not None else None
         if resumed is not None:
-            assert store_obj is not None
-            store_obj.load(resumed.visited())
+            visited.load(resumed.visited())
             n_seen = resumed.counter("admitted")
             transitions = resumed.counter("transitions")
             truncated = resumed.counter("truncated")
@@ -1018,17 +1193,13 @@ def explore_batch(
                 return _result(1, 0, True, 0, covered, violation)
             n_seen = 1
             frontier = np.array([initial], dtype=np.uint64)
-            if store_obj is not None:
-                store_obj.add(initial)
-            else:
-                visited.admit(frontier, 1)
+            visited.admit(frontier, 1)
 
         complete = True
         # Expected successors per frontier state, from the last level.
         per_state = float(spec.n * spec.m)
         while frontier.size:
             if checkpointer is not None and checkpointer.due(n_seen):
-                assert store_obj is not None
                 counters: Dict[str, int] = {
                     "admitted": n_seen,
                     "transitions": transitions,
@@ -1038,11 +1209,13 @@ def explore_batch(
                     counters["covered"] = covered
                 if selector is not None:
                     counters.update(selector.counters.as_dict())
-                checkpointer.write(frontier, counters, store_obj.key_arrays())
+                checkpointer.write(frontier, counters, visited.key_arrays())
 
             selected: Optional["I64Array"] = None
             if selector is not None:
-                selected = selector.select(frontier, _key_of, _in_visited)
+                selected = selector.select(
+                    frontier, _key_of, visited.contains
+                )
             n_front = int(frontier.size)
             level_start = transitions
             level_seen = n_seen
@@ -1067,23 +1240,7 @@ def explore_batch(
                     continue
 
                 keys = _key_of(successors)
-                remaining = max_states - n_seen
-                if store_obj is None:
-                    admitted_idx, trip = visited.admit(keys, remaining)
-                else:
-                    # Sorted distinct keys and the first generation
-                    # position of each; admission order is ascending
-                    # first occurrence.
-                    unique_keys, first_occurrence = level_kernel.unique_first(
-                        keys
-                    )
-                    fresh_mask = ~store_obj.contains_many(unique_keys)
-                    ordered_first = np.sort(first_occurrence[fresh_mask])
-                    admitted_idx = ordered_first[:remaining]
-                    trip = (
-                        int(ordered_first[remaining])
-                        if ordered_first.size > remaining else -1
-                    )
+                admitted_idx, trip = visited.admit(keys, max_states - n_seen)
                 admitted = keys[admitted_idx]
 
                 violating_rank = -1
@@ -1112,17 +1269,10 @@ def explore_batch(
                     # the trip parent's buffer (at most n*m entries),
                     # exactly the keys still outside the set.
                     tail = keys[trip:buffer_end]
-                    if store_obj is None:
-                        truncated += int((~visited.contains(tail)).sum())
-                    else:
-                        unadmitted = fresh_mask & (first_occurrence >= trip)
-                        inverse = np.searchsorted(unique_keys, tail)
-                        truncated += int(unadmitted[inverse].sum())
+                    truncated += int((~visited.contains(tail)).sum())
                 else:
                     transitions += level_size
                     admitted_parts.append(admitted)
-                if store_obj is not None:
-                    store_obj.add_many(admitted)
                 n_seen += int(admitted.size)
                 if batch_canon is not None:
                     covered += int(batch_canon.orbit_sizes(admitted).sum())
@@ -1145,7 +1295,4 @@ def explore_batch(
 
         return _result(n_seen, transitions, complete, truncated, covered)
     finally:
-        if store_obj is not None:
-            store_obj.close()
-        if visited is not None:
-            visited.close()
+        visited.close()

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.checker.symmetry import FastCanonicalizer
 from repro.store.base import FingerprintStore, StoreConfig
@@ -41,7 +41,7 @@ from repro.store.checkpoint import RunCheckpointer, load_result
 from repro.store.ram import RamStore
 
 if TYPE_CHECKING:
-    from repro.checker.batch import BatchKernel
+    from repro.checker.batch import BatchKernel, TieredVisited
 
 # Phase encoding.
 _PHASE_WRITE = 0
@@ -91,7 +91,7 @@ def lean_result(
     violation: Optional[str],
     covered: Optional[int],
     group_order: Optional[int],
-    store: Optional[FingerprintStore],
+    store: Optional[Union[FingerprintStore, "TieredVisited"]],
     por_counters: Optional[Dict[str, int]],
 ) -> FastExplorationResult:
     """A safety run's result, as both lean engines report it.

@@ -41,10 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 10
+GENERATOR_VERSION = 11
 
 #: Overflow slots after the last home slot of the visited set's table:
-#: its linear probing never wraps around.
+#: its linear probing wraps around only in a table at its maximum size.
 VISITED_PAD = 64
 
 #: log2 of the home slots of the smallest visited table.
@@ -648,17 +648,20 @@ int64_t rk_unique_first(const uint64_t *keys, int64_t n, uint64_t *out_keys,
 
 _VISITED = """\
 /* The visited set: open addressing over exact u64 keys.  A key's home
- * is the top `bits` bits of its splitmix64 mix; probing is linear and
- * never wraps, because RK_VIS_PAD overflow slots follow the last home.
- * 0 marks an empty slot, so key 0 is held as a flag.  The load stays at
- * most 3/4: a fresh key past that, or one whose probe runs off the pad,
- * first doubles the table in place (rk_vis_grow).  Calls stream their
- * keys in order and prefetch the home slot RK_VIS_AHEAD keys ahead. */
+ * is the top `bits` bits of its splitmix64 mix; probing is linear, and
+ * RK_VIS_PAD overflow slots follow the last home.  0 marks an empty
+ * slot, so key 0 is held as a flag.  The load stays at most 3/4: a fresh
+ * key past that, or one whose probe runs off the pad, first doubles the
+ * table in place (rk_vis_grow).  A table at its maximum size never
+ * doubles: there a probe that runs off the pad wraps to slot 0, and a
+ * fresh key past the load limit is refused.  Calls stream their keys in
+ * order and prefetch the home slot RK_VIS_AHEAD keys ahead. */
 typedef struct {
     uint64_t *slots; /* (1 << bits) + RK_VIS_PAD slots */
     int64_t count;   /* nonzero keys held */
     int64_t grow_at; /* 3/4 of the home slots */
     int bits;
+    int max_bits;
     int has_zero;
 } rk_visited;
 
@@ -676,6 +679,16 @@ static inline int64_t rk_vis_end(const rk_visited *v) {
 static inline int64_t rk_vis_find(const uint64_t *slots, int64_t end,
                                   uint64_t k, int64_t s) {
     while (s < end && slots[s] != 0 && slots[s] != k) s++;
+    return s;
+}
+
+/* rk_vis_find, wrapping to slot 0 in a table at its maximum size, where
+ * the load limit leaves an empty slot below the home. */
+static inline int64_t rk_vis_probe(const rk_visited *v,
+                                   const uint64_t *slots, int64_t end,
+                                   uint64_t k, int64_t s) {
+    s = rk_vis_find(slots, end, k, s);
+    if (s == end && v->bits == v->max_bits) s = rk_vis_find(slots, end, k, 0);
     return s;
 }
 
@@ -704,11 +717,13 @@ static void rk_vis_warm(uint64_t *ring, const uint64_t *keys, int64_t n,
 static int rk_vis_grow(rk_visited *v);
 
 /* Store absent nonzero `k` (mix `mix`), doubling while its probe runs
- * off the pad.  0, or -1 when memory runs out. */
+ * off the pad (at the maximum size it wraps instead).  0, or -1 when
+ * memory runs out. */
 static int rk_vis_place(rk_visited *v, uint64_t k, uint64_t mix) {
     for (;;) {
         int64_t end = rk_vis_end(v);
-        int64_t s = rk_vis_find(v->slots, end, k, (int64_t)(mix >> (64 - v->bits)));
+        int64_t s = rk_vis_probe(v, v->slots, end, k,
+                                 (int64_t)(mix >> (64 - v->bits)));
         if (s < end) {
             v->slots[s] = k;
             return 0;
@@ -718,15 +733,16 @@ static int rk_vis_place(rk_visited *v, uint64_t k, uint64_t mix) {
 }
 
 /* Double the table without a second copy: realloc to 2x plus the pad,
- * then sweep the old slots from high to low.  A key's new home is 2h or
- * 2h+1 for its old home h <= its slot j, and every slot above j is
+ * then sweep the old slots from high to low.  The old table was below
+ * its maximum size, so no key in it wrapped, and a key's new home is 2h
+ * or 2h+1 for its old home h <= its slot j.  Every slot above j is
  * already swept, so a key whose new home is at or above j is placed
  * directly.  The few whose home lies below j (near the start of the
  * table) or whose probe runs off the new pad are stashed and placed
  * after the sweep.  -1 when memory runs out, leaving the set unusable. */
 static int rk_vis_grow(rk_visited *v) {
     int64_t old_end = rk_vis_end(v);
-    if (v->bits >= 62) return -1;
+    if (v->bits >= v->max_bits) return -1;
     int bits = v->bits + 1;
     int64_t end = ((int64_t)1 << bits) + RK_VIS_PAD;
     uint64_t *slots = (uint64_t *)realloc(v->slots,
@@ -769,10 +785,13 @@ static int rk_vis_grow(rk_visited *v) {
     return status;
 }
 
-/* A set sized so that `expected` keys fit without growing. */
-void *rk_visited_new(int64_t expected) {
+/* A set sized so that `expected` keys fit without growing, whose table
+ * never grows past 2^max_bits home slots. */
+void *rk_visited_new(int64_t expected, int64_t max_bits) {
+    if (max_bits > 62) max_bits = 62;
+    if (max_bits < RK_VIS_MIN_BITS) max_bits = RK_VIS_MIN_BITS;
     int bits = RK_VIS_MIN_BITS;
-    while (bits < 62 && (int64_t)((3ULL << bits) >> 2) < expected) bits++;
+    while (bits < max_bits && (int64_t)((3ULL << bits) >> 2) < expected) bits++;
     rk_visited *v = (rk_visited *)calloc(1, sizeof(rk_visited));
     if (!v) return NULL;
     v->slots = (uint64_t *)calloc(((size_t)1 << bits) + RK_VIS_PAD,
@@ -782,6 +801,7 @@ void *rk_visited_new(int64_t expected) {
         return NULL;
     }
     rk_vis_size(v, bits);
+    v->max_bits = (int)max_bits;
     return v;
 }
 
@@ -795,11 +815,36 @@ int64_t rk_visited_slots(void *handle) {
     return (int64_t)1 << ((rk_visited *)handle)->bits;
 }
 
+int64_t rk_visited_count(void *handle) {
+    const rk_visited *v = (const rk_visited *)handle;
+    return v->count + v->has_zero;
+}
+
+/* Every key, 0 first if held, then in slot order; returns the count. */
+int64_t rk_visited_keys(void *handle, uint64_t *out) {
+    const rk_visited *v = (const rk_visited *)handle;
+    int64_t n = 0, end = rk_vis_end(v);
+    if (v->has_zero) out[n++] = 0;
+    for (int64_t s = 0; s < end; s++)
+        if (v->slots[s] != 0) out[n++] = v->slots[s];
+    return n;
+}
+
+/* Empty the set; the table keeps its size. */
+void rk_visited_reset(void *handle) {
+    rk_visited *v = (rk_visited *)handle;
+    memset(v->slots, 0, (size_t)rk_vis_end(v) * sizeof(uint64_t));
+    v->count = 0;
+    v->has_zero = 0;
+}
+
 /* Admit keys in order: every key not yet in the set is fresh and is
  * inserted, and its position written to out_pos, until `limit` keys
  * were admitted.  The next fresh key is not inserted: its position goes
- * to *out_trip (-1 when there is none) and the call stops.  Returns the
- * number admitted, or -1 when memory runs out. */
+ * to *out_trip (-1 when there is none) and the call stops.  A table at
+ * its maximum size and load limit refuses a fresh nonzero key the same
+ * way, so fewer than `limit` admitted with a trip means the set is
+ * full.  Returns the number admitted, or -1 when memory runs out. */
 int64_t rk_visited_admit(void *handle, const uint64_t *keys, int64_t n,
                          int64_t limit, int64_t *out_pos,
                          int64_t *out_trip) {
@@ -818,7 +863,7 @@ int64_t rk_visited_admit(void *handle, const uint64_t *keys, int64_t n,
         if (k == 0) {
             if (v->has_zero) continue;
         } else {
-            s = rk_vis_find(slots, end, k, (int64_t)(mix >> shift));
+            s = rk_vis_probe(v, slots, end, k, (int64_t)(mix >> shift));
             if (s < end && slots[s] == k) continue;
         }
         if (admitted == limit) {
@@ -831,7 +876,13 @@ int64_t rk_visited_admit(void *handle, const uint64_t *keys, int64_t n,
             slots[s] = k;
             v->count++;
         } else {
-            if (v->count >= v->grow_at && rk_vis_grow(v) < 0) return -1;
+            if (v->count >= v->grow_at) {
+                if (v->bits == v->max_bits) {
+                    *out_trip = i;
+                    break;
+                }
+                if (rk_vis_grow(v) < 0) return -1;
+            }
             if (rk_vis_place(v, k, mix) < 0) return -1;
             v->count++;
             slots = v->slots;
@@ -858,7 +909,7 @@ void rk_visited_contains(void *handle, const uint64_t *keys, int64_t n,
             out[i] = (unsigned char)v->has_zero;
             continue;
         }
-        int64_t s = rk_vis_find(slots, end, k, (int64_t)(mix >> shift));
+        int64_t s = rk_vis_probe(v, slots, end, k, (int64_t)(mix >> shift));
         out[i] = (unsigned char)(s < end && slots[s] == k);
     }
 }

@@ -149,9 +149,12 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         "int64_t",
         ("const uint64_t *", "int64_t", "uint64_t *", "int64_t *"),
     ),
-    "rk_visited_new": ("void *", ("int64_t",)),
+    "rk_visited_new": ("void *", ("int64_t", "int64_t")),
     "rk_visited_free": ("void", ("void *",)),
     "rk_visited_slots": ("int64_t", ("void *",)),
+    "rk_visited_count": ("int64_t", ("void *",)),
+    "rk_visited_keys": ("int64_t", ("void *", "uint64_t *")),
+    "rk_visited_reset": ("void", ("void *",)),
     "rk_visited_admit": (
         "int64_t",
         (
@@ -273,12 +276,17 @@ class NativeVisited:
     The native twin of :class:`~repro.checker.batch.SortedVisited`.
     :meth:`admit` is one pass in generation order that dedups, probes,
     inserts and stops at the budget; the table doubles in place (see
-    ``rk_vis_grow`` in the generated source).
+    ``rk_vis_grow`` in the generated source) up to ``max_slots`` home
+    slots, where it holds at most 3/4 of them.
     """
 
-    def __init__(self, library: NativeLibrary, expected: int) -> None:
+    def __init__(
+        self, library: NativeLibrary, expected: int,
+        max_slots: Optional[int] = None,
+    ) -> None:
         self._lib = library
-        self._handle = library.call("rk_visited_new", expected)
+        max_bits = 62 if max_slots is None else max_slots.bit_length() - 1
+        self._handle = library.call("rk_visited_new", expected, max_bits)
         if not self._handle:
             raise MemoryError("cannot allocate the native visited set")
 
@@ -315,6 +323,21 @@ class NativeVisited:
                 out.ctypes.data,
             )
         return out.view(np.bool_)
+
+    def __len__(self) -> int:
+        return self._lib.call("rk_visited_count", self._handle)
+
+    def keys(self) -> "U64Array":
+        """Every key, ascending."""
+        out = np.empty(len(self), dtype=np.uint64)
+        if out.size:
+            self._lib.call("rk_visited_keys", self._handle, out.ctypes.data)
+            out.sort()
+        return out
+
+    def reset(self) -> None:
+        """Empty the set, keeping the table's size."""
+        self._lib.call("rk_visited_reset", self._handle)
 
     @property
     def slots(self) -> int:
@@ -447,8 +470,10 @@ class NativeKernel(BatchKernel):
             return super().unique_first(keys)
         return out_keys[:unique], out_first[:unique]
 
-    def make_visited(self, expected: int) -> "NativeVisited":
-        return NativeVisited(self._lib, expected)
+    def make_visited(
+        self, expected: int, max_slots: Optional[int] = None
+    ) -> "NativeVisited":
+        return NativeVisited(self._lib, expected, max_slots)
 
     # -- safety --------------------------------------------------------
     def violations(self, states: "U64Array") -> "BoolArray":

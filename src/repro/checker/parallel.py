@@ -44,7 +44,7 @@ import warnings
 from array import array
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.fast_snapshot import (
     ClassSetup,
@@ -53,7 +53,7 @@ from repro.checker.fast_snapshot import (
     canonical_wiring_classes,
 )
 from repro.checker.fingerprint import fingerprint_int
-from repro.store.base import StoreConfig
+from repro.store.base import StoreConfig, u64_array
 from repro.store.checkpoint import (
     RunCheckpointer,
     SweepCheckpoint,
@@ -142,7 +142,10 @@ def _import_worker_modules(
     """
     modules = []
     if store is not None and store.backend != "ram":
-        modules += ["repro.store.mmap_table", "repro.store.spill"]
+        modules.append(
+            "repro.store.spill" if store.backend == "spill"
+            else "repro.store.mmap_table"
+        )
     if por:
         modules.append("repro.checker.por")
     if engine == "batch":
@@ -354,8 +357,13 @@ class ShardEngine:
     / :meth:`load_keys` do the same through memory for transports that
     move dumps over the wire instead of a shared filesystem.
 
-    The visited set lives in the configured :mod:`repro.store` backend,
-    namespaced per shard (``shard-NNN/`` by default;
+    The visited set, ``seen``, is per engine.  A scalar shard keeps it
+    in the configured :mod:`repro.store` backend.  A batch shard keeps
+    it in its kernel's own set, a
+    :class:`~repro.checker.batch.TieredVisited` that flushes into a
+    ``spill`` or ``mmap`` store what overflows half of its ``mem_cap``;
+    without a store, or with ``ram``, no store object exists.  Stores
+    are namespaced per shard (``shard-NNN/`` by default;
     ``store_namespace`` overrides it so a service worker re-assigned a
     shard at a new epoch never collides with stale on-disk files).
 
@@ -416,9 +424,17 @@ class ShardEngine:
         self.canonicalizer = setup.canonicalizer
         self.kernel = setup.kernel
         self.batch_canon = setup.batch_canon
-        self.seen = (store_config or StoreConfig()).create(
-            shard=store_namespace or f"shard-{shard:03d}"
-        )
+        namespace = store_namespace or f"shard-{shard:03d}"
+        if self.kernel is not None:
+            from repro.checker.batch import TieredVisited
+
+            self.seen = TieredVisited(
+                self.kernel, store_config, shard=namespace
+            )
+        else:
+            self.seen = (store_config or StoreConfig()).create(
+                shard=namespace
+            )
         self.selector = None
         self.batch_selector = None
         if por and self.kernel is not None:
@@ -445,7 +461,7 @@ class ShardEngine:
         import numpy as np
 
         owners = self.kernel.fingerprint_many(keys) % np.uint64(self.n_shards)
-        return (owners != np.uint64(self.shard)) | self.seen.contains_many(keys)
+        return (owners != np.uint64(self.shard)) | self.seen.contains(keys)
 
     def _is_new(self, successor: int) -> bool:
         # Sharded C3: only a locally-owned, locally-unvisited successor
@@ -461,7 +477,7 @@ class ShardEngine:
 
     def dump_to(self, path: Path) -> int:
         """Write the shard's visited keys to ``path`` as a u64 array, in
-        ascending order for the ram and spill stores."""
+        ascending order for batch shards and the ram and spill stores."""
         return write_u64_file(Path(path), self.seen.key_arrays())
 
     def load_from(self, path: Path) -> int:
@@ -472,7 +488,9 @@ class ShardEngine:
 
     def visited_keys(self) -> List[int]:
         """The visited keys as a list (wire-transported checkpoints)."""
-        return list(self.seen)
+        return [
+            key for chunk in self.seen.key_arrays() for key in chunk.tolist()
+        ]
 
     def load_keys(self, keys: Sequence[int]) -> int:
         """Bulk-load visited keys received over a transport."""
@@ -508,10 +526,8 @@ class ShardEngine:
                 states[~certified] = batch_canon.canonical_many(
                     states[~certified]
                 )
-        unique_keys, first_occ = kernel.unique_first(states)
-        present = self.seen.contains_many(unique_keys)
-        admitted_arr = states[np.sort(first_occ[~present])]
-        self.seen.add_many(admitted_arr)
+        positions, _ = self.seen.admit(states, int(states.size))
+        admitted_arr = states[positions]
         n_admitted = int(admitted_arr.size)
         covered = None
         if self.symmetry:
@@ -701,12 +717,14 @@ def explore_sharded(
     ``check_wait_freedom=True`` for that (N=2 certification does).
 
     ``store`` selects each shard's visited-set backend (namespaced
-    ``shard-NNN/`` under the store directory).  Shard ownership is
-    ``fingerprint_int(state) % jobs``, deterministic across processes
-    and hosts.  ``checkpointer``
+    ``shard-NNN/`` under the store directory; batch shards tier it
+    behind their kernel's set, see :class:`ShardEngine`).  Shard
+    ownership is ``fingerprint_int(state) % jobs``, deterministic
+    across processes and hosts.  ``checkpointer``
     persists the run at BFS-layer boundaries (per-shard visited dumps +
     the pending boundary frontier); a killed run resumes from the last
-    committed checkpoint with an identical final result.
+    committed checkpoint with an identical final result, its frontier
+    routed to the shards as arrays in batch runs.
     ``_after_checkpoint`` is a test seam invoked after every committed
     checkpoint.
 
@@ -872,10 +890,21 @@ def explore_sharded(
                 por_base = {
                     key: int(resumed.counters.get(key, 0)) for key in por_keys
                 }
-            inboxes: Dict[int, List[int]] = {}
-            for entry in resumed.frontier():
-                owner = fingerprint_int(entry >> 1) % jobs
-                inboxes.setdefault(owner, []).append(entry)
+            inboxes: Dict[int, Any] = {}
+            if use_batch_workers:
+                # Routed as arrays, as rounds route them.
+                entries = u64_array(resumed.frontier())
+                owners = setup.kernel.fingerprint_many(
+                    entries >> np.uint64(1)
+                ) % np.uint64(jobs)
+                for owner in range(jobs):
+                    part = entries[owners == np.uint64(owner)]
+                    if part.size:
+                        inboxes[owner] = part
+            else:
+                for entry in resumed.frontier():
+                    owner = fingerprint_int(entry >> 1) % jobs
+                    inboxes.setdefault(owner, []).append(entry)
             for shard in remote:
                 path = resumed.directory / f"visited-{shard:03d}.u64"
                 _send(shard, ("load", str(path)))

@@ -917,7 +917,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="visited-set backend: ram (default), mmap (open-addressing"
              " table in a memory-mapped file, fixed --mem-cap), or spill"
              " (bounded RAM buffer + sorted, memory-mapped on-disk runs,"
-             " TLC-style; unbounded state counts; needs numpy)",
+             " TLC-style; unbounded state counts; needs numpy).  The"
+             " batch engine keeps its visited set in the kernel's own"
+             " table and hands mmap or spill only what overflows half of"
+             " --mem-cap",
     )
     check.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -930,7 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="RAM budget per store instance, plain bytes or K/M/G"
              " suffixed (default 64M); mmap refuses to grow past it,"
-             " spill spills to disk under it",
+             " spill spills to disk under it.  For the batch engine,"
+             " half of it is the in-RAM tier in front of either",
     )
     check.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

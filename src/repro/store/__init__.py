@@ -24,6 +24,13 @@ All three are exact sets (the Bloom filter only short-circuits
 *misses*), so every engine reports identical states/transitions/
 verdicts whatever the backend — tested exhaustively for N=2.
 
+The scalar engines keep their whole visited set in the configured
+store.  The batch engines keep theirs in the level kernel's own set
+(:class:`repro.checker.batch.TieredVisited`), and use ``mmap`` or
+``spill`` only as a disk tier: it receives, sorted and in one
+``add_many``, the keys that would take that RAM tier past half of
+``mem_cap``.  With ``ram`` (or no store) there is no disk tier.
+
 On top of the durable stores, :mod:`repro.store.checkpoint` persists
 BFS runs (frontier + visited dump + counters + configuration metadata)
 so a killed exhaustive run resumes exactly where it stopped:

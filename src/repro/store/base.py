@@ -7,8 +7,9 @@ A :class:`FingerprintStore` is an exact set of unsigned integers — the
 - :meth:`FingerprintStore.add` inserts and reports newness in one call
   (the hot-path operation: one call per generated transition);
 - the bulk pair :meth:`FingerprintStore.contains_many` /
-  :meth:`FingerprintStore.add_many` takes a u64 numpy array (the batch
-  engine's level) and answers with a bool array / an added count;
+  :meth:`FingerprintStore.add_many` takes a u64 numpy array (a disk
+  tier's probe, or the sorted keys the batch engines' RAM tier
+  flushes) and answers with a bool array / an added count;
 - membership is *exact* — a backend may use probabilistic structures
   only to short-circuit misses, never to answer "present";
 - :meth:`FingerprintStore.__iter__` streams every stored key and
@@ -203,10 +204,10 @@ class FingerprintStore(ABC):
         """Membership for a whole batch, as a bool array aligned with
         ``keys``.
 
-        The level-batched engine (:mod:`repro.checker.batch`) probes a
-        whole BFS level, a u64 array, in one call.  This default loops
-        the scalar ``__contains__``, so every backend supports the
-        batch engine; the spill store answers with array passes.
+        The batch engines' visited set (:mod:`repro.checker.batch`)
+        probes its disk tier with a u64 array in one call.  This default
+        loops the scalar ``__contains__``, so every backend supports the
+        batch engines; the spill store answers with array passes.
         """
         import numpy as np
 
@@ -219,8 +220,8 @@ class FingerprintStore(ABC):
 
         Same contract as calling :meth:`add` per key, in order — the
         default does exactly that.  Callers that pre-deduplicate (the
-        batch engine admits only keys its level dedup proved new) still
-        get exact semantics from backends that re-check membership.
+        batch engines flush only keys their disk tier lacks) still get
+        exact semantics from backends that re-check membership.
         """
         add = self.add
         return sum(1 for key in key_list(keys) if add(key))

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, Set
 from repro.store.base import FingerprintStore, key_list
 
 if TYPE_CHECKING:
-    from repro.store.base import BoolArray, U64Keys
+    from repro.store.base import U64Keys
 
 
 class RamStore(FingerprintStore):
@@ -52,12 +52,6 @@ class RamStore(FingerprintStore):
 
     def __contains__(self, key: int) -> bool:
         return key in self._set
-
-    def contains_many(self, keys: "U64Keys") -> "BoolArray":
-        import numpy as np
-
-        _set = self._set
-        return np.fromiter((key in _set for key in key_list(keys)), dtype=np.bool_)
 
     def add_many(self, keys: "U64Keys") -> int:
         _set = self._set

@@ -12,7 +12,8 @@ sorted array (keys the scalar :meth:`SpillStore.add` inserts wait in a
 small set until the next bulk call or spill folds them in), a run is
 written with one ``ndarray.tofile`` and probed with ``searchsorted``
 over a cached read-only ``np.memmap`` of its file, and the Bloom
-filter is hashed for a whole batch at once.
+filter is hashed for a batch at once, in slices of ``_BLOOM_BATCH``
+keys.
 
 RAM usage is bounded by construction whatever the number of visited
 states: the buffer holds at most ``buffer_limit`` keys, the Bloom
@@ -75,6 +76,10 @@ _ENTRY_COST = 120
 #: Parallel merges only pay off past this many total keys; below it the
 #: fork + IPC cost of a worker pool dwarfs the merge itself.
 _PARALLEL_MERGE_MIN = 1_000_000
+#: Keys hashed into the Bloom filter per pass.  Each pass holds a few
+#: u64 arrays of three probes per key, so a large batch (a batch
+#: engine's RAM tier flushing millions of keys) is hashed in slices.
+_BLOOM_BATCH = 1 << 16
 #: :meth:`SpillStore.key_arrays` cuts every run and the buffer at each
 #: of their ``_DUMP_STRIDE``-th keys, which bounds a chunk by that many
 #: keys per source.
@@ -265,19 +270,25 @@ class SpillStore(FingerprintStore):
     def _bloom_maybe_many(self, keys: "U64Array") -> "BoolArray":
         import numpy as np
 
-        rows = self._bloom_positions_many(keys)
-        bits = self._bloom_view[rows >> 3] >> (rows & 7).astype(np.uint8)
-        return cast("BoolArray", (bits & 1).all(axis=0))
+        maybe = np.empty(keys.size, dtype=np.bool_)
+        for start in range(0, keys.size, _BLOOM_BATCH):
+            rows = self._bloom_positions_many(keys[start:start + _BLOOM_BATCH])
+            bits = self._bloom_view[rows >> 3] >> (rows & 7).astype(np.uint8)
+            maybe[start:start + _BLOOM_BATCH] = (bits & 1).all(axis=0)
+        return maybe
 
     def _bloom_add_many(self, keys: "U64Array") -> None:
         import numpy as np
 
-        rows = self._bloom_positions_many(keys).ravel()
-        np.bitwise_or.at(
-            self._bloom_view,
-            rows >> 3,
-            np.left_shift(1, rows & 7).astype(np.uint8),
-        )
+        for start in range(0, keys.size, _BLOOM_BATCH):
+            rows = self._bloom_positions_many(
+                keys[start:start + _BLOOM_BATCH]
+            ).ravel()
+            np.bitwise_or.at(
+                self._bloom_view,
+                rows >> 3,
+                np.left_shift(1, rows & 7).astype(np.uint8),
+            )
 
     def _buffered(self, key: int) -> bool:
         return key in self._loose or (
@@ -366,18 +377,21 @@ class SpillStore(FingerprintStore):
         are written straight to disk as one sorted run instead of
         churning through repeated buffer spills.  Fresh keys are by
         construction absent from the buffer and every run, so runs stay
-        pairwise disjoint.
+        pairwise disjoint.  A strictly ascending batch of fresh keys (a
+        batch engine's flush) is written as it is, without a copy.
         """
         import numpy as np
 
-        distinct = np.sort(u64_array(keys))
-        if distinct.size > 1:
+        distinct = u64_array(keys)
+        if distinct.size > 1 and not bool(np.all(distinct[1:] > distinct[:-1])):
+            distinct = np.sort(distinct)
             distinct = distinct[
                 np.concatenate(([True], distinct[1:] != distinct[:-1]))
             ]
         if not distinct.size:
             return 0
-        fresh = distinct[~self.contains_many(distinct)]
+        present = self.contains_many(distinct)
+        fresh = distinct[~present] if present.any() else distinct
         if not fresh.size:
             return 0
         if (

@@ -26,6 +26,7 @@ from repro.store import (
     CheckpointError,
     CheckpointIncompatible,
     RunCheckpointer,
+    StoreConfig,
     SweepCheckpoint,
     read_u64_file,
     write_u64_file,
@@ -230,6 +231,80 @@ class TestBatchPorResume:
         resumed = explore_sharded(
             [1, 2], WIRING, **kwargs,
             checkpointer=RunCheckpointer(tmp_path, meta, every=1),
+        )
+        assert _signature(resumed) == _signature(uninterrupted)
+        assert resumed.por_counters == uninterrupted.por_counters
+
+
+    def test_resume_at_a_flushing_cap_matches_the_uninterrupted_run(
+        self, tmp_path, monkeypatch
+    ):
+        # At 1 KiB each batch visited set keeps 48 keys in RAM and
+        # flushes the rest into its spill store, so every checkpoint
+        # dumps both tiers and every resume refills both.  A serial run
+        # dies after its first commit, a sharded one loses a worker.
+        monkeypatch.setattr(
+            parallel, "effective_jobs", lambda requested: requested
+        )
+        spec = FastSnapshotSpec([1, 2], WIRING)
+        uninterrupted = spec.explore(engine="batch", por=True)
+
+        def store(name):
+            return StoreConfig(
+                backend="spill", directory=str(tmp_path / name),
+                mem_cap=1024,
+            )
+
+        meta = {**META, "por": True}
+        with pytest.raises(KeyboardInterrupt):
+            spec.explore(
+                engine="batch", por=True, store=store("serial"),
+                checkpointer=_CrashAfterCommit(
+                    tmp_path / "serial-ckpt", meta, every=500
+                ),
+            )
+        resumed = spec.explore(
+            engine="batch", por=True, store=store("serial"),
+            checkpointer=RunCheckpointer(
+                tmp_path / "serial-ckpt", meta, every=500
+            ),
+        )
+        assert _signature(resumed) == _signature(uninterrupted)
+        assert resumed.por_counters == uninterrupted.por_counters
+        assert resumed.store_counters["entries"] == resumed.states
+
+        kwargs = dict(jobs=2, por=True, engine="batch", store=store("sharded"))
+        uninterrupted = explore_sharded([1, 2], WIRING, **kwargs)
+        meta = {**meta, "jobs": 2}
+        commits = []
+        killed = []
+
+        def kill_one_worker():
+            # The 15th layer holds about 1,500 states, so each shard's
+            # dump spans both tiers.
+            commits.append(1)
+            if killed or len(commits) < 15:
+                return
+            import multiprocessing
+
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            killed.append(victim.pid)
+
+        with pytest.raises(RuntimeError, match="resume"):
+            explore_sharded(
+                [1, 2], WIRING, **kwargs,
+                checkpointer=RunCheckpointer(
+                    tmp_path / "sharded-ckpt", meta, every=1
+                ),
+                _after_checkpoint=kill_one_worker,
+            )
+        assert killed, "the test never reached a committed checkpoint"
+        resumed = explore_sharded(
+            [1, 2], WIRING, **kwargs,
+            checkpointer=RunCheckpointer(
+                tmp_path / "sharded-ckpt", meta, every=1
+            ),
         )
         assert _signature(resumed) == _signature(uninterrupted)
         assert resumed.por_counters == uninterrupted.por_counters

@@ -339,6 +339,40 @@ class TestSpillStore:
         finally:
             store.close()
 
+    def test_bloom_slices_give_the_same_filter_and_answers(
+        self, tmp_path, monkeypatch
+    ):
+        # Bulk calls hash the Bloom filter in slices of _BLOOM_BATCH
+        # keys; ragged 100-key slices must set the same bits and answer
+        # the same as whole-batch hashing.
+        from repro.store import spill as spill_module
+
+        rng = random.Random(11)
+        batches = [
+            [rng.getrandbits(24) for _ in range(rng.randint(0, 3000))]
+            for _ in range(12)
+        ]
+        filters, answers = [], []
+        for bloom_batch in (spill_module._BLOOM_BATCH, 100):
+            monkeypatch.setattr(spill_module, "_BLOOM_BATCH", bloom_batch)
+            store = _make(
+                "spill", tmp_path / str(bloom_batch), mem_cap=4096
+            )
+            try:
+                for keys in batches:
+                    answers.append(store.contains_many(_u64(keys)).tolist())
+                    store.add_many(_u64(keys))
+                assert store.counters()["runs"] >= 1
+                filters.append(bytes(store._bloom))
+            finally:
+                store.close()
+        assert filters[0] == filters[1]
+        assert answers[:12] == answers[12:]
+        oracle = set()
+        for keys, answer in zip(batches, answers):
+            assert answer == [key in oracle for key in keys]
+            oracle.update(keys)
+
     @pytest.mark.parametrize("stride", [None, 64])
     def test_dump_is_ascending_u64_bytes(self, tmp_path, monkeypatch, stride):
         # Runs, the sorted buffer and scalar-added keys all land in one
@@ -566,20 +600,27 @@ def _reachable_keys(spec, symmetry):
 @pytest.mark.parametrize("engine", ["scalar", "batch"])
 class TestExactKeys:
     """Packed engines key their visited sets on the exact (canonical)
-    state, so the keys a disk store holds are the states themselves."""
+    state, so the keys a visited set holds are the states themselves.
+    The scalar engine's set is the spill store; the batch engine's
+    spans its RAM tier and the spill store behind it."""
 
     CONFIG = dict(backend="spill", mem_cap=4096)
 
     def test_serial_visited_set_is_the_reachable_states(
         self, tmp_path, monkeypatch, engine, symmetry
     ):
+        from repro.checker.batch import TieredVisited
         from repro.store.spill import SpillStore
 
         at_close = []
-        close = SpillStore.close
-        monkeypatch.setattr(SpillStore, "close", lambda store: (
-            at_close.append((list(store), store.counters()["runs"])),
-            close(store),
+        owner = TieredVisited if engine == "batch" else SpillStore
+        close = owner.close
+        monkeypatch.setattr(owner, "close", lambda visited: (
+            at_close.append((
+                [int(key) for chunk in visited.key_arrays() for key in chunk],
+                visited.counters()["runs"],
+            )),
+            close(visited),
         ))
         spec = FastSnapshotSpec([1, 2], WIRING)
         result = spec.explore(
