@@ -290,9 +290,10 @@ class TieredVisited:
     half of the store's ``mem_cap``: home slots × 8 bytes at the table's
     3/4 load limit, 12,288 keys at 256 KiB.  When an admission finds the
     RAM tier full, its keys go to the store, sorted, in one
-    ``add_many``, and the RAM tier starts empty.  This is TLC's
-    disk-backed state set (Yu, Manolios & Lamport, CHARME 1999) with the
-    kernel's hash table as its in-memory part.
+    ``add_many(keys, fresh=True)`` that probes nothing, and the RAM tier
+    starts empty.  This is TLC's disk-backed state set (Yu, Manolios &
+    Lamport, CHARME 1999) with the kernel's hash table as its in-memory
+    part.
 
     The two tiers are disjoint: a key reaches the RAM tier only if the
     disk tier lacks it, so ``len`` is their sum, and the store's
@@ -359,7 +360,8 @@ class TieredVisited:
 
     def _flush(self) -> None:
         assert self._disk is not None
-        self._disk.add_many(self._ram.keys())
+        # The RAM tier admits only keys the disk tier lacks.
+        self._disk.add_many(self._ram.keys(), fresh=True)
         self._ram.reset()
 
     def key_arrays(self) -> "Iterator[U64Array]":

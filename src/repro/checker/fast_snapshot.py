@@ -899,11 +899,11 @@ class ClassSetup:
     ``canonical`` once; the batch engine's leaves that to its kernel:
     the numpy kernel reads ``element_tables``, and the native kernel
     bakes the field maps and fills its own tables in C on its first
-    canonicalization.  A process tree builds one setup per class:
-    forked shard workers use the driver's as it is, with whatever
-    tables and open native library it holds.  A spawn start pickles it
-    as its construction parameters and rebuilds it in the child,
-    because a native library handle does not pickle.
+    canonicalization.  Every process of a sharded run builds its own
+    setup: the driver sends its shard workers the construction
+    parameters from :meth:`prepare` (a native library handle does not
+    pickle), and each builds the setup from them while the driver
+    builds its own.
     """
 
     def __init__(
@@ -913,7 +913,6 @@ class ClassSetup:
         engine: str = "scalar",
         kernel: str = "auto",
     ) -> None:
-        self._params = (spec, symmetry, engine, kernel)
         self.spec = spec
         self.symmetry = symmetry
         self.canonicalizer: Optional[FastCanonicalizer] = None
@@ -938,8 +937,24 @@ class ClassSetup:
                 self.canonicalizer
             )
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return ClassSetup, self._params
+    @staticmethod
+    def prepare(
+        spec: FastSnapshotSpec,
+        symmetry: bool = False,
+        engine: str = "scalar",
+        kernel: str = "auto",
+    ) -> Tuple[FastSnapshotSpec, bool, str, str]:
+        """Construction parameters under which any process builds this
+        class's setup without compiling: a batch ``kernel`` request
+        becomes the name of the kernel it yields here, whose native
+        library is then in the cache."""
+        if engine == "batch":
+            from repro.checker import batch
+
+            batch.require_numpy()
+            canonicalizer = FastCanonicalizer(spec) if symmetry else None
+            kernel = batch.make_kernel(spec, kernel, canonicalizer).kernel_name
+        return spec, symmetry, engine, kernel
 
 
 # ----------------------------------------------------------------------

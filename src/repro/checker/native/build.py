@@ -1,12 +1,13 @@
 """Compile generated kernels into shared objects, cached on disk.
 
-The cache key is a hash of the emitted translation unit itself —
-machine layout, wiring tables, the stabilizer's field maps, and the
-generator version are all *in* the text, so any change to any of them
-produces a new key and a fresh compile; nothing else can invalidate
-stale objects.  A source is a few tens of kilobytes (the fused symmetry
-tables are filled at run time, not baked), so every process generates
-and hashes it to find its object.  Artifacts live under
+The cache key is a hash of the compile flags and the emitted
+translation unit — machine layout, wiring tables, the stabilizer's
+field maps, and the generator version are all *in* the text, so a
+change to any of them, or to the flags, produces a new key and a fresh
+compile; nothing else can invalidate stale objects.  A source is a few
+tens of kilobytes (the fused symmetry tables are filled at run time,
+not baked), so every process generates and hashes it to find its
+object.  Artifacts live under
 ``$REPRO_NATIVE_CACHE`` (or ``$XDG_CACHE_HOME/repro-native``, or
 ``~/.cache/repro-native``) as ``rk-<key>.c`` / ``rk-<key>.so`` pairs;
 the ``.c`` file is kept beside the object for debuggability.
@@ -54,9 +55,17 @@ def find_compiler() -> Optional[str]:
     return None
 
 
+#: Compiler flags before the output and input paths; part of the key.
+COMPILE_FLAGS = ("-O3", "-shared", "-fPIC")
+
+
 def source_key(source: str) -> str:
-    """Stable cache key: sha256 of the translation unit text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:32]
+    """Stable cache key: a 128-bit BLAKE2b digest of the compile flags
+    and the translation unit text.  BLAKE2 is CPython's own
+    implementation, so hashing loads no OpenSSL code into the process."""
+    digest = hashlib.blake2b(" ".join(COMPILE_FLAGS).encode(), digest_size=16)
+    digest.update(b"\0" + source.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def build_library(source: str) -> Path:
@@ -76,15 +85,7 @@ def build_library(source: str) -> Path:
     tmp_c = root / f"rk-{key}.{os.getpid()}.tmp.c"
     tmp_so = root / f"rk-{key}.{os.getpid()}.tmp.so"
     tmp_c.write_text(source, encoding="utf-8")
-    command = [
-        compiler,
-        "-O2",
-        "-shared",
-        "-fPIC",
-        "-o",
-        str(tmp_so),
-        str(tmp_c),
-    ]
+    command = [compiler, *COMPILE_FLAGS, "-o", str(tmp_so), str(tmp_c)]
     try:
         completed = subprocess.run(
             command, capture_output=True, text=True, timeout=600

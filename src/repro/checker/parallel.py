@@ -17,11 +17,13 @@ the shard ``fingerprint_int(state) % jobs`` (the deterministic packed
 -integer fingerprint, *not* Python's randomized object hash, so all
 workers — even spawn-started ones — agree on ownership).  ``jobs``
 shards run in ``jobs`` processes: the driver expands shard 0 itself
-and forks one worker per other shard.  Each shard holds its own
-visited set only and expands one BFS layer per round; workers hand
-successors owned by other shards back to the driver, which routes
-them.  Per-shard statistics are merged in shard order, so two runs
-with the same ``jobs`` produce identical results.
+and a :class:`ShardWorkers` set forks one worker per other shard.  A
+sweep opens one set and keeps it for every class; each class reaches
+the workers as a message.  Each shard holds its own visited set only
+and expands one BFS layer per round; workers hand successors owned by
+other shards back to the driver, which routes them.  Per-shard
+statistics are merged in shard order, so two runs with the same
+``jobs`` produce identical results.
 
 Exhaustive runs are partition-invariant: the sharded engine reports
 exactly the serial engine's ``(states, transitions, ok)`` because both
@@ -180,13 +182,14 @@ def ordered_parallel_map(func, items: Sequence, jobs: int) -> List:
 # Grain 1: one worker per canonical wiring class
 # ----------------------------------------------------------------------
 
-def _class_store(
+def class_store_config(
     store: Optional[StoreConfig], index: int
 ) -> Optional[StoreConfig]:
-    """Per-class namespace of a shared store configuration.
+    """Per-class namespace of a sweep's store configuration.
 
-    Classes explore concurrently, so disk-backed classes must not share
-    table/run files; an explicit directory gets a per-class
+    Disk-backed classes must not share table/run files (the class pool
+    explores them concurrently, and a sharded sweep keeps each class's
+    files for its resume); an explicit directory gets a per-class
     subdirectory, and a temp-backed config stays as-is (every create()
     mints a fresh temp directory anyway).
     """
@@ -221,7 +224,7 @@ def _explore_class_task(
     result = FastSnapshotSpec(inputs, wiring).explore(
         max_states=max_states,
         symmetry=symmetry,
-        store=_class_store(store, index),
+        store=class_store_config(store, index),
         por=por,
         engine=engine,
         kernel=kernel,
@@ -341,8 +344,8 @@ class ShardEngine:
     kernel, and processes one BFS round at a time.  The caller decides
     how rounds arrive and layer replies leave: :func:`explore_sharded`
     calls shard 0's engine directly in the driver, the pipe-based
-    :func:`_shard_worker` (multiprocessing, same host) runs every other
-    shard, and the socket-based service worker
+    :func:`_shard_worker` (multiprocessing, same host) builds one per
+    class for every other shard, and the socket-based service worker
     (:mod:`repro.service.worker`, any host) drives the same engine, so
     no caller can diverge semantically.
 
@@ -627,41 +630,44 @@ class ShardEngine:
         )
 
 
-def _shard_worker(
-    conn,
-    setup: ClassSetup,
-    shard: int,
-    n_shards: int,
-    store_config: Optional[StoreConfig] = None,
-    por: bool = False,
-) -> None:
-    """Pipe transport around one :class:`ShardEngine`.
+def _shard_worker(conn, shard: int, n_shards: int) -> None:
+    """Pipe transport around shard ``shard``'s :class:`ShardEngine`,
+    one wiring class after another.
 
-    Protocol: driver sends ``("round", entries)``; the engine processes
-    the layer and the worker replies ``("layer", admitted, transitions,
-    violation, outboxes, covered, skipped, por_counters)``.
-    ``("stop",)`` terminates.  For checkpointing, ``("dump", path)``
-    streams the shard's visited keys to ``path`` as a u64 array and
-    replies ``("dumped", count)``; ``("load", path)`` bulk-loads a
-    previous dump (resume) and replies ``("loaded", count)``.  All
-    exploration semantics live in :class:`ShardEngine`.
+    Protocol: ``("class", params, store_config, por)`` builds the
+    engine for one class from its :class:`ClassSetup` construction
+    parameters (:meth:`ClassSetup.prepare`), and ``("end",)`` closes
+    it, deleting a temporary store directory before the next class
+    arrives.  In between, driver sends ``("round", entries)``; the
+    engine processes the layer and the worker replies ``("layer",
+    admitted, transitions, violation, outboxes, covered, skipped,
+    por_counters)``.  ``("stop",)`` terminates.  For checkpointing,
+    ``("dump", path)`` streams the shard's visited keys to ``path`` as a
+    u64 array and replies ``("dumped", count)``; ``("load", path)``
+    bulk-loads a previous dump (resume) and replies ``("loaded",
+    count)``.  All exploration semantics live in :class:`ShardEngine`.
     """
     shard_engine = None
     try:
-        shard_engine = ShardEngine(
-            setup, shard, n_shards, store_config=store_config, por=por
-        )
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            if message[0] == "dump":
+            if message[0] == "class":
+                params, store_config, por = message[1:]
+                shard_engine = ShardEngine(
+                    ClassSetup(*params), shard, n_shards,
+                    store_config=store_config, por=por,
+                )
+            elif message[0] == "end":
+                ended, shard_engine = shard_engine, None
+                ended.close()
+            elif message[0] == "dump":
                 conn.send(("dumped", shard_engine.dump_to(Path(message[1]))))
-                continue
-            if message[0] == "load":
+            elif message[0] == "load":
                 conn.send(("loaded", shard_engine.load_from(Path(message[1]))))
-                continue
-            conn.send(("layer",) + shard_engine.process_round(message[1]))
+            else:
+                conn.send(("layer",) + shard_engine.process_round(message[1]))
     except EOFError:  # driver went away mid-run
         pass
     except Exception as exc:  # surface worker crashes to the driver
@@ -673,6 +679,75 @@ def _shard_worker(
         if shard_engine is not None:
             shard_engine.close()
         conn.close()
+
+
+class ShardWorkers:
+    """The forked workers of one sharded sweep, shards 1 … ``jobs``−1.
+
+    They start with the first class :func:`explore_sharded` hands them,
+    so a sweep whose classes are all complete starts none, and they
+    serve every class after it: each class is a ``("class", …)``
+    message on the worker's pipe and ends with ``("end",)`` (see
+    :func:`_shard_worker`).  :meth:`close`, or leaving a ``with`` block,
+    stops and joins them.  A host that cannot start them marks the set
+    ``forkless``, and every class then runs serially.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.forkless = False
+        self.connections: Dict[int, Any] = {}  # shard -> its pipe end
+        self._processes: List[Any] = []
+
+    def __enter__(self) -> "ShardWorkers":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def start(
+        self, store: Optional[StoreConfig], por: bool, engine: str
+    ) -> bool:
+        """Fork the workers unless they run already; False when this
+        host cannot start them."""
+        if self.forkless:
+            return False
+        if self.connections:
+            return True
+        _import_worker_modules(store, por, engine, heartbeat=False)
+        ctx = _mp_context()
+        try:
+            for shard in range(1, self.jobs):
+                parent_conn, child_conn = ctx.Pipe()
+                process = ctx.Process(
+                    target=_shard_worker,
+                    args=(child_conn, shard, self.jobs),
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+                self.connections[shard] = parent_conn
+                self._processes.append(process)
+        except OSError:  # fork-less or process-capped hosts
+            self.close()
+            self.forkless = True
+            return False
+        return True
+
+    def close(self) -> None:
+        """Stop and join every worker; a later :meth:`start` forks anew."""
+        for conn in self.connections.values():
+            try:
+                conn.send(("stop",))
+            except (OSError, BrokenPipeError):
+                pass
+            conn.close()
+        for process in self._processes:
+            process.join(timeout=5)
+            if process.is_alive():  # pragma: no cover - defensive
+                process.terminate()
+        self.connections = {}
+        self._processes = []
 
 
 def explore_sharded(
@@ -688,20 +763,23 @@ def explore_sharded(
     engine: str = "scalar",
     kernel: str = "auto",
     heartbeat=None,
+    workers: Optional[ShardWorkers] = None,
 ) -> FastExplorationResult:
     """Frontier-sharded BFS over one wiring class across ``jobs`` cores.
 
     Level-synchronous: each round every shard expands exactly one BFS
     layer and exchanges boundary states through the driver.  ``jobs``
-    shards run in ``jobs`` processes: the driver forks a worker for
-    each of shards 1 … ``jobs``−1 and expands shard 0 itself while they
-    work, building that engine after the forks so no worker inherits
-    its store.  The driver merges per-shard statistics in shard order
-    and applies the state budget at layer boundaries, so the result is
-    deterministic for a fixed ``jobs`` — and equal to the serial
-    engine's on any exhaustive (non-truncated) run.  ``jobs`` is capped
-    at the host's core count (:func:`effective_jobs`); a host that
-    cannot start a process runs the serial engine instead.
+    shards run in ``jobs`` processes: ``workers``, a
+    :class:`ShardWorkers` set, runs shards 1 … ``jobs``−1 and the
+    driver expands shard 0 itself while they work.  A sweep passes one
+    set for all its classes; without one, the call opens and closes its
+    own.  A class that fails stops the set's workers.  The driver
+    merges per-shard statistics in shard order and applies the state
+    budget at layer boundaries, so the result is deterministic for a
+    fixed ``jobs`` — and equal to the serial engine's on any exhaustive
+    (non-truncated) run.  ``jobs`` is capped at the host's core count
+    (:func:`effective_jobs`); a host that cannot start a process runs
+    the serial engine instead.
 
     With ``symmetry`` the shards jointly explore the quotient graph:
     workers canonicalize successors before the ownership fingerprint
@@ -746,8 +824,10 @@ def explore_sharded(
     through checkpoints identically for both engines.  ``kernel``
     selects the batch shards' level kernel
     (``auto``/``numpy``/``native``, :func:`repro.checker.batch.make_kernel`).
-    The driver builds the class's :class:`ClassSetup` once, uses it for
-    shard 0 and hands it to every worker.
+    The driver resolves the class's :class:`ClassSetup` parameters
+    (:meth:`ClassSetup.prepare`, which compiles a missing native
+    kernel), sends them to every worker, then builds its own setup
+    while the workers build theirs from the same parameters.
     """
     spec = FastSnapshotSpec(inputs, wiring)
     jobs = effective_jobs(jobs)
@@ -761,7 +841,8 @@ def explore_sharded(
             f" canonical_bit in a u64 word; this configuration packs"
             f" states into {spec.state_bits} bits"
         )
-    if jobs <= 1:
+
+    def _serial() -> FastExplorationResult:
         return spec.explore(
             max_states=max_states,
             symmetry=symmetry,
@@ -771,6 +852,13 @@ def explore_sharded(
             engine=engine,
             kernel=kernel,
             heartbeat=heartbeat,
+        )
+
+    if jobs <= 1:
+        return _serial()
+    if workers is not None and workers.jobs != jobs:
+        raise ValueError(
+            f"the shard workers serve {workers.jobs} shards, not {jobs}"
         )
     if checkpointer is not None:
         recorded = checkpointer.completed_result()
@@ -783,7 +871,6 @@ def explore_sharded(
                 f" states into {spec.state_bits} bits"
             )
 
-    setup = ClassSetup(spec, symmetry, engine, kernel)
     use_batch_workers = engine == "batch"
     if use_batch_workers:
         import numpy as np
@@ -800,7 +887,7 @@ def explore_sharded(
 
     def _recv(shard: int):
         try:
-            return connections[shard].recv()
+            return workers.connections[shard].recv()
         except (EOFError, OSError):
             # A SIGKILLed worker surfaces as EOF or ECONNRESET depending
             # on where the pipe read was when the process died.
@@ -808,47 +895,31 @@ def explore_sharded(
 
     def _send(shard: int, message) -> None:
         try:
-            connections[shard].send(message)
+            workers.connections[shard].send(message)
         except (OSError, BrokenPipeError):
             raise _died(shard) from None
 
     def _finish(result: FastExplorationResult) -> FastExplorationResult:
         if checkpointer is not None:
             checkpointer.mark_complete(asdict(result))
+        for shard in remote:
+            _send(shard, ("end",))
         return result
 
-    _import_worker_modules(store, por, engine, heartbeat=False)
-    ctx = _mp_context()
-    connections = {}  # remote shard -> its worker's pipe end
-    workers = []
+    owned = None
+    if workers is None:
+        workers = owned = ShardWorkers(jobs)
     local: Optional[ShardEngine] = None
     remote = range(1, jobs)
     try:
-        try:
-            for shard in remote:
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_shard_worker,
-                    args=(child_conn, setup, shard, jobs, store, por),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                connections[shard] = parent_conn
-                workers.append(process)
-        except OSError:  # fork-less or process-capped hosts
-            return spec.explore(
-                max_states=max_states,
-                symmetry=symmetry,
-                store=store,
-                checkpointer=checkpointer,
-                por=por,
-                engine=engine,
-                kernel=kernel,
-                heartbeat=heartbeat,
-            )
-        # The driver expands shard 0 itself.  Built after the forks, so
-        # no worker inherits its store.
+        params = ClassSetup.prepare(spec, symmetry, engine, kernel)
+        if not workers.start(store, por, engine):
+            return _serial()
+        for shard in remote:
+            _send(shard, ("class", params, store, por))
+        # The driver expands shard 0 itself, and builds its setup while
+        # the workers build theirs.
+        setup = ClassSetup(*params)
         local = ShardEngine(setup, 0, jobs, store_config=store, por=por)
 
         states = 0
@@ -1050,16 +1121,13 @@ def explore_sharded(
             recanonicalizations_skipped=recanon_skipped,
             por_counters=_por_totals(),
         ))
+    except BaseException:
+        # A round may be half read, so no later class can use these
+        # pipes.
+        workers.close()
+        raise
     finally:
         if local is not None:
             local.close()
-        for conn in connections.values():
-            try:
-                conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
-            conn.close()
-        for process in workers:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
+        if owned is not None:
+            owned.close()

@@ -368,67 +368,63 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     print(f"por total: {stats.summary()}")
         elif args.sharded and jobs > 1:
             # One class at a time, its BFS frontier sharded across this
-            # process and jobs - 1 workers; store files and checkpoints
-            # are namespaced class-NNN/ so classes never share state.
-            from dataclasses import replace
-
+            # process and jobs - 1 workers that serve every class; store
+            # files and checkpoints are namespaced class-NNN/ so classes
+            # never share state.
             from repro.checker.fast_snapshot import canonical_wiring_classes
             from repro.checker.parallel import (
+                ShardWorkers,
                 class_key,
+                class_store_config,
                 engine_label,
                 explore_sharded,
             )
             from repro.store.checkpoint import RunCheckpointer
 
             inputs = list(range(1, args.n + 1))
-            for index, wiring in enumerate(
-                canonical_wiring_classes(args.n, args.n)
-            ):
-                class_store = store_cfg
-                if store_cfg is not None and store_cfg.directory is not None:
-                    class_store = replace(
-                        store_cfg,
-                        directory=str(
-                            Path(store_cfg.directory) / f"class-{index:03d}"
-                        ),
-                    )
-                checkpointer = None
-                if ckpt_base is not None:
-                    checkpointer = RunCheckpointer(
-                        ckpt_base / f"class-{index:03d}",
-                        meta={
-                            **meta_base,
-                            "engine": "sharded",
-                            "jobs": jobs,
-                            "wiring": class_key(wiring),
-                        },
-                        every=args.checkpoint_every,
-                    )
-                heartbeat = None
-                if args.heartbeat is not None:
-                    from repro.service.heartbeat import Heartbeat
+            with ShardWorkers(jobs) as workers:
+                for index, wiring in enumerate(
+                    canonical_wiring_classes(args.n, args.n)
+                ):
+                    checkpointer = None
+                    if ckpt_base is not None:
+                        checkpointer = RunCheckpointer(
+                            ckpt_base / f"class-{index:03d}",
+                            meta={
+                                **meta_base,
+                                "engine": "sharded",
+                                "jobs": jobs,
+                                "wiring": class_key(wiring),
+                            },
+                            every=args.checkpoint_every,
+                        )
+                    heartbeat = None
+                    if args.heartbeat is not None:
+                        from repro.service.heartbeat import Heartbeat
 
-                    heartbeat = Heartbeat(
-                        args.heartbeat,
-                        label=(
-                            f"class-{index:03d}"
-                            f" {engine_label(args.engine, kernel)}"
-                        ),
+                        heartbeat = Heartbeat(
+                            args.heartbeat,
+                            label=(
+                                f"class-{index:03d}"
+                                f" {engine_label(args.engine, kernel)}"
+                            ),
+                        )
+                    result = explore_sharded(
+                        inputs, wiring, jobs=jobs, max_states=max_states,
+                        symmetry=args.symmetry,
+                        store=class_store_config(store_cfg, index),
+                        checkpointer=checkpointer, por=args.por,
+                        engine=args.engine, kernel=kernel, heartbeat=heartbeat,
+                        workers=workers,
                     )
-                result = explore_sharded(
-                    inputs, wiring, jobs=jobs, max_states=max_states,
-                    symmetry=args.symmetry, store=class_store, checkpointer=checkpointer,
-                    por=args.por, engine=args.engine, kernel=kernel,
-                    heartbeat=heartbeat,
-                )
-                status = "OK" if result.ok else f"VIOLATED: {result.violation}"
-                if not result.ok:
-                    failures += 1
-                scope = "exhaustive" if result.complete else "bounded"
-                print(f"wiring class {wiring}: {result.states} states"
-                      f" ({scope}, {jobs} frontier shards)"
-                      f"{_symmetry_suffix(result)}{_store_suffix(result)}"
-                      f"{_por_suffix(result)}, {status}")
+                    status = "OK" if result.ok else f"VIOLATED: {result.violation}"
+                    if not result.ok:
+                        failures += 1
+                    scope = "exhaustive" if result.complete else "bounded"
+                    print(f"wiring class {wiring}: {result.states} states"
+                          f" ({scope}, {jobs} frontier shards)"
+                          f"{_symmetry_suffix(result)}{_store_suffix(result)}"
+                          f"{_por_suffix(result)}, {status}")
         else:
             # One whole class per worker (E4's natural grain).
             from repro.checker.parallel import check_snapshot_classes
@@ -859,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sharded", action="store_true",
         help="with --jobs K > 1, split each class's BFS frontier into K"
              " shards instead of one whole class per worker: this"
-             " process expands shard 0 and K-1 forked workers the rest",
+             " process expands shard 0 and K-1 workers, forked once for"
+             " the whole sweep, the rest",
     )
     check.add_argument(
         "--engine", choices=["scalar", "batch"], default="scalar",

@@ -28,8 +28,9 @@ The scalar engines keep their whole visited set in the configured
 store.  The batch engines keep theirs in the level kernel's own set
 (:class:`repro.checker.batch.TieredVisited`), and use ``mmap`` or
 ``spill`` only as a disk tier: it receives, sorted and in one
-``add_many``, the keys that would take that RAM tier past half of
-``mem_cap``.  With ``ram`` (or no store) there is no disk tier.
+unprobed ``add_many(keys, fresh=True)``, the keys that would take that
+RAM tier past half of ``mem_cap``.  With ``ram`` (or no store) there is
+no disk tier.
 
 On top of the durable stores, :mod:`repro.store.checkpoint` persists
 BFS runs (frontier + visited dump + counters + configuration metadata)

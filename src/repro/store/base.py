@@ -215,13 +215,14 @@ class FingerprintStore(ABC):
             (key in self for key in key_list(keys)), dtype=np.bool_
         )
 
-    def add_many(self, keys: "U64Keys") -> int:
+    def add_many(self, keys: "U64Keys", fresh: bool = False) -> int:
         """Insert a whole batch; returns the number newly added.
 
         Same contract as calling :meth:`add` per key, in order — the
-        default does exactly that.  Callers that pre-deduplicate (the
-        batch engines flush only keys their disk tier lacks) still get
-        exact semantics from backends that re-check membership.
+        default does exactly that.  ``fresh`` vouches that the keys are
+        strictly ascending and absent from the store (a batch engine's
+        flush: its RAM tier admits only keys its disk tier lacks), so a
+        backend may insert them without probing; the result is the same.
         """
         add = self.add
         return sum(1 for key in key_list(keys) if add(key))

@@ -53,7 +53,7 @@ class RamStore(FingerprintStore):
     def __contains__(self, key: int) -> bool:
         return key in self._set
 
-    def add_many(self, keys: "U64Keys") -> int:
+    def add_many(self, keys: "U64Keys", fresh: bool = False) -> int:
         _set = self._set
         before = len(_set)
         _set.update(key_list(keys))

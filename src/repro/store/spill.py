@@ -46,7 +46,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    cast,
 )
 
 from repro.checker.fingerprint import splitmix64, splitmix64_many
@@ -368,44 +367,49 @@ class SpillStore(FingerprintStore):
             found[pending] = run_keys[np.maximum(last, 0)] == probe
         return found
 
-    def add_many(self, keys: "U64Keys") -> int:
+    def add_many(self, keys: "U64Keys", fresh: bool = False) -> int:
         """Bulk insert; a large batch of new keys becomes a run directly.
 
         The batch is sorted and deduplicated (a neighbour compare, not
-        ``np.unique``), membership is resolved by :meth:`contains_many`,
-        and when the fresh keys alone would overflow the RAM buffer they
-        are written straight to disk as one sorted run instead of
-        churning through repeated buffer spills.  Fresh keys are by
-        construction absent from the buffer and every run, so runs stay
-        pairwise disjoint.  A strictly ascending batch of fresh keys (a
-        batch engine's flush) is written as it is, without a copy.
+        ``np.unique``) and its membership resolved by
+        :meth:`contains_many`, unless ``fresh`` vouches that it is
+        strictly ascending and absent from the store (a batch engine's
+        flush), which is then inserted unprobed.  When the fresh keys
+        alone would overflow the RAM buffer they are written straight to
+        disk as one sorted run instead of churning through repeated
+        buffer spills.  Fresh keys are by construction absent from the
+        buffer and every run, so runs stay pairwise disjoint.  A strictly
+        ascending batch of fresh keys is written as it is, without a
+        copy.
         """
         import numpy as np
 
-        distinct = u64_array(keys)
-        if distinct.size > 1 and not bool(np.all(distinct[1:] > distinct[:-1])):
-            distinct = np.sort(distinct)
-            distinct = distinct[
-                np.concatenate(([True], distinct[1:] != distinct[:-1]))
-            ]
-        if not distinct.size:
+        values = u64_array(keys)
+        if not fresh:
+            if values.size > 1 and not bool(np.all(values[1:] > values[:-1])):
+                values = np.sort(values)
+                values = values[
+                    np.concatenate(([True], values[1:] != values[:-1]))
+                ]
+            if values.size:
+                present = self.contains_many(values)
+                if present.any():
+                    values = values[~present]
+        if not values.size:
             return 0
-        present = self.contains_many(distinct)
-        fresh = distinct[~present] if present.any() else distinct
-        if not fresh.size:
-            return 0
+        self._fold_loose()
         if (
-            self._buffer.size + fresh.size >= self.buffer_limit
-            and fresh.size >= _BLOCK
+            self._buffer.size + values.size >= self.buffer_limit
+            and values.size >= _BLOCK
         ):
-            self._write_sorted_run(fresh)
+            self._write_sorted_run(values)
         else:
             self._buffer = np.sort(
-                np.concatenate((self._buffer, fresh)), kind="stable"
+                np.concatenate((self._buffer, values)), kind="stable"
             )
             if self._buffer.size >= self.buffer_limit:
                 self._spill()
-        return int(fresh.size)
+        return int(values.size)
 
     def __len__(self) -> int:
         return len(self._loose) + int(self._buffer.size) + self._spilled

@@ -657,6 +657,28 @@ class TestBuildCache:
             ".c", ".so",
         ]
 
+    def test_the_compile_flags_are_part_of_the_key(
+        self, monkeypatch, tmp_path
+    ):
+        # A flag change compiles a new object instead of reusing one
+        # built with the old flags.
+        import repro.checker.native.build as build
+        from repro.checker.native.generator import generate_source
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        commands = []
+        run = build.subprocess.run
+        monkeypatch.setattr(
+            build.subprocess, "run",
+            lambda command, **k: (commands.append(command), run(command, **k))[1],
+        )
+        source = generate_source(FastSnapshotSpec([1, 2], N2_CLASSES[0]), ())
+        optimized = build.build_library(source)
+        assert build.build_library(source) == optimized
+        monkeypatch.setattr(build, "COMPILE_FLAGS", ("-O1", "-shared", "-fPIC"))
+        assert build.build_library(source) != optimized
+        assert [command[1] for command in commands] == ["-O3", "-O1"]
+
     def test_each_library_is_dlopened_once_per_process(self, monkeypatch):
         # Repeated explores of one class reuse its open library.
         import ctypes

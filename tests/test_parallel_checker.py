@@ -188,47 +188,65 @@ class TestShardedConformance:
         assert result.truncated_transitions > 0
         assert result.ok
 
-    def test_batch_sharded_run_loads_the_kernel_before_forking(
+    def test_workers_load_the_drivers_kernel_without_compiling(
         self, monkeypatch, tmp_path
     ):
-        # explore_sharded prepares the class (canonicalizer tables and
-        # kernel) once in this process, and the forked workers use it
-        # as it is.  Builds are logged with their pid to a file: a list
-        # filled in a worker would not be visible here.
+        # Every process builds its own class setup, and only the driver
+        # compiles: into an empty cache, when it resolves the kernel
+        # before it sends the class.
+        # Builds are logged with their pid to a file: a list filled in a
+        # worker would not be visible here.
         pytest.importorskip("numpy")
         import os
 
         import repro.checker.batch as batch_mod
+        import repro.checker.native.build as build
+        import repro.checker.native.loader as loader
         import repro.checker.parallel as parallel_mod
-        from repro.checker.symmetry import FastCanonicalizer
 
+        if not loader.native_available():
+            pytest.skip("needs a C compiler")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(loader, "_loaded", {})
         log = tmp_path / "builds.txt"
 
-        def logged(kind, build):
-            def wrapper(*args):
+        def logged(kind, function, name=lambda result: ""):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
                 with open(log, "a") as handle:
-                    handle.write(f"{kind} {os.getpid()}\n")
-                return build(*args)
+                    handle.write(f"{kind} {os.getpid()} {name(result)}\n")
+                return result
 
             return wrapper
 
         monkeypatch.setattr(
-            batch_mod, "make_kernel", logged("kernel", batch_mod.make_kernel)
+            batch_mod, "make_kernel",
+            logged("kernel", batch_mod.make_kernel, lambda k: k.kernel_name),
         )
         monkeypatch.setattr(
-            FastCanonicalizer, "__init__",
-            logged("canonicalizer", FastCanonicalizer.__init__),
+            build.subprocess, "run", logged("compile", build.subprocess.run)
         )
         monkeypatch.setattr(
             parallel_mod, "effective_jobs", lambda requested: requested
         )
         result = explore_sharded(
-            [1, 2, 3], N3_CLASS, jobs=2, max_states=500, engine="batch",
+            [1, 2, 3], N3_CLASS, jobs=3, max_states=500, engine="batch",
             kernel="auto", symmetry=True,
         )
         assert result.ok
-        assert sorted(log.read_text().splitlines()) == [
-            f"canonicalizer {os.getpid()}", f"kernel {os.getpid()}",
+        driver = os.getpid()
+        builds = sorted(
+            (kind, int(pid) == driver, name)
+            for kind, pid, name in (
+                line.split(" ") for line in log.read_text().splitlines()
+            )
+        )
+        assert builds == [
+            ("compile", True, ""),
+            ("kernel", False, "native"),
+            ("kernel", False, "native"),
+            ("kernel", True, "native"),
+            ("kernel", True, "native"),
         ]
 
     def test_spawn_started_workers_rebuild_the_class_setup(

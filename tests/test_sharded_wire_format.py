@@ -27,17 +27,17 @@ WIRING = ((0, 1), (0, 1))
 
 
 def _run_rounds(rounds, symmetry=True):
-    """Drive one worker (shard 0 of 1) through the given rounds."""
+    """Drive one worker (shard 0 of 1) through one class's rounds."""
     parent, child = multiprocessing.Pipe()
-    thread = threading.Thread(
-        target=_shard_worker,
-        args=(child, ClassSetup(FastSnapshotSpec((1, 2), WIRING), symmetry), 0, 1),
-    )
+    thread = threading.Thread(target=_shard_worker, args=(child, 0, 1))
     thread.start()
     replies = []
     try:
+        params = ClassSetup.prepare(FastSnapshotSpec((1, 2), WIRING), symmetry)
+        parent.send(("class", params, None, False))
         for entries in rounds:
             parent.send(("round", list(entries)))
+            assert parent.poll(30), "the worker sent no reply"
             replies.append(parent.recv())
     finally:
         parent.send(("stop",))

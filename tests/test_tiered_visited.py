@@ -217,6 +217,51 @@ class TestAgainstAPythonSet:
         finally:
             visited.close()
 
+    def test_a_flush_probes_nothing_and_stores_what_add_many_would(
+        self, kernel, tmp_path, monkeypatch
+    ):
+        # The disk tier lacks every key a flush hands it, so the spill
+        # store takes them unprobed, and ends up as a probing add_many
+        # leaves it.
+        from repro.store.spill import SpillStore
+
+        probes, flushed = [], []
+        contains_many = SpillStore.contains_many
+        flush = TieredVisited._flush
+
+        def counted_contains(self, keys):
+            probes.append(len(keys))
+            return contains_many(self, keys)
+
+        def recorded_flush(self):
+            flushed.append(self._ram.keys().copy())
+            before = len(probes)
+            flush(self)
+            assert len(probes) == before
+
+        monkeypatch.setattr(SpillStore, "contains_many", counted_contains)
+        monkeypatch.setattr(TieredVisited, "_flush", recorded_flush)
+        rng = np.random.default_rng(67)
+        fresh = rng.integers(0, 2**64 - 1, size=(12, 100), dtype=np.uint64)
+        visited = _tier(kernel, tmp_path / "tiered")
+        reference = StoreConfig(
+            backend="spill", directory=str(tmp_path / "reference"),
+            mem_cap=TINY_CAP,
+        ).create()
+        try:
+            self._replay(visited, [(chunk, 10**9) for chunk in fresh])
+            assert len(flushed) >= 10 and visited.counters()["runs"] >= 1
+            for keys in flushed:
+                reference.add_many(keys)
+            disk = visited._disk
+            assert [k.tolist() for k in disk.key_arrays()] == [
+                k.tolist() for k in reference.key_arrays()
+            ]
+            assert disk.counters()["entries"] == reference.counters()["entries"]
+        finally:
+            visited.close()
+            reference.close()
+
     def test_an_unbounded_tier_keeps_everything_in_ram(self, kernel, tmp_path):
         visited = _tier(kernel, tmp_path, backend="ram")
         try:
