@@ -49,14 +49,14 @@ level is admitted in consecutive frontier slices, each probing
 batches leaves the admission order unchanged.
 
 **POR** (``por=True``) composes through a *level-synchronous*
-formulation (:class:`BatchAmpleSelector`): ample sets are selected for
-the whole frontier at once — C0/C1 as bitmask AND-reductions over
-per-pid footprint arrays compiled by
-:class:`repro.checker.por.FootprintTables`, C2 on vectorized trial
-successors, and a C3 cycle proviso that certifies novelty against
-``visited ∪ earlier-in-level`` via one bulk membership gather
-per trial round (pessimistic within a level, hence sound; see the
-:mod:`repro.checker.por` docstring).  The two engines' C3 oracles
+formulation (:class:`BatchAmpleSelector`, run by the kernel's
+:meth:`BatchKernel.ample_sets`): ample sets are selected for the whole
+frontier at once — C0/C1 as bitmask AND-reductions over per-pid
+footprint arrays compiled by :class:`repro.checker.por.FootprintTables`,
+C2 on vectorized scan successors, and a C3 cycle proviso that certifies
+novelty against ``visited ∪ earlier-in-level`` via one bulk membership
+query per trial round (pessimistic within a level, hence sound; see
+the :mod:`repro.checker.por` docstring).  The two engines' C3 oracles
 legitimately pick different ample sets, so batch+POR conformance is
 *verdict-level* (same ok/violation/complete), not count-identical.
 
@@ -75,6 +75,7 @@ unaffected.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, cast
 
 from repro.checker.constants import MASK64, SPLITMIX_GAMMA
@@ -647,7 +648,7 @@ class BatchKernel:
         return bad
 
     # ------------------------------------------------------------------
-    # Kernel seam: keys, dedup, the visited set, symmetry, POR phase 1.
+    # Kernel seam: keys, dedup, the visited set, symmetry, POR.
     # The numpy implementations delegate to the module-level helpers;
     # the native kernel overrides each with its compiled twin.
     # ------------------------------------------------------------------
@@ -694,23 +695,29 @@ class BatchKernel:
             return None
         return BatchCanonicalizer(canonicalizer)
 
-    def por_c0c1(
-        self, frontier: "U64Array", tables: FootprintTables
-    ) -> Tuple["BoolArray", "U8Array", "BoolArray"]:
-        """C0/C1 of the ample selector for a whole frontier at once.
+    @cached_property
+    def footprints(self) -> FootprintTables:
+        """The POR footprint gather tables, built at first use."""
+        return FootprintTables(self.spec)
 
-        Returns ``(qualified, nsucc, is_scan)``: per-pid rows over the
-        frontier — ``qualified[pid]`` marks states where pid's singleton
-        is a C0/C1-sound ample candidate (at least two active pids, no
+    def por_c0c1(
+        self, frontier: "U64Array"
+    ) -> Tuple["BoolArray", "U8Array"]:
+        """C0–C2 of the ample selector for a whole frontier at once.
+
+        Returns ``(qualified, nsucc)``: per-pid rows over the frontier —
+        ``qualified[pid]`` marks states where pid's singleton is a
+        C0–C2-sound ample candidate (at least two active pids, no
         write/read footprint conflict with any other pid, non-empty
-        successor set), ``nsucc[pid]`` its successor count (at most
-        m + 1, so 8 bits), ``is_scan[pid]`` its scanning mask.
+        successor set, invisible to the checked property), and
+        ``nsucc[pid]`` its successor count (at most m + 1, so 8 bits).
         """
         spec = self.spec
+        tables = self.footprints
         n = spec.n
         n_states = int(frontier.shape[0])
         zero = np.uint64(0)
-        is_scan = np.zeros((n, n_states), dtype=bool)
+        scanning: List["BoolArray"] = []
         wmasks: List["U64Array"] = []
         rmasks: List["U64Array"] = []
         nsucc = np.zeros((n, n_states), dtype=np.uint8)
@@ -719,17 +726,16 @@ class BatchKernel:
             local = (frontier >> spec.local_offsets[pid]) & spec.local_mask
             phase = (local >> spec.o_phase) & 3
             writing = phase == _PHASE_WRITE
-            scanning = phase == _PHASE_SCAN
+            scanning.append(phase == _PHASE_SCAN)
             unwritten = (local >> spec.o_unwritten) & spec.m_mask
             wmasks.append(
                 np.where(writing, tables.wmask[pid][unwritten], zero)
             )
-            rmasks.append(np.where(scanning, tables.m_mask, zero))
+            rmasks.append(np.where(scanning[pid], tables.m_mask, zero))
             nsucc[pid] = np.where(
                 writing, tables.popcount[unwritten], np.int64(0)
-            ) + scanning
-            is_scan[pid] = scanning
-            active_count += writing | scanning
+            ) + scanning[pid]
+            active_count += writing | scanning[pid]
 
         # C1: pid i conflicts with pid j when i's writes touch j's
         # footprint or i's scan reads a cell j writes.  Inactive pids
@@ -745,7 +751,99 @@ class BatchKernel:
                     (wmasks[i] & (wmasks[j] | rmasks[j])) != zero
                 ) | ((rmasks[i] & wmasks[j]) != zero)
             qualified[i] = (nsucc[i] > 0) & eligible & ~conflict
-        return qualified, nsucc, is_scan
+            # C2: writes never terminate their pid; a scan candidate is
+            # visible exactly when its (single) successor is DONE.
+            if tables.visibility.outputs:
+                idx = np.flatnonzero(qualified[i] & scanning[i])
+                if idx.size:
+                    sub = frontier[idx]
+                    loc = (sub >> spec.local_offsets[i]) & spec.local_mask
+                    succ = self._scan_step(sub, loc, i)
+                    succ_phase = (
+                        succ >> (spec.local_offsets[i] + spec.o_phase)
+                    ) & 3
+                    qualified[i, idx[succ_phase == _PHASE_DONE]] = False
+        return qualified, nsucc
+
+    def ample_sets(
+        self,
+        frontier: "U64Array",
+        contains: Callable[["U64Array"], "BoolArray"],
+        reducer: Optional[Any],
+        shards: Tuple[int, int],
+        cycle_proviso: bool,
+        counters: PORCounters,
+    ) -> "I64Array":
+        """The per-state expansion mask of :meth:`BatchAmpleSelector.select`.
+
+        ``contains`` is bulk membership in the visited set as of the
+        level boundary, ``reducer`` maps successors to their orbit
+        representatives (None: the states are their own keys), and only
+        keys that shard ``shards[1]`` of ``shards[0]`` owns can be
+        certainly new.  Adds the level's reduction to ``counters``.
+        """
+        spec = self.spec
+        n = spec.n
+        n_states = int(frontier.shape[0])
+        n_shards, shard = shards
+
+        qualified, nsucc = self.por_c0c1(frontier)
+
+        selected = np.full(n_states, -1, dtype=np.int64)
+        undecided = np.ones(n_states, dtype=bool)
+        blocked = np.zeros(n_states, dtype=bool)
+        for pid in range(n):
+            trial = undecided & qualified[pid]
+            if not bool(trial.any()):
+                continue
+            # C3: expand only this pid for the trial states and gather
+            # bulk novelty verdicts for the whole round at once.
+            if cycle_proviso:
+                trial_idx = np.flatnonzero(trial)
+                cand, cand_counts = self.expand_level(
+                    frontier[trial_idx],
+                    np.full(trial_idx.size, pid, dtype=np.int64),
+                )
+                passes = np.zeros(n_states, dtype=bool)
+                if cand.size:
+                    keys = (
+                        cand if reducer is None
+                        else reducer.canonical_many(cand)
+                    )
+                    uniq, first = self.unique_first(keys)
+                    if n_shards > 1:
+                        # A key another shard owns may sit in that
+                        # shard's visited set: never certainly new.
+                        owned = self.fingerprint_many(uniq) % np.uint64(
+                            n_shards
+                        ) == np.uint64(shard)
+                        uniq, first = uniq[owned], first[owned]
+                    fresh = ~contains(uniq)
+                    certainly_new = np.zeros(keys.size, dtype=bool)
+                    certainly_new[first[fresh]] = True
+                    cand_parents = np.repeat(trial_idx, cand_counts)
+                    passes[cand_parents[certainly_new]] = True
+                ok = trial & passes
+                blocked |= trial & ~passes
+            else:
+                ok = trial
+            selected[ok] = pid
+            undecided &= ~ok
+            if not bool(undecided.any()):
+                break
+
+        chosen = selected >= 0
+        n_chosen = int(chosen.sum())
+        counters.ample_states += n_chosen
+        if n_chosen:
+            kept = nsucc[selected[chosen], np.flatnonzero(chosen)]
+            counters.transitions_pruned += int(
+                nsucc[:, chosen].sum(dtype=np.int64)
+                - kept.sum(dtype=np.int64)
+            )
+        counters.fully_expanded_states += n_states - n_chosen
+        counters.cycle_proviso_expansions += int((undecided & blocked).sum())
+        return selected
 
 
 def make_kernel(
@@ -773,14 +871,12 @@ def make_kernel(
             NativeBuildError,
             NativeKernel,
             NativeKernelUnavailable,
-            native_available,
         )
 
-        if native_available():
-            try:
-                return NativeKernel(spec, canonicalizer=canonicalizer)
-            except (NativeBuildError, NativeKernelUnavailable):
-                pass
+        try:
+            return NativeKernel(spec, canonicalizer=canonicalizer)
+        except (NativeBuildError, NativeKernelUnavailable):
+            pass
     return BatchKernel(spec)
 
 
@@ -896,11 +992,13 @@ class BatchCanonicalizer:
 class BatchAmpleSelector:
     """Ample sets for a whole BFS level at once.
 
-    The vectorized twin of
+    The level-synchronous twin of
     :class:`~repro.checker.por.FastAmpleSelector`, selecting per
     frontier state either one pid's successors (an ample set satisfying
     C0–C3) or full expansion, as an ``int64`` mask consumed by
-    :meth:`BatchKernel.expand_level`:
+    :meth:`BatchKernel.expand_level`.  The algorithm is the kernel's
+    (:meth:`BatchKernel.ample_sets`; the native kernel runs it in a few
+    C passes per level):
 
     - **C0/C1** — per-pid write/read footprints come from the
       :class:`~repro.checker.por.FootprintTables` gather tables; the
@@ -912,13 +1010,14 @@ class BatchAmpleSelector:
       visible iff its successor phase is ``DONE``.
     - **C3** — the level-synchronous cycle proviso: a candidate pid is
       kept only if at least one of its successors is *certainly new*,
-      i.e. its key is absent from the visited set as of the level
-      boundary (one bulk membership gather per trial round via the
-      ``in_visited`` callback) **and** it is the first occurrence of
-      that key in the round's candidate pool.  Pessimistic within a
-      level, hence sound: every certified key really is admitted this
-      level and re-expanded on the next (see
-      :mod:`repro.checker.por`).
+      i.e. its key (its orbit representative under ``reducer``) is
+      owned by this shard (``shards`` is ``(n_shards, shard)``; a
+      serial run is ``(1, 0)``), absent from the visited set as of the
+      level boundary (one bulk ``contains`` query per trial round over
+      the round's distinct keys) **and** the first occurrence of that
+      key in the round's candidate pool.  Pessimistic within a level,
+      hence sound: every certified key really is admitted this level
+      and re-expanded on the next (see :mod:`repro.checker.por`).
 
     Candidate pids are tried in ascending order, mirroring the scalar
     selector's retry loop; states with no qualifying pid are fully
@@ -928,102 +1027,33 @@ class BatchAmpleSelector:
     number of expanded states).
     """
 
-    def __init__(self, kernel: BatchKernel, cycle_proviso: bool = True) -> None:
+    def __init__(
+        self,
+        kernel: BatchKernel,
+        reducer: Optional[Any] = None,
+        shards: Tuple[int, int] = (1, 0),
+        cycle_proviso: bool = True,
+    ) -> None:
         require_numpy()
         self.kernel = kernel
-        self.spec = kernel.spec
+        self.reducer = reducer
+        self.shards = shards
         self.cycle_proviso = cycle_proviso
-        self.tables = FootprintTables(kernel.spec)
         self.counters = PORCounters()
 
     def select(
         self,
         frontier: "U64Array",
-        key_of: Callable[["U64Array"], "U64Array"],
-        in_visited: Callable[["U64Array"], "BoolArray"],
+        contains: Callable[["U64Array"], "BoolArray"],
     ) -> "I64Array":
-        """The per-state expansion mask for ``frontier``.
-
-        ``key_of`` maps raw successor states to their dedup keys (orbit
-        representatives under symmetry, else the states themselves);
-        ``in_visited`` is bulk membership of keys in the visited set as
-        of the level boundary.  Returns ``selected`` with ``-1`` (full
-        expansion) or a pid index per state.
-        """
-        spec = self.spec
-        n = spec.n
-        n_states = int(frontier.shape[0])
-
-        # Phase 1 (C0/C1) runs inside the kernel — footprint gathers
-        # and the pairwise conflict bitmasks are its hottest masks.
-        qualified, nsucc, is_scan = self.kernel.por_c0c1(
-            frontier, self.tables
+        """The per-state expansion mask for ``frontier``: ``-1`` (full
+        expansion) or a pid index per state.  ``contains`` is bulk
+        membership of keys in the visited set as of the level
+        boundary."""
+        return self.kernel.ample_sets(
+            frontier, contains, self.reducer, self.shards,
+            self.cycle_proviso, self.counters,
         )
-
-        selected = np.full(n_states, -1, dtype=np.int64)
-        undecided = np.ones(n_states, dtype=bool)
-        blocked = np.zeros(n_states, dtype=bool)
-        for pid in range(n):
-            trial = undecided & qualified[pid]
-            if not bool(trial.any()):
-                continue
-            # C2: writes never terminate their pid; a scan candidate is
-            # visible exactly when its (single) successor is DONE.
-            if self.tables.visibility.outputs:
-                scan_trial = trial & is_scan[pid]
-                if bool(scan_trial.any()):
-                    idx = np.flatnonzero(scan_trial)
-                    sub = frontier[idx]
-                    loc = (
-                        sub >> spec.local_offsets[pid]
-                    ) & spec.local_mask
-                    succ = self.kernel._scan_step(sub, loc, pid)
-                    succ_phase = (
-                        succ >> (spec.local_offsets[pid] + spec.o_phase)
-                    ) & 3
-                    visible = succ_phase == _PHASE_DONE
-                    trial[idx[visible]] = False
-                    if not bool(trial.any()):
-                        continue
-            # C3: expand only this pid for the trial states and gather
-            # bulk novelty verdicts for the whole round at once.
-            if self.cycle_proviso:
-                trial_idx = np.flatnonzero(trial)
-                cand, cand_counts = self.kernel.expand_level(
-                    frontier[trial_idx],
-                    np.full(trial_idx.size, pid, dtype=np.int64),
-                )
-                passes = np.zeros(n_states, dtype=bool)
-                if cand.size:
-                    keys = key_of(cand)
-                    uniq, first = self.kernel.unique_first(keys)
-                    fresh = ~in_visited(uniq)
-                    certainly_new = np.zeros(keys.size, dtype=bool)
-                    certainly_new[first[fresh]] = True
-                    cand_parents = np.repeat(trial_idx, cand_counts)
-                    passes[cand_parents[certainly_new]] = True
-                ok = trial & passes
-                blocked |= trial & ~passes
-            else:
-                ok = trial
-            selected[ok] = pid
-            undecided &= ~ok
-            if not bool(undecided.any()):
-                break
-
-        counters = self.counters
-        chosen = selected >= 0
-        n_chosen = int(chosen.sum())
-        counters.ample_states += n_chosen
-        if n_chosen:
-            kept = nsucc[selected[chosen], np.flatnonzero(chosen)]
-            counters.transitions_pruned += int(
-                nsucc[:, chosen].sum(dtype=np.int64)
-                - kept.sum(dtype=np.int64)
-            )
-        counters.fully_expanded_states += n_states - n_chosen
-        counters.cycle_proviso_expansions += int((undecided & blocked).sum())
-        return cast("I64Array", selected)
 
 
 # ----------------------------------------------------------------------
@@ -1138,7 +1168,7 @@ def explore_batch(
     selector: Optional[BatchAmpleSelector] = None
     if por:
         selector = BatchAmpleSelector(
-            level_kernel, cycle_proviso=por_cycle_proviso
+            level_kernel, batch_canon, cycle_proviso=por_cycle_proviso
         )
     # The visited set: the kernel's own, pre-sized from the budget, with
     # a disk-backed store as its second tier.
@@ -1161,9 +1191,7 @@ def explore_batch(
             selector.counters.as_dict() if selector is not None else None,
         )
 
-    # The ample selector's C3 callbacks: successor states to dedup keys
-    # (their orbit representatives), and bulk membership in the visited
-    # set, which the selector consults at the level boundary.
+    # Successor states to dedup keys: their orbit representatives.
     def _key_of(states: "U64Array") -> "U64Array":
         if batch_canon is None:
             return states
@@ -1215,9 +1243,7 @@ def explore_batch(
 
             selected: Optional["I64Array"] = None
             if selector is not None:
-                selected = selector.select(
-                    frontier, _key_of, visited.contains
-                )
+                selected = selector.select(frontier, visited.contains)
             n_front = int(frontier.size)
             level_start = transitions
             level_seen = n_seen

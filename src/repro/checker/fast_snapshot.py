@@ -1172,28 +1172,28 @@ def canonical_wiring_classes(
     isomorphisms of the reachable state graph (processors are anonymous
     and the checked properties are invariant under renaming their
     inputs), so exploring one representative per class is exhaustive.
+
+    Classes come in the order in which ``itertools.product`` first
+    meets one of their assignments, each represented by the least member
+    of its orbit, which starts with the identity wiring.  A new class
+    marks its whole orbit seen, so each later assignment of it costs one
+    set lookup.
     """
     perms = [tuple(perm) for perm in itertools.permutations(range(n_registers))]
-    inverse = {
-        perm: tuple(sorted(range(n_registers), key=lambda i: perm[i]))
-        for perm in perms
-    }
-
-    def compose(outer: Tuple[int, ...], inner: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(outer[inner[i]] for i in range(n_registers))
-
+    orders = list(itertools.permutations(range(n_processors)))
     seen: Set[Tuple[Tuple[int, ...], ...]] = set()
     classes: List[Tuple[Tuple[int, ...], ...]] = []
     for assignment in itertools.product(perms, repeat=n_processors):
-        candidates = []
-        for processor_order in itertools.permutations(range(n_processors)):
-            reordered = tuple(assignment[p] for p in processor_order)
-            relabel = inverse[reordered[0]]
-            candidates.append(
-                tuple(compose(relabel, wiring) for wiring in reordered)
+        if assignment in seen:
+            continue
+        orbit = {
+            tuple(
+                tuple(relabel[register] for register in assignment[p])
+                for p in order
             )
-        canonical = min(candidates)
-        if canonical not in seen:
-            seen.add(canonical)
-            classes.append(canonical)
+            for order in orders
+            for relabel in perms
+        }
+        seen |= orbit
+        classes.append(min(orbit))
     return classes

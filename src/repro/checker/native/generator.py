@@ -1,11 +1,10 @@
 """Emit a C translation unit specialized to one packed snapshot machine.
 
 The generated source is the native twin of :mod:`repro.checker.batch`:
-successor expansion, the scan micro-step, splitmix64 fingerprinting,
-orbit-min canonicalization, sorted in-level dedup, the visited set (a
-hash set of exact keys that admits a whole slice in one pass), the
-vectorized output check, and the C0/C1 bitmask phase of the POR ample
-selector.  Every
+successor expansion, splitmix64 fingerprinting, orbit-min
+canonicalization, the visited set (a hash set of exact keys that admits
+a whole slice in one pass), the vectorized output check, and POR
+ample-set selection.  Every
 machine-dependent quantity — field offsets, masks, reset templates,
 wiring shifts, footprint tables, the stabilizer's field maps — is
 burned into the source as a ``#define`` or a constant array, so the
@@ -41,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the emitted code changes shape without a table change, so
 #: stale cached objects are never dlopened against new wrappers.
-GENERATOR_VERSION = 11
+GENERATOR_VERSION = 12
 
 #: Overflow slots after the last home slot of the visited set's table:
 #: its linear probing wraps around only in a table at its maximum size.
@@ -339,13 +338,11 @@ def generate_source(
 
     emit(_SCAN_ONE)
     emit(_EXPAND)
-    emit(_SCAN_STEP)
     emit(_FINGERPRINT)
     emit(_emit_canonical(n_elements, fill))
-    emit(_UNIQUE_FIRST)
     emit(_VISITED)
     emit(_VIOLATIONS)
-    emit(_POR_C0C1)
+    emit(_POR)
     emit(_STATE_BITS_FN)
     return "\n".join(out)
 
@@ -478,52 +475,45 @@ int64_t rk_expand_total(const uint64_t *frontier, int64_t n_states,
     return total;
 }
 
+/* pid's successors of `state` into `out` (at most RK_M): one per
+ * unwritten register when writing, one scan step when scanning. */
+static inline int64_t rk_expand_pid(uint64_t state, int pid, uint64_t *out) {
+    int64_t count = 0;
+    uint64_t local = (state >> RK_LOCAL_OFFSET[pid]) & RK_LOCAL_MASK;
+    uint64_t phase = (local >> RK_O_PHASE) & 3u;
+    if (phase == RK_PHASE_WRITE) {
+        uint64_t record = local & RK_RECORD_FIELD;
+        uint64_t unwritten = (local >> RK_O_UNWRITTEN) & RK_M_MASK;
+        for (int reg = 0; reg < RK_M; reg++) {
+            if (!((unwritten >> reg) & 1u)) continue;
+            uint64_t remaining = unwritten & ~(1ULL << reg);
+            if (remaining == 0) remaining = RK_M_MASK;
+            uint64_t new_local = record
+                | (remaining << RK_O_UNWRITTEN) | RK_SCAN_RESET;
+            out[count++] = (state & RK_WRITE_CLEAR[pid][reg])
+                | (record << RK_PHYS_OFFSET[pid][reg])
+                | (new_local << RK_LOCAL_OFFSET[pid]);
+        }
+    } else if (phase != RK_PHASE_DONE) {
+        out[count++] = rk_scan_one(state, local, pid);
+    }
+    return count;
+}
+
 int64_t rk_expand_level(const uint64_t *frontier, int64_t n_states,
                         const int64_t *selected, uint64_t *out_succ,
                         int64_t *out_counts) {
     uint64_t *out = out_succ;
     for (int64_t i = 0; i < n_states; i++) {
-        uint64_t state = frontier[i];
         int64_t sel = selected ? selected[i] : -1;
         int64_t count = 0;
-        if (sel >= -1) {
-            for (int pid = 0; pid < RK_N; pid++) {
-                if (sel >= 0 && sel != (int64_t)pid) continue;
-                uint64_t local =
-                    (state >> RK_LOCAL_OFFSET[pid]) & RK_LOCAL_MASK;
-                uint64_t phase = (local >> RK_O_PHASE) & 3u;
-                if (phase == RK_PHASE_DONE) continue;
-                if (phase == RK_PHASE_WRITE) {
-                    uint64_t record = local & RK_RECORD_FIELD;
-                    uint64_t unwritten =
-                        (local >> RK_O_UNWRITTEN) & RK_M_MASK;
-                    for (int reg = 0; reg < RK_M; reg++) {
-                        if (!((unwritten >> reg) & 1u)) continue;
-                        uint64_t remaining = unwritten & ~(1ULL << reg);
-                        if (remaining == 0) remaining = RK_M_MASK;
-                        uint64_t new_local = record
-                            | (remaining << RK_O_UNWRITTEN) | RK_SCAN_RESET;
-                        out[count++] = (state & RK_WRITE_CLEAR[pid][reg])
-                            | (record << RK_PHYS_OFFSET[pid][reg])
-                            | (new_local << RK_LOCAL_OFFSET[pid]);
-                    }
-                } else {
-                    out[count++] = rk_scan_one(state, local, pid);
-                }
-            }
-        }
+        for (int pid = 0; pid < RK_N; pid++)
+            if (sel == -1 || sel == (int64_t)pid)
+                count += rk_expand_pid(frontier[i], pid, out + count);
         out_counts[i] = count;
         out += count;
     }
     return (int64_t)(out - out_succ);
-}
-"""
-
-_SCAN_STEP = """\
-void rk_scan_step(const uint64_t *states, const uint64_t *locs, int64_t n,
-                  int64_t pid, uint64_t *out) {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = rk_scan_one(states[i], locs[i], (int)pid);
 }
 """
 
@@ -537,112 +527,6 @@ static inline uint64_t rk_splitmix64(uint64_t v) {
 void rk_fingerprint(const uint64_t *in, int64_t n, uint64_t *out) {
     for (int64_t i = 0; i < n; i++)
         out[i] = rk_splitmix64(in[i] ^ RK_SM_GAMMA);
-}
-"""
-
-_UNIQUE_FIRST = """\
-int64_t rk_unique_first(const uint64_t *keys, int64_t n, uint64_t *out_keys,
-                        int64_t *out_first) {
-    if (n <= 0) return 0;
-    int64_t i = 1;
-    while (i < n && keys[i] >= keys[i - 1]) i++;
-    if (i == n) {
-        /* Sorted input (spill merges hand levels back in key order):
-         * run starts are already the minimal original positions, so
-         * dedup is a single linear pass. */
-        int64_t u = 0;
-        for (int64_t j = 0; j < n; j++) {
-            if (j == 0 || keys[j] != keys[j - 1]) {
-                out_keys[u] = keys[j];
-                out_first[u] = j;
-                u++;
-            }
-        }
-        return u;
-    }
-    if ((uint64_t)n > 0xffffffffULL) return -1; /* positions are u32 */
-    /* Recent-repeat filter: a direct-mapped table of the last key seen
-     * per slot, sized to the level (small POR and shard calls do not
-     * pay for the full table).  Every slot starts as keys[0], which
-     * position 0 already carries, so no key value is reserved.  A key
-     * equal to its slot's content repeats an earlier position and is
-     * dropped; a key's first occurrence always survives.  Survivors
-     * keep ascending positions. */
-    int bits = 6;
-    while (bits < 14 && ((int64_t)1 << bits) < n) bits++;
-    size_t slots = (size_t)1 << bits;
-    uint64_t *table = (uint64_t *)malloc(slots * sizeof(uint64_t));
-    uint64_t *ka = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    uint32_t *pa = (uint32_t *)malloc((size_t)n * sizeof(uint32_t));
-    if (!table || !ka || !pa) {
-        free(table); free(ka); free(pa);
-        return -1;
-    }
-    uint64_t first = keys[0], any_bits = keys[0];
-    for (size_t s = 0; s < slots; s++) table[s] = first;
-    int hash_shift = 64 - bits; /* Fibonacci hashing, golden gamma */
-    ka[0] = first;
-    pa[0] = 0;
-    int64_t m = 1;
-    for (i = 1; i < n; i++) {
-        uint64_t k = keys[i];
-        uint64_t *slot = &table[(k * RK_SM_GAMMA) >> hash_shift];
-        ka[m] = k;
-        pa[m] = (uint32_t)i;
-        m += *slot != k;
-        *slot = k;
-        any_bits |= k;
-    }
-    free(table);
-    /* Stable LSD radix sort of the survivors on (key, position):
-     * stability keeps each equal-key run's first entry at its minimal
-     * position.  11-bit digits, the pass count trimmed by the widest
-     * key, digits the whole level agrees on skipped, and every
-     * histogram built in one scan. */
-    int passes = 1;
-    while (passes < 6 && (any_bits >> (11 * passes)) != 0) passes++;
-    uint64_t *kb = (uint64_t *)malloc((size_t)m * sizeof(uint64_t));
-    uint32_t *pb = (uint32_t *)malloc((size_t)m * sizeof(uint32_t));
-    uint32_t *hist = (uint32_t *)calloc((size_t)passes * 2048,
-                                        sizeof(uint32_t));
-    if (!kb || !pb || !hist) {
-        free(ka); free(pa); free(kb); free(pb); free(hist);
-        return -1;
-    }
-    for (int64_t j = 0; j < m; j++) {
-        uint64_t v = ka[j];
-        for (int p = 0; p < passes; p++)
-            hist[p * 2048 + ((v >> (11 * p)) & 0x7ff)]++;
-    }
-    for (int p = 0; p < passes; p++) {
-        int shift = 11 * p;
-        uint32_t *count = hist + p * 2048;
-        if (count[(ka[0] >> shift) & 0x7ff] == (uint32_t)m)
-            continue; /* constant digit */
-        uint32_t offset = 0;
-        for (int b = 0; b < 2048; b++) {
-            uint32_t c = count[b];
-            count[b] = offset;
-            offset += c;
-        }
-        for (int64_t j = 0; j < m; j++) {
-            uint32_t dst = count[(ka[j] >> shift) & 0x7ff]++;
-            kb[dst] = ka[j];
-            pb[dst] = pa[j];
-        }
-        uint64_t *tk = ka; ka = kb; kb = tk;
-        uint32_t *tp = pa; pa = pb; pb = tp;
-    }
-    int64_t u = 0;
-    for (int64_t j = 0; j < m; j++) {
-        if (j == 0 || ka[j] != ka[j - 1]) {
-            out_keys[u] = ka[j];
-            out_first[u] = pa[j];
-            u++;
-        }
-    }
-    free(ka); free(pa); free(kb); free(pb); free(hist);
-    return u;
 }
 """
 
@@ -941,43 +825,186 @@ void rk_violations(const uint64_t *states, int64_t n, unsigned char *out) {
 }
 """
 
-_POR_C0C1 = """\
-void rk_por_c0c1(const uint64_t *frontier, int64_t n_states,
-                 unsigned char *out_qualified, uint8_t *out_nsucc,
-                 unsigned char *out_is_scan) {
-    for (int64_t i = 0; i < n_states; i++) {
+_POR = """\
+/* Ample-set selection for one frontier (the numpy twin is
+ * BatchKernel.ample_sets).  Each state has a status word: bit p set
+ * while pid p's singleton passes C0-C2, RK_POR_BLOCKED once C3 refused
+ * it a pid, RK_POR_PASS while the current round's pool certifies one
+ * of its successors.  selected[i] is -1 while state i is undecided. */
+#define RK_POR_BLOCKED (1u << 30)
+#define RK_POR_PASS (1u << 31)
+_Static_assert(RK_N <= 30, "a status word holds one bit per pid");
+
+/* pid's successors as the selector counts them: one per unwritten
+ * register when writing, one when scanning. */
+static inline uint64_t rk_por_nsucc(uint64_t local) {
+    uint64_t phase = (local >> RK_O_PHASE) & 3u;
+    return (phase == RK_PHASE_WRITE)
+            * (uint64_t)RK_POPCOUNT[(local >> RK_O_UNWRITTEN) & RK_M_MASK]
+        + (phase == RK_PHASE_SCAN);
+}
+
+/* Whether pid's scan step from `local` ends in DONE: rk_scan_one's
+ * phase arithmetic alone, without a branch.  Only the scan of the last
+ * register can end a pass, so the record read is that register's. */
+static inline uint64_t rk_scan_done(uint64_t state, uint64_t local, int pid) {
+    uint64_t record = (state >> RK_PHYS_OFFSET[pid][RK_M - 1]) & RK_REG_MASK;
+    uint64_t min_level = (local >> RK_O_MINLEVEL) & RK_ML_MASK;
+    uint64_t read_level = record >> RK_K;
+    uint64_t match = ((local >> RK_O_ALLMATCH) & 1u)
+        & ((record & RK_K_MASK) == (local & RK_K_MASK));
+    uint64_t level =
+        match * ((read_level < min_level ? read_level : min_level) + 1);
+    return (((local >> RK_O_SCANPOS) & RK_SP_MASK) == RK_M - 1)
+        & (level >= RK_LEVEL_TARGET);
+}
+
+/* C0-C2 over the frontier.  status[i] gets the pids whose singleton is
+ * a sound ample candidate: at least two pids active, a successor, no
+ * write/read footprint conflict with another pid, and not a scan step
+ * that terminates the pid (the outputs-only property sees those).
+ * bound[pid] gets the successors of the states pid qualifies for. */
+void rk_por_c0c1(const uint64_t *frontier, int64_t n, uint32_t *status,
+                 int64_t *bound) {
+    for (int pid = 0; pid < RK_N; pid++) bound[pid] = 0;
+    for (int64_t i = 0; i < n; i++) {
         uint64_t state = frontier[i];
-        uint64_t w[RK_N], r[RK_N];
-        uint8_t cnt[RK_N];
+        uint64_t w[RK_N], r[RK_N], cnt[RK_N];
+        uint32_t cand = 0;
         int active = 0;
         for (int pid = 0; pid < RK_N; pid++) {
             uint64_t local = (state >> RK_LOCAL_OFFSET[pid]) & RK_LOCAL_MASK;
             uint64_t phase = (local >> RK_O_PHASE) & 3u;
-            int writing = phase == RK_PHASE_WRITE;
-            int scanning = phase == RK_PHASE_SCAN;
-            uint64_t unwritten = (local >> RK_O_UNWRITTEN) & RK_M_MASK;
-            w[pid] = writing ? RK_WMASK[pid][unwritten] : 0;
-            r[pid] = scanning ? RK_M_MASK : 0;
-            cnt[pid] = (uint8_t)((writing ? RK_POPCOUNT[unwritten] : 0)
-                + (scanning ? 1 : 0));
-            out_nsucc[(int64_t)pid * n_states + i] = cnt[pid];
-            out_is_scan[(int64_t)pid * n_states + i] =
-                (unsigned char)scanning;
-            if (writing || scanning) active++;
+            uint64_t writing = phase == RK_PHASE_WRITE;
+            uint64_t scanning = phase == RK_PHASE_SCAN;
+            w[pid] = RK_WMASK[pid][(local >> RK_O_UNWRITTEN) & RK_M_MASK]
+                & -writing;
+            r[pid] = RK_M_MASK & -scanning;
+            cnt[pid] = rk_por_nsucc(local);
+            active += (int)(writing | scanning);
+            uint64_t visible = scanning & rk_scan_done(state, local, pid);
+            cand |= (uint32_t)((cnt[pid] != 0) & !visible) << pid;
         }
-        int eligible = active >= 2;
-        for (int pid = 0; pid < RK_N; pid++) {
-            int conflict = 0;
-            for (int other = 0; other < RK_N; other++) {
-                if (other == pid) continue;
-                uint64_t clash = (w[pid] & (w[other] | r[other]))
-                    | (r[pid] & w[other]);
-                if (clash != 0) { conflict = 1; break; }
+        /* C1: pids a and b conflict when a's writes touch b's footprint
+         * or a's scan reads a cell b writes; the test is symmetric. */
+        uint32_t clash = 0;
+        for (int a = 0; a < RK_N; a++)
+            for (int b = a + 1; b < RK_N; b++) {
+                uint32_t hit = ((w[a] & (w[b] | r[b])) | (r[a] & w[b])) != 0;
+                clash |= (hit << a) | (hit << b);
             }
-            out_qualified[(int64_t)pid * n_states + i] =
-                (unsigned char)(cnt[pid] > 0 && eligible && !conflict);
-        }
+        cand &= ~clash;
+        cand &= -(uint32_t)(active >= 2);
+        status[i] = cand;
+        for (int pid = 0; pid < RK_N; pid++)
+            bound[pid] += (int64_t)(((cand >> pid) & 1u) * cnt[pid]);
     }
+}
+
+/* Round `pid`'s C3 candidate pool.  The successors under pid of every
+ * undecided state pid qualifies for, as keys (orbit representatives
+ * when `canon`), are kept when shard `shard` of `n_shards` owns them,
+ * each distinct key once, at its first occurrence in generation order,
+ * with that occurrence's frontier index in `parents`.  `keys` and
+ * `parents` hold bound[pid] entries, and `table` the smallest power of
+ * two of at least twice as many slots (16 at least).  Returns the
+ * pool's size. */
+int64_t rk_por_pool(const uint64_t *frontier, int64_t n,
+                    const uint32_t *status, const int64_t *selected,
+                    int64_t pid, int64_t canon, int64_t n_shards,
+                    int64_t shard, uint64_t *table, uint64_t *keys,
+                    int64_t *parents) {
+    /* The round's states go to `table` first, which has room for them:
+     * each has a successor. */
+    int64_t *trial = (int64_t *)table, t = 0;
+    for (int64_t i = 0; i < n; i++) {
+        trial[t] = i;
+        t += (selected[i] == -1) & (int64_t)((status[i] >> pid) & 1u);
+    }
+    int64_t c = 0;
+    for (int64_t x = 0; x < t; x++) {
+        int64_t i = trial[x];
+        int64_t count = rk_expand_pid(frontier[i], (int)pid, keys + c);
+        for (int64_t j = 0; j < count; j++) parents[c + j] = i;
+        c += count;
+    }
+    if (c == 0) return 0;
+    if (canon) rk_canonical(keys, c, keys);
+    /* First occurrences of the owned keys: an open-addressing set at
+     * most half full, probed linearly with wrap-around and prefetched
+     * RK_VIS_AHEAD keys ahead, with key 0 held as a flag.  Survivors
+     * are compacted in place, so they keep generation order. */
+    int bits = RK_VIS_MIN_BITS;
+    while (((int64_t)1 << bits) < 2 * c) bits++;
+    uint64_t wrap = ((uint64_t)1 << bits) - 1;
+    memset(table, 0, ((size_t)1 << bits) * sizeof(uint64_t));
+    int shift = 64 - bits;
+    uint64_t ring[RK_VIS_AHEAD];
+    int has_zero = 0;
+    int64_t u = 0;
+    rk_vis_warm(ring, keys, c, table, shift);
+    for (int64_t j = 0; j < c; j++) {
+        uint64_t k = keys[j];
+        uint64_t s = rk_vis_next(ring, keys, j, c, table, shift) >> shift;
+        if (n_shards > 1
+            && rk_splitmix64(k ^ RK_SM_GAMMA) % (uint64_t)n_shards
+                != (uint64_t)shard)
+            continue;
+        if (k == 0) {
+            if (has_zero) continue;
+            has_zero = 1;
+        } else {
+            while (table[s] != 0 && table[s] != k) s = (s + 1) & wrap;
+            if (table[s] == k) continue;
+            table[s] = k;
+        }
+        keys[u] = k;
+        parents[u] = parents[j];
+        u++;
+    }
+    return u;
+}
+
+/* Commit round `pid`.  Each pool key `known` does not hold certifies
+ * its parent; every undecided state pid qualifies for is then selected
+ * for pid if certified, else marked blocked.  Without a pool (`parents`
+ * NULL: no cycle proviso) every such state is selected.  Adds to
+ * counts[0] the transitions the selections prune, to counts[1] the
+ * states selected, and to counts[2] the change in undecided states
+ * that C3 blocked.  Returns how many states are still undecided. */
+int64_t rk_por_commit(const uint64_t *frontier, uint32_t *status,
+                      int64_t *selected, int64_t n, int64_t pid,
+                      const int64_t *parents, const unsigned char *known,
+                      int64_t pool, int64_t *counts) {
+    for (int64_t j = 0; j < pool; j++)
+        status[parents[j]] |= (uint32_t)(known[j] == 0) << 31;
+    uint32_t pass_all = parents ? 0 : RK_POR_PASS;
+    int64_t undecided = 0, pruned = 0, ample = 0, blocked = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t s = status[i] | pass_all;
+        int64_t sel = selected[i];
+        uint32_t trial = (uint32_t)(sel == -1) & (s >> pid) & 1u;
+        uint32_t pass = s >> 31;
+        uint32_t was_blocked = (s >> 30) & 1u;
+        uint32_t picked = trial & pass;
+        uint32_t refused = trial & (pass ^ 1u);
+        if (picked) {
+            uint64_t state = frontier[i];
+            for (int other = 0; other < RK_N; other++)
+                pruned += (int64_t)((other != pid) * rk_por_nsucc(
+                    (state >> RK_LOCAL_OFFSET[other]) & RK_LOCAL_MASK));
+            selected[i] = sel = pid;
+        }
+        ample += picked;
+        blocked += (int64_t)(refused & (was_blocked ^ 1u))
+            - (int64_t)(picked & was_blocked);
+        status[i] = (s & ~RK_POR_PASS) | (refused << 30);
+        undecided += sel == -1;
+    }
+    counts[0] += pruned;
+    counts[1] += ample;
+    counts[2] += blocked;
+    return undecided;
 }
 """
 

@@ -7,11 +7,10 @@ addresses (``array.ctypes.data``) as integers.
 :class:`NativeKernel` subclasses
 :class:`~repro.checker.batch.BatchKernel` and overrides exactly the
 hot methods the generated translation unit implements — expansion,
-the scan micro-step, fingerprinting, in-level dedup, the visited set
-(:class:`NativeVisited`), the vectorized safety mask,
-canonicalization, and the C0/C1 selector phase — so the level loop,
-the stores, and the POR phase-2 logic are shared verbatim with the
-numpy kernel.  Every override is bit-identical to its numpy twin by
+fingerprinting, the visited set (:class:`NativeVisited`), the
+vectorized safety mask, canonicalization, and POR ample-set selection
+— so the level loop and the stores are shared verbatim with the numpy
+kernel.  Every override is bit-identical to its numpy twin by
 construction (same tables, same arithmetic, same ordering), which is
 what lets the conformance matrix demand field-identical results rather
 than mere verdict agreement.
@@ -27,7 +26,7 @@ try:  # numpy is a soft dependency of the whole batch stack
 except ImportError:  # pragma: no cover - exercised via native_available
     np = None  # type: ignore[assignment]
 
-from repro.checker.batch import BatchKernel
+from repro.checker.batch import _SLICE_SUCCESSORS, BatchKernel
 from repro.checker.native.build import (
     NativeBuildError,
     build_library,
@@ -39,12 +38,12 @@ if TYPE_CHECKING:
     from numpy.typing import NDArray
 
     from repro.checker.fast_snapshot import FastSnapshotSpec
+    from repro.checker.por import PORCounters
     from repro.checker.symmetry import FastCanonicalizer
 
     U64Array = NDArray[np.uint64]
     BoolArray = NDArray[np.bool_]
     I64Array = NDArray[np.int64]
-    U8Array = NDArray[np.uint8]
 
 #: Kernel choices accepted everywhere a kernel can be named.
 KERNEL_CHOICES = ("auto", "numpy", "native")
@@ -128,11 +127,6 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
             "int64_t *",
         ),
     ),
-    "rk_scan_step": (
-        "void",
-        ("const uint64_t *", "const uint64_t *", "int64_t", "int64_t",
-         "uint64_t *"),
-    ),
     "rk_fingerprint": (
         "void",
         ("const uint64_t *", "int64_t", "uint64_t *"),
@@ -144,10 +138,6 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "rk_orbit_sizes": (
         "void",
         ("const uint64_t *", "int64_t", "int64_t *"),
-    ),
-    "rk_unique_first": (
-        "int64_t",
-        ("const uint64_t *", "int64_t", "uint64_t *", "int64_t *"),
     ),
     "rk_visited_new": ("void *", ("int64_t", "int64_t")),
     "rk_visited_free": ("void", ("void *",)),
@@ -175,13 +165,36 @@ _SIGNATURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         ("const uint64_t *", "int64_t", "unsigned char *"),
     ),
     "rk_por_c0c1": (
-        "void",
+        "void", ("const uint64_t *", "int64_t", "uint32_t *", "int64_t *"),
+    ),
+    "rk_por_pool": (
+        "int64_t",
         (
             "const uint64_t *",
             "int64_t",
-            "unsigned char *",
-            "uint8_t *",
-            "unsigned char *",
+            "const uint32_t *",
+            "const int64_t *",
+            "int64_t",
+            "int64_t",
+            "int64_t",
+            "int64_t",
+            "uint64_t *",
+            "uint64_t *",
+            "int64_t *",
+        ),
+    ),
+    "rk_por_commit": (
+        "int64_t",
+        (
+            "const uint64_t *",
+            "uint32_t *",
+            "int64_t *",
+            "int64_t",
+            "int64_t",
+            "const int64_t *",
+            "const unsigned char *",
+            "int64_t",
+            "int64_t *",
         ),
     ),
 }
@@ -369,12 +382,14 @@ class NativeKernel(BatchKernel):
         spec: "FastSnapshotSpec",
         canonicalizer: Optional["FastCanonicalizer"] = None,
     ) -> None:
-        super().__init__(spec)
         if not native_available():
             raise NativeKernelUnavailable(
                 "native kernel unavailable: needs numpy and a C compiler"
                 " (and REPRO_NATIVE_DISABLE unset)"
             )
+        super().__init__(spec)
+        #: Scratch buffers of the ample-set passes and their addresses.
+        self._buffers: Dict[str, Tuple[Any, int]] = {}
         field_maps: Tuple[Any, ...] = ()
         if canonicalizer is not None and not canonicalizer.trivial:
             field_maps = tuple(canonicalizer.field_maps)
@@ -418,27 +433,6 @@ class NativeKernel(BatchKernel):
             )
         return out, counts
 
-    def _scan_step(
-        self,
-        states: "U64Array",
-        loc: "U64Array",
-        pid: int,
-    ) -> "U64Array":
-        n = int(states.size)
-        out = np.empty(n, dtype=np.uint64)
-        if n:
-            states = np.ascontiguousarray(states, dtype=np.uint64)
-            loc = np.ascontiguousarray(loc, dtype=np.uint64)
-            self._lib.call(
-                "rk_scan_step",
-                states.ctypes.data,
-                loc.ctypes.data,
-                n,
-                pid,
-                out.ctypes.data,
-            )
-        return out
-
     # -- keys ----------------------------------------------------------
     def fingerprint_many(self, states: "U64Array") -> "U64Array":
         n = int(states.size)
@@ -449,26 +443,6 @@ class NativeKernel(BatchKernel):
                 "rk_fingerprint", states.ctypes.data, n, out.ctypes.data
             )
         return out
-
-    def unique_first(
-        self, keys: "U64Array"
-    ) -> Tuple["U64Array", "I64Array"]:
-        n = int(keys.size)
-        if n == 0:
-            return keys, np.empty(0, dtype=np.intp)
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        out_keys = np.empty(n, dtype=np.uint64)
-        out_first = np.empty(n, dtype=np.int64)
-        unique = self._lib.call(
-            "rk_unique_first",
-            keys.ctypes.data,
-            n,
-            out_keys.ctypes.data,
-            out_first.ctypes.data,
-        )
-        if unique < 0:  # allocation failure, or 2**32 keys or more
-            return super().unique_first(keys)
-        return out_keys[:unique], out_first[:unique]
 
     def make_visited(
         self, expected: int, max_slots: Optional[int] = None
@@ -486,26 +460,92 @@ class NativeKernel(BatchKernel):
             )
         return out.view(np.bool_)
 
-    # -- POR phase 1 ---------------------------------------------------
-    def por_c0c1(
-        self, frontier: "U64Array", tables: Any
-    ) -> Tuple["BoolArray", "U8Array", "BoolArray"]:
-        n = self.spec.n
-        n_states = int(frontier.shape[0])
-        qualified = np.zeros((n, n_states), dtype=np.uint8)
-        nsucc = np.zeros((n, n_states), dtype=np.uint8)
-        is_scan = np.zeros((n, n_states), dtype=np.uint8)
-        if n_states:
-            frontier = np.ascontiguousarray(frontier, dtype=np.uint64)
-            self._lib.call(
-                "rk_por_c0c1",
-                frontier.ctypes.data,
-                n_states,
-                qualified.ctypes.data,
-                nsucc.ctypes.data,
-                is_scan.ctypes.data,
+    # -- POR -----------------------------------------------------------
+    def ample_sets(
+        self,
+        frontier: "U64Array",
+        contains: Callable[["U64Array"], "BoolArray"],
+        reducer: Optional[Any],
+        shards: Tuple[int, int],
+        cycle_proviso: bool,
+        counters: "PORCounters",
+    ) -> "I64Array":
+        """:meth:`BatchKernel.ample_sets` in a few C passes: C0–C2 in
+        one, then per pid round a pass that builds the candidate pool,
+        one ``contains`` query, and a pass that commits it and counts.
+        A reducer this library does not bake takes the numpy path."""
+        if reducer is not None and not (
+            isinstance(reducer, NativeCanonicalizer) and reducer._lib is self._lib
+        ):
+            return super().ample_sets(
+                frontier, contains, reducer, shards, cycle_proviso, counters
             )
-        return qualified.view(np.bool_), nsucc, is_scan.view(np.bool_)
+        lib = self._lib
+        n_states = int(frontier.shape[0])
+        selected = np.full(n_states, -1, dtype=np.int64)
+        # Each .ctypes.data costs about a microsecond: every address is
+        # taken once per call, and a scratch buffer's once.
+        frontier = np.ascontiguousarray(frontier, dtype=np.uint64)
+        at = frontier.ctypes.data
+        selected_at = selected.ctypes.data
+        _, status_at = self._scratch("status", n_states, np.uint32)
+        bound, bound_at = self._scratch("bound", self.spec.n, np.int64)
+        counts, counts_at = self._scratch("counts", 3, np.int64)
+        counts.fill(0)
+        lib.call("rk_por_c0c1", at, n_states, status_at, bound_at)
+        n_shards, shard = shards
+        canon = int(reducer is not None)
+        for pid, cap in enumerate(bound.tolist()):
+            if not cap:
+                continue
+            # Without the cycle proviso no pool is built, and the commit
+            # selects every state pid qualifies for.
+            parents_at = known_at = pool = 0
+            if cycle_proviso:
+                keys, keys_at = self._scratch("keys", cap, np.uint64)
+                _, parents_at = self._scratch("parents", cap, np.int64)
+                _, table_at = self._scratch(
+                    "table", 1 << max(4, (2 * cap - 1).bit_length()), np.uint64
+                )
+                pool = lib.call(
+                    "rk_por_pool", at, n_states, status_at, selected_at, pid,
+                    canon, n_shards, shard, table_at, keys_at, parents_at,
+                )
+                if pool:
+                    known = np.ascontiguousarray(
+                        contains(keys[:pool]), dtype=np.bool_
+                    )
+                    if known.shape != (pool,):
+                        raise ValueError(
+                            f"contains answered {known.shape} for {pool} keys"
+                        )
+                    known_at = known.ctypes.data
+            undecided = lib.call(
+                "rk_por_commit", at, status_at, selected_at, n_states, pid,
+                parents_at, known_at, pool, counts_at,
+            )
+            if not undecided:
+                break
+        # Reuse pays on small frontiers; a wide level's buffers would
+        # stay resident through every later level's growing visited set.
+        for name, (buffer, _) in list(self._buffers.items()):
+            if buffer.size > _SLICE_SUCCESSORS:
+                del self._buffers[name]
+        pruned, ample, blocked = counts.tolist()
+        counters.transitions_pruned += pruned
+        counters.ample_states += ample
+        counters.fully_expanded_states += n_states - ample
+        counters.cycle_proviso_expansions += blocked
+        return selected
+
+    def _scratch(self, name: str, size: int, dtype: Any) -> Tuple[Any, int]:
+        """A buffer of at least ``size`` elements, and its address; it is
+        kept across calls unless it outgrows ``_SLICE_SUCCESSORS``."""
+        held = self._buffers.get(name)
+        if held is None or held[0].size < size:
+            buffer = np.empty(size, dtype=dtype)
+            held = self._buffers[name] = (buffer, buffer.ctypes.data)
+        return held
 
     # -- symmetry ------------------------------------------------------
     def make_canonicalizer(

@@ -42,6 +42,8 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
+import shutil
+import tempfile
 import warnings
 from array import array
 from dataclasses import asdict, replace
@@ -391,7 +393,10 @@ class ShardEngine:
     fingerprint mod ``n_shards``) and it is absent from this shard's
     visited set; foreign-owned successors are pessimistically treated
     as possibly-visited, which can only force extra full expansions,
-    never unsound pruning.
+    never unsound pruning.  A batch shard's selector takes the
+    ownership as ``(n_shards, shard)`` and drops foreign-owned keys
+    from each C3 candidate pool, so it asks its visited set about its
+    own keys only.
 
     Under an ``engine="batch"`` setup the shard processes each round as
     numpy u64 arrays end to end — admission dedup, safety mask, successor
@@ -443,7 +448,9 @@ class ShardEngine:
         if por and self.kernel is not None:
             from repro.checker.batch import BatchAmpleSelector
 
-            self.batch_selector = BatchAmpleSelector(self.kernel)
+            self.batch_selector = BatchAmpleSelector(
+                self.kernel, self.batch_canon, (n_shards, shard)
+            )
         elif por:
             from repro.checker.por import FastAmpleSelector
 
@@ -451,20 +458,6 @@ class ShardEngine:
         self._buf: List[int] = []
 
     # -- POR helpers ---------------------------------------------------
-
-    def _batch_key_of(self, states):
-        if self.batch_canon is None:
-            return states
-        return self.batch_canon.canonical_many(states)
-
-    def _batch_in_visited(self, keys):
-        # Sharded C3, vectorized: certainly new means locally owned
-        # AND absent from this shard's visited set, so "possibly
-        # visited" is foreign-owned OR present.
-        import numpy as np
-
-        owners = self.kernel.fingerprint_many(keys) % np.uint64(self.n_shards)
-        return (owners != np.uint64(self.shard)) | self.seen.contains(keys)
 
     def _is_new(self, successor: int) -> bool:
         # Sharded C3: only a locally-owned, locally-unvisited successor
@@ -549,7 +542,7 @@ class ShardEngine:
         if violation is None and n_admitted:
             if self.batch_selector is not None:
                 ample = self.batch_selector.select(
-                    admitted_arr, self._batch_key_of, self._batch_in_visited
+                    admitted_arr, self.seen.contains
                 )
                 successors, _counts = kernel.expand_level(admitted_arr, ample)
             else:
@@ -630,9 +623,12 @@ class ShardEngine:
         )
 
 
-def _shard_worker(conn, shard: int, n_shards: int) -> None:
+def _shard_worker(
+    conn, shard: int, n_shards: int, store_tmp: Optional[str] = None
+) -> None:
     """Pipe transport around shard ``shard``'s :class:`ShardEngine`,
-    one wiring class after another.
+    one wiring class after another.  ``store_tmp`` is the directory its
+    temporary stores are made in.
 
     Protocol: ``("class", params, store_config, por)`` builds the
     engine for one class from its :class:`ClassSetup` construction
@@ -648,6 +644,8 @@ def _shard_worker(conn, shard: int, n_shards: int) -> None:
     count)``.  All exploration semantics live in :class:`ShardEngine`.
     """
     shard_engine = None
+    if store_tmp is not None:
+        tempfile.tempdir = store_tmp
     try:
         while True:
             message = conn.recv()
@@ -691,6 +689,11 @@ class ShardWorkers:
     :func:`_shard_worker`).  :meth:`close`, or leaving a ``with`` block,
     stops and joins them.  A host that cannot start them marks the set
     ``forkless``, and every class then runs serially.
+
+    For a disk-backed store without a directory, the workers make their
+    temporary stores under one directory of the set's, which
+    :meth:`close` removes, so a store whose worker was killed before it
+    could close it goes too.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -698,6 +701,7 @@ class ShardWorkers:
         self.forkless = False
         self.connections: Dict[int, Any] = {}  # shard -> its pipe end
         self._processes: List[Any] = []
+        self._store_tmp: Optional[str] = None
 
     def __enter__(self) -> "ShardWorkers":
         return self
@@ -716,12 +720,14 @@ class ShardWorkers:
             return True
         _import_worker_modules(store, por, engine, heartbeat=False)
         ctx = _mp_context()
+        if store is not None and store.backend != "ram" and store.directory is None:
+            self._store_tmp = tempfile.mkdtemp(prefix="repro-shards-")
         try:
             for shard in range(1, self.jobs):
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, shard, self.jobs),
+                    args=(child_conn, shard, self.jobs, self._store_tmp),
                     daemon=True,
                 )
                 process.start()
@@ -748,6 +754,9 @@ class ShardWorkers:
                 process.terminate()
         self.connections = {}
         self._processes = []
+        if self._store_tmp is not None:
+            shutil.rmtree(self._store_tmp, ignore_errors=True)
+            self._store_tmp = None
 
 
 def explore_sharded(

@@ -9,6 +9,7 @@ implementation:
 - identical safety verdicts on both.
 """
 
+import itertools
 import random
 
 import pytest
@@ -111,6 +112,21 @@ class TestFastSafetyChecks:
         assert fast.check_outputs(state) is None
 
 
+def _canonical(assignment):
+    """The least form of a wiring assignment over every processor order,
+    each relabelled so that its first processor's wiring is the
+    identity."""
+    candidates = []
+    for order in itertools.permutations(range(len(assignment))):
+        first = assignment[order[0]]
+        inverse = tuple(sorted(range(len(first)), key=lambda i: first[i]))
+        candidates.append(tuple(
+            tuple(inverse[register] for register in assignment[p])
+            for p in order
+        ))
+    return min(candidates)
+
+
 class TestCanonicalWiringClasses:
     def test_n2_has_two_classes(self):
         assert len(canonical_wiring_classes(2, 2)) == 2
@@ -126,26 +142,37 @@ class TestCanonicalWiringClasses:
     def test_classes_cover_all_assignments(self):
         """Every raw assignment reduces (via relabelling + processor
         permutation) to one of the canonical classes."""
-        import itertools
-
         classes = set(canonical_wiring_classes(2, 2))
-        perms = [tuple(p) for p in itertools.permutations(range(2))]
-
-        def canonical(assignment):
-            candidates = []
-            for order in itertools.permutations(range(2)):
-                reordered = [assignment[i] for i in order]
-                first = reordered[0]
-                inverse = tuple(sorted(range(2), key=lambda i: first[i]))
-                candidates.append(
-                    tuple(
-                        tuple(inverse[w[i]] for i in range(2)) for w in reordered
-                    )
-                )
-            return min(candidates)
-
+        perms = list(itertools.permutations(range(2)))
         for assignment in itertools.product(perms, repeat=2):
-            assert canonical(list(assignment)) in classes
+            assert _canonical(assignment) in classes
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 3)])
+    def test_classes_are_each_first_met_assignments_least_form(self, shape):
+        # The order is the sweep order: class indices name checkpoint
+        # directories and key sweep records.
+        n, m = shape
+        expected = []
+        perms = list(itertools.permutations(range(m)))
+        for assignment in itertools.product(perms, repeat=n):
+            canonical = _canonical(assignment)
+            if canonical not in expected:
+                expected.append(canonical)
+        assert canonical_wiring_classes(n, m) == expected
+        if shape == (3, 3):
+            # The N=3 sweep's classes, literally, as a guard on _canonical.
+            assert expected == [
+                ((0, 1, 2), (0, 1, 2), (0, 1, 2)),
+                ((0, 1, 2), (0, 1, 2), (0, 2, 1)),
+                ((0, 1, 2), (0, 1, 2), (1, 0, 2)),
+                ((0, 1, 2), (0, 1, 2), (1, 2, 0)),
+                ((0, 1, 2), (0, 1, 2), (2, 0, 1)),
+                ((0, 1, 2), (0, 1, 2), (2, 1, 0)),
+                ((0, 1, 2), (0, 2, 1), (1, 0, 2)),
+                ((0, 1, 2), (0, 2, 1), (1, 2, 0)),
+                ((0, 1, 2), (1, 0, 2), (2, 0, 1)),
+                ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+            ]
 
     def test_wiring_mismatch_rejected(self):
         with pytest.raises(ValueError):

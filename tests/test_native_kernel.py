@@ -2,8 +2,9 @@
 
 The native kernel's contract is stronger than "same verdict": every
 overridden method — fingerprinting, canonicalization, expansion, the
-in-level dedup, the visited set, the C0/C1 selector phase — must be
-*bit-identical* to the numpy implementation on arbitrary inputs,
+visited set, ample-set selection — must be *bit-identical* to the
+numpy implementation on arbitrary inputs (selection on reachable
+frontiers),
 because the exploration loop treats kernels as interchangeable mid-run
 (a sharded job may resume under a different kernel).  The property
 tests below therefore compare raw arrays, not exploration summaries;
@@ -18,6 +19,7 @@ degradation tests run everywhere; the conformance tests skip cleanly
 when the host cannot build kernels.
 """
 
+import itertools
 from dataclasses import asdict
 
 import pytest
@@ -25,8 +27,6 @@ import pytest
 import repro.checker.batch as batch_mod
 from repro.checker.batch import explore_batch, make_kernel
 from repro.checker.constants import (
-    MASK64,
-    SPLITMIX_GAMMA,
     SPLITMIX_MULT1,
     SPLITMIX_MULT2,
     SPLITMIX_SHIFT1,
@@ -39,6 +39,7 @@ from repro.checker.fast_snapshot import (
     canonical_wiring_classes,
 )
 from repro.store import StoreConfig
+from repro.store.base import sorted_member
 
 requires_numpy = pytest.mark.skipif(
     not batch_mod.HAVE_NUMPY, reason="numpy not installed"
@@ -101,21 +102,6 @@ def _edge_states(spec, rng, count=10_000):
         same_pid.append(word & mask)
     edges = np.array([0, mask, *same_pid], dtype=np.uint64)
     return np.concatenate([edges, states])
-
-
-def _same_slot_pair(n):
-    """Two keys sharing a slot of ``rk_unique_first``'s recent-key table
-    in a level of ``n`` keys (Fibonacci hashing into 2**6..2**14
-    slots)."""
-    bits = min(14, max(6, (n - 1).bit_length()))
-
-    def slot(key):
-        return ((key * SPLITMIX_GAMMA) & MASK64) >> (64 - bits)
-
-    other = 2
-    while slot(other) != slot(1):
-        other += 1
-    return [1, other]
 
 
 def _canonical_level_keys():
@@ -262,65 +248,6 @@ class TestMethodBitIdentity:
         ):
             succ, counts = native_kernel.expand_level(states, selected)
             assert succ.size == int(counts.sum()) > 0
-
-    def test_unique_first_bit_identical_including_edge_shapes(self):
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        numpy_kernel, native_kernel, _ = _kernels(spec)
-        rng = np.random.default_rng(17)
-        spread = rng.permutation(20_000).astype(np.uint64) << np.uint64(20)
-        pair = _same_slot_pair(4096)
-        late_first = rng.integers(0, 2**30, size=5000, dtype=np.uint64)
-        late_first[[1000, 4000, 4999]] = late_first[0]
-        cases = [
-            np.empty(0, dtype=np.uint64),
-            np.array([42], dtype=np.uint64),
-            np.array([0, 2**64 - 1, 0, 5, 5], dtype=np.uint64),
-            np.full(513, 7, dtype=np.uint64),
-            # narrow keys exercise the radix pass trimming
-            rng.integers(0, 255, size=4096, dtype=np.uint64),
-            rng.integers(0, 2**64 - 1, size=4096, dtype=np.uint64,
-                         endpoint=True),
-            np.sort(rng.integers(0, 2**40, size=4096, dtype=np.uint64)),
-            # every repeat farther back than the largest recent-key table
-            np.concatenate([spread, rng.permutation(spread)]),
-            # two keys evicting each other from one table slot
-            np.array(pair * 2048, dtype=np.uint64),
-            # keys[0] prefills the table, and recurs late
-            late_first,
-            # bit 63 set: no key value is reserved
-            rng.integers(0, 300, size=4096, dtype=np.uint64)
-            | np.uint64(1 << 63),
-            np.sort(rng.integers(0, 2**40, size=4096, dtype=np.uint64))[::-1],
-        ]
-        # table sizes 2**6 and 2**14, at and around their edges
-        for size in (63, 64, 65, 16383, 16384, 16385):
-            cases.append(
-                rng.integers(0, size // 2, size=size, dtype=np.uint64)
-            )
-        cases.append(_canonical_level_keys())
-        for keys in cases:
-            uniq_n, first_n = numpy_kernel.unique_first(keys)
-            uniq_c, first_c = native_kernel.unique_first(keys)
-            assert np.array_equal(uniq_n, uniq_c)
-            assert np.array_equal(first_n, first_c)
-
-    def test_por_c0c1_bit_identical_on_reachable_frontier(self):
-        from repro.checker.batch import BatchAmpleSelector
-
-        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
-        numpy_kernel, native_kernel, _ = _kernels(spec)
-        tables = BatchAmpleSelector(numpy_kernel).tables
-        frontier = np.array([spec.initial_state()], dtype=np.uint64)
-        for _ in range(5):
-            rows_n = numpy_kernel.por_c0c1(frontier, tables)
-            rows_c = native_kernel.por_c0c1(frontier, tables)
-            assert len(rows_n) == len(rows_c) == 3
-            for left, right in zip(rows_n, rows_c):
-                assert left.dtype == right.dtype
-                assert np.array_equal(left, right)
-            assert rows_c[1].dtype == np.uint8
-            succ, _counts = numpy_kernel.expand_level(frontier)
-            frontier, _ = numpy_kernel.unique_first(np.sort(succ))
 
 
 def _unmix(mixes):
@@ -532,6 +459,218 @@ class TestVisitedSet:
         assert numpy_run == run("native")
 
 
+def _reachable_levels(spec, symmetry, width=150):
+    """``(frontier, reached)`` per BFS level of ``spec``'s unreduced
+    graph (orbit representatives with ``symmetry``), each level thinned
+    to at most ``width`` evenly spaced keys, down to the states where
+    every processor is done: the level's keys, and every key reached
+    through the next level, so every key a selection round can meet."""
+    from repro.checker.symmetry import FastCanonicalizer
+
+    kernel = make_kernel(spec, "numpy")
+    canon = kernel.make_canonicalizer(
+        FastCanonicalizer(spec) if symmetry else None
+    )
+
+    def keys_of(states):
+        return states if canon is None else canon.canonical_many(states)
+
+    frontier = keys_of(np.array([spec.initial_state()], dtype=np.uint64))
+    visited = frontier
+    levels = []
+    while frontier.size:
+        nxt, _ = kernel.unique_first(keys_of(kernel.expand_level(frontier)[0]))
+        nxt = nxt[~sorted_member(visited, nxt)]
+        visited = np.sort(np.concatenate((visited, nxt)))
+        levels.append((frontier, visited))
+        frontier = nxt[:: max(1, -(-nxt.size // width))]
+    return levels
+
+
+def _selectors(kernels, shards, cycle_proviso):
+    """Selectors on the numpy and native kernels of a :func:`_kernels`
+    triple, each with its own kernel's reducer."""
+    from repro.checker.batch import BatchAmpleSelector
+
+    numpy_kernel, native_kernel, canon = kernels
+    return [
+        BatchAmpleSelector(
+            kernel, kernel.make_canonicalizer(canon), shards, cycle_proviso
+        )
+        for kernel in (numpy_kernel, native_kernel)
+    ]
+
+
+#: Every ownership a selector can have at 1, 2 and 3 shards, with the
+#: cycle proviso on and off, against an empty, a partly filled and a
+#: full visited set (an index into ``_known``).
+SELECTIONS = list(itertools.product(
+    [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)], [True, False], range(3)
+))
+ALL_CLASSES = N2_CLASSES + canonical_wiring_classes(3, 3)
+
+
+def _known(reached, fill):
+    """Membership in none, every other one, or all of ascending
+    ``reached``."""
+    known = (reached[:0], reached[::2], reached)[fill]
+    return lambda keys: sorted_member(known, keys)
+
+
+@requires_numpy
+@requires_native
+class TestAmpleSelection:
+    """The native selection passes against the numpy twin: the same
+    ``selected`` and the same counters on every reachable frontier."""
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("wiring", ALL_CLASSES, ids=str)
+    def test_native_selection_equals_the_numpy_twin(self, wiring, symmetry):
+        spec = FastSnapshotSpec(list(range(1, len(wiring) + 1)), wiring)
+        kernels = _kernels(spec, symmetry)
+        pairs = {
+            (shards, proviso): _selectors(kernels, shards, proviso)
+            for shards, proviso, _ in SELECTIONS
+        }
+        # Each level goes through one selection of the rotation, so each
+        # selection meets levels from the start to the terminal states.
+        levels = _reachable_levels(spec, symmetry)
+        for index, (frontier, reached) in enumerate(levels):
+            shards, proviso, fill = SELECTIONS[index % len(SELECTIONS)]
+            twin, native = pairs[shards, proviso]
+            contains = _known(reached, fill)
+            # C0/C1 rows stay 9 bytes per state: a bool and a u8 per pid.
+            qualified, nsucc = twin.kernel.por_c0c1(frontier)
+            assert qualified.dtype == np.bool_ and nsucc.dtype == np.uint8
+            assert qualified.shape == nsucc.shape == (spec.n, frontier.size)
+            expected = twin.select(frontier, contains)
+            assert np.array_equal(native.select(frontier, contains), expected)
+            assert native.counters.as_dict() == twin.counters.as_dict()
+        # Each selection counts every state once, ample or full.
+        assert sum(
+            twin.counters.ample_states + twin.counters.fully_expanded_states
+            for twin, _ in pairs.values()
+        ) == sum(int(frontier.size) for frontier, _ in levels)
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize(
+        "wiring", N2_CLASSES + N3_SYMMETRY_CLASSES, ids=str
+    )
+    def test_a_foreign_reducer_still_selects_with_todays_keys(
+        self, wiring, symmetry
+    ):
+        # A reducer the library does not bake (here the numpy one) sends
+        # the native kernel down the numpy path with that reducer's keys.
+        from repro.checker.batch import BatchAmpleSelector, BatchCanonicalizer
+        from repro.checker.symmetry import FastCanonicalizer
+
+        spec = FastSnapshotSpec(list(range(1, len(wiring) + 1)), wiring)
+        canon = FastCanonicalizer(spec)
+        reducer = None if canon.trivial else BatchCanonicalizer(canon)
+        native_kernel = make_kernel(spec, "native", canon if symmetry else None)
+        twin = BatchAmpleSelector(make_kernel(spec, "numpy"), reducer)
+        native = BatchAmpleSelector(native_kernel, reducer)
+        for frontier, reached in _reachable_levels(spec, True):
+            def contains(keys, known=reached[::3]):
+                return sorted_member(known, keys)
+
+            assert np.array_equal(
+                native.select(frontier, contains),
+                twin.select(frontier, contains),
+            )
+        assert native.counters.as_dict() == twin.counters.as_dict()
+
+    @pytest.mark.parametrize("shards", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("wiring", N3_SYMMETRY_CLASSES[:2], ids=str)
+    def test_a_disk_tier_answers_c3_the_same_for_both_kernels(
+        self, wiring, shards
+    ):
+        # Each kernel's own visited set at a 4K cap: its RAM tier holds
+        # 192 keys, so by the later levels the spill store holds most of
+        # them and answers most of each round's query.
+        from repro.checker.batch import TieredVisited
+
+        spec = FastSnapshotSpec([1, 2, 3], wiring)
+        levels = _reachable_levels(spec, True)
+        selectors = _selectors(_kernels(spec, True), shards, True)
+        tiers = [
+            TieredVisited(
+                selector.kernel, StoreConfig(backend="spill", mem_cap=4096)
+            )
+            for selector in selectors
+        ]
+        try:
+            for frontier, _ in levels:
+                for tier in tiers:
+                    tier.admit(frontier, int(frontier.size))
+                twin, native = (
+                    selector.select(frontier, tier.contains)
+                    for selector, tier in zip(selectors, tiers)
+                )
+                assert np.array_equal(twin, native)
+            # The levels are disjoint, and both tiers hold all of them.
+            assert len(tiers[1]) == sum(int(f.size) for f, _ in levels)
+            twin_store, native_store = (tier.counters() for tier in tiers)
+            twin_store.pop("merge_wall_ms")
+            native_store.pop("merge_wall_ms")
+            assert native_store == twin_store
+            assert native_store["runs"] >= 2
+            assert native_store["disk_probes"] > 0
+            assert selectors[0].counters.as_dict() == (
+                selectors[1].counters.as_dict()
+            )
+        finally:
+            for tier in tiers:
+                tier.close()
+
+    def test_native_selection_expands_and_dedups_nothing_in_python(
+        self, monkeypatch
+    ):
+        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+        _, native = _selectors(_kernels(spec, True), (2, 1), True)
+        calls = []
+        for owner, name in (
+            (native.kernel, "expand_level"),
+            (native.kernel, "unique_first"),
+            (native.kernel, "fingerprint_many"),
+            (native.reducer, "canonical_many"),
+        ):
+            monkeypatch.setattr(
+                owner, name,
+                lambda *args, name=name: calls.append(name),
+            )
+        queried = []
+
+        def contains(keys):
+            queried.append(int(keys.size))
+            return np.zeros(keys.shape, dtype=bool)
+
+        for frontier, _ in _reachable_levels(spec, True):
+            native.select(frontier, contains)
+        assert calls == []
+        assert sum(queried) > 0 and native.counters.ample_states > 0
+
+    def test_a_wide_level_leaves_no_scratch_resident(self):
+        # Scratch buffers are reused across small frontiers only: a wide
+        # level's would stay resident while the visited set grows.
+        from repro.checker.batch import _SLICE_SUCCESSORS
+
+        spec = FastSnapshotSpec([1, 2, 3], N3_IDENTITY)
+        twin, native = _selectors(_kernels(spec, True), (1, 0), True)
+        levels = _reachable_levels(spec, True)
+        frontier, reached = levels[len(levels) // 2]
+        wide = np.tile(frontier, _SLICE_SUCCESSORS // int(frontier.size) + 1)
+        contains = _known(reached, 1)
+        assert np.array_equal(
+            native.select(wide, contains), twin.select(wide, contains)
+        )
+        assert native.counters.as_dict() == twin.counters.as_dict()
+        held = native.kernel._buffers.values()
+        assert all(buffer.size <= _SLICE_SUCCESSORS for buffer, _ in held)
+        native.select(frontier, contains)
+        assert "status" in native.kernel._buffers
+
+
 @requires_numpy
 @requires_native
 class TestExhaustiveN2Matrix:
@@ -567,8 +706,9 @@ class TestExhaustiveN2Matrix:
         self, wiring, symmetry
     ):
         # vs the *scalar* selector POR is only verdict-conformant, but
-        # the two batch kernels share the level-synchronous selector, so
-        # between themselves even POR runs must match field for field
+        # the two batch kernels run the same level-synchronous
+        # selection, so between themselves even POR runs must match
+        # field for field
         def run(kernel):
             return asdict(explore_batch(
                 FastSnapshotSpec([1, 2], wiring),

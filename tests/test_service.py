@@ -22,7 +22,6 @@ import signal
 import time
 from array import array
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 

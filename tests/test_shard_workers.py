@@ -240,6 +240,36 @@ def test_a_worker_killed_after_a_commit_stops_the_sweep_and_it_resumes(
     assert _resumed(ckpt, capsys, argv) == expected
 
 
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+def test_a_killed_workers_temporary_store_goes_with_the_set(
+    engine, monkeypatch, tmp_path, store_tmp
+):
+    pytest.importorskip("numpy")
+    from repro.store.checkpoint import RunCheckpointer
+
+    commit = RunCheckpointer.commit
+    killed = []
+
+    def killing_commit(self, staging, counters):
+        commit(self, staging, counters)
+        if not killed:
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            killed.append(victim.pid)
+
+    monkeypatch.setattr(RunCheckpointer, "commit", killing_commit)
+    with pytest.raises(RuntimeError, match="resume from the checkpoint"):
+        explore_sharded(
+            (1, 2, 3), canonical_wiring_classes(3, 3)[FAILING_CLASS], jobs=3,
+            max_states=3000, symmetry=True, engine=engine, kernel="numpy",
+            store=StoreConfig(backend="spill", mem_cap=4096),
+            checkpointer=RunCheckpointer(tmp_path / "ckpt", {}, every=500),
+        )
+    assert killed
+    assert multiprocessing.active_children() == []
+    assert list(store_tmp.iterdir()) == []
+
+
 def test_a_completed_sweep_resumes_without_starting_a_worker(
     tmp_path, capsys, starts
 ):
