@@ -510,13 +510,15 @@ class BatchKernel:
             offset = spec.local_offsets[pid]
             local = (frontier >> offset) & spec.local_mask
             phase = (local >> spec.o_phase) & 3
+            # As in the scalar engine, phases 1 and 3 scan.
+            scanning = (phase & 1) == 1
             if selected is None:
                 w_idx = np.flatnonzero(phase == _PHASE_WRITE)
-                s_idx = np.flatnonzero(phase == _PHASE_SCAN)
+                s_idx = np.flatnonzero(scanning)
             else:
                 gen = (selected == pid) | (selected == -1)
                 w_idx = np.flatnonzero((phase == _PHASE_WRITE) & gen)
-                s_idx = np.flatnonzero((phase == _PHASE_SCAN) & gen)
+                s_idx = np.flatnonzero(scanning & gen)
             if w_idx.size:
                 w_local = local[w_idx]
                 w_states = frontier[w_idx]

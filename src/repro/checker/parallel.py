@@ -21,9 +21,12 @@ and a :class:`ShardWorkers` set forks one worker per other shard.  A
 sweep opens one set and keeps it for every class; each class reaches
 the workers as a message.  Each shard holds its own visited set only
 and expands one BFS layer per round; workers hand successors owned by
-other shards back to the driver, which routes them.  Per-shard
-statistics are merged in shard order, so two runs with the same
-``jobs`` produce identical results.
+other shards back to the driver, which routes them.  The driver's
+decisions live in :class:`ShardedRun`, which the service coordinator
+(:mod:`repro.service.coordinator`) shares, so the pipes and the
+sockets are two transports of one driver.  Per-shard statistics are
+merged in shard order, so two runs with the same ``jobs`` produce
+identical results.
 
 Exhaustive runs are partition-invariant: the sharded engine reports
 exactly the serial engine's ``(states, transitions, ok)`` because both
@@ -59,6 +62,7 @@ from repro.checker.fast_snapshot import (
 from repro.checker.fingerprint import fingerprint_int
 from repro.store.base import StoreConfig, u64_array
 from repro.store.checkpoint import (
+    Checkpoint,
     RunCheckpointer,
     SweepCheckpoint,
     load_result,
@@ -358,9 +362,10 @@ class ShardEngine:
     and ``por_counters`` is the shard's *cumulative* reduction
     statistics (``None`` without ``por``).  For checkpointing,
     :meth:`dump_to` streams the visited keys to a u64 file and
-    :meth:`load_from` bulk-loads a previous dump; :meth:`visited_keys`
-    / :meth:`load_keys` do the same through memory for transports that
-    move dumps over the wire instead of a shared filesystem.
+    :meth:`load_from` bulk-loads a previous dump; a transport that
+    moves dumps over the wire instead of a shared filesystem sends
+    ``seen.key_arrays()`` and loads what it receives with
+    ``seen.load``.
 
     The visited set, ``seen``, is per engine.  A scalar shard keeps it
     in the configured :mod:`repro.store` backend.  A batch shard keeps
@@ -481,16 +486,6 @@ class ShardEngine:
         from repro.store.checkpoint import read_u64_file
 
         return self.seen.load(read_u64_file(Path(path)))
-
-    def visited_keys(self) -> List[int]:
-        """The visited keys as a list (wire-transported checkpoints)."""
-        return [
-            key for chunk in self.seen.key_arrays() for key in chunk.tolist()
-        ]
-
-    def load_keys(self, keys: Sequence[int]) -> int:
-        """Bulk-load visited keys received over a transport."""
-        return self.seen.load(keys)
 
     def close(self) -> None:
         self.seen.close()
@@ -759,6 +754,235 @@ class ShardWorkers:
             self._store_tmp = None
 
 
+def _concat(parts: List[Any]) -> Any:
+    """One owner's inbox from its parts, in their form: lists and
+    ``array('Q')`` parts are extended, numpy parts concatenated once."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], (list, array)):
+        merged = parts[0][:0]  # an empty list or array('Q')
+        for part in parts:
+            merged.extend(part)
+        return merged
+    import numpy as np
+
+    return np.concatenate(parts)
+
+
+class ShardedRun:
+    """The driver half of one sharded class run, for either transport.
+
+    :func:`explore_sharded` (pipes) and the service coordinator
+    (sockets) both run a class through one of these; the transport only
+    carries ``inboxes`` to the shards' :class:`ShardEngine` objects and
+    their replies back.  :meth:`begin` routes the first round: the
+    initial state (canonicalized field by field under a non-trivial
+    ``canonicalizer``, and sent with the canonical bit), or the frontier
+    and counters of ``checkpointer``'s latest checkpoint, kept as
+    ``resumed`` for the transport to load each shard's
+    :meth:`visited_path` from.  :meth:`merge` folds one round's
+    :meth:`ShardEngine.process_round` replies in shard order, so the
+    split of the shards between processes never changes a result.  The
+    run ends, with ``result`` set and recorded as the checkpointer's
+    completed result, on the first round with a violation (the lowest
+    shard's; the counts cover the whole round), on the first round whose
+    admissions reach ``max_states`` with work left
+    (``truncated_transitions`` is the routed frontier), or when the
+    frontier empties.  Between rounds, :meth:`open_checkpoint` opens a
+    staging directory when a checkpoint is due; the transport dumps each
+    shard's visited set to its :meth:`visited_path` there, and
+    :meth:`commit` writes the frontier and counters and seals it.
+
+    ``group_order`` is None without symmetry, as in :class:`ClassSetup`.
+    Inbox parts keep their transport's form: numpy u64 arrays in batch
+    runs (a resumed frontier is routed by one ``kernel.fingerprint_many``
+    pass), lists in scalar pipe rounds (whose states may be wider than
+    63 bits when nothing is checkpointed), and ``array('Q')`` in the
+    service and in any other resumed run.
+    """
+
+    def __init__(
+        self,
+        spec: FastSnapshotSpec,
+        n_shards: int,
+        max_states: int,
+        canonicalizer: Any = None,
+        group_order: Optional[int] = None,
+        por: bool = False,
+        checkpointer: Optional[RunCheckpointer] = None,
+        kernel: Any = None,
+    ) -> None:
+        self.spec = spec
+        self.n_shards = n_shards
+        self.max_states = max_states
+        if canonicalizer is not None and canonicalizer.trivial:
+            canonicalizer = None
+        self.canonicalizer = canonicalizer
+        self.group_order = group_order
+        self.checkpointer = checkpointer
+        self.kernel = kernel
+        symmetry = group_order is not None
+        self.states = 0
+        self.transitions = 0
+        self.covered: Optional[int] = 0 if symmetry else None
+        self.skipped: Optional[int] = 0 if symmetry else None
+        self.violation: Optional[str] = None
+        self._por_fields: Optional[Tuple[str, ...]] = None
+        if por:
+            from repro.checker.por import PORCounters
+
+            self._por_fields = PORCounters.__slots__
+        self._por_base: Dict[str, int] = {}
+        self._shard_por: List[Optional[Dict[str, int]]] = [None] * n_shards
+        self.inboxes: Dict[int, Any] = {}
+        self.resumed: Optional[Checkpoint] = None
+        self.result: Optional[FastExplorationResult] = None
+
+    @staticmethod
+    def visited_path(directory: Path, shard: int) -> Path:
+        """Shard ``shard``'s visited dump in a checkpoint ``directory``."""
+        return Path(directory) / f"visited-{shard:03d}.u64"
+
+    def frontier_size(self) -> int:
+        return sum(len(batch) for batch in self.inboxes.values())
+
+    def begin(self) -> None:
+        """Route the first round: a fresh run's initial state, or the
+        latest checkpoint's frontier and counters."""
+        if self.checkpointer is not None:
+            self.resumed = self.checkpointer.latest()
+        resumed = self.resumed
+        if resumed is None:
+            initial = self.spec.initial_state()
+            canonical_bit = 0
+            if self.canonicalizer is not None:
+                # Field by field: the fused tables are the shards'.
+                initial = self.canonicalizer.canonical_per_field(initial)
+                canonical_bit = 1
+            self.inboxes = {
+                fingerprint_int(initial) % self.n_shards: [
+                    (initial << 1) | canonical_bit
+                ]
+            }
+            return
+        self.states = resumed.counter("admitted")
+        self.transitions = resumed.counter("transitions")
+        if self.covered is not None:
+            self.covered = resumed.counter("covered")
+        if self.skipped is not None:
+            self.skipped = resumed.counter("skipped")
+        self._por_base = {
+            key: int(resumed.counters.get(key, 0))
+            for key in self._por_fields or ()
+        }
+        self.inboxes = self._route(resumed.frontier())
+
+    def _route(self, entries: "array[int]") -> Dict[int, Any]:
+        """Wire entries by owning shard."""
+        inboxes: Dict[int, Any] = {}
+        if self.kernel is not None:
+            import numpy as np
+
+            # Routed as arrays, as rounds route them.
+            values = u64_array(entries)
+            owners = self.kernel.fingerprint_many(
+                values >> np.uint64(1)
+            ) % np.uint64(self.n_shards)
+            for owner in range(self.n_shards):
+                part = values[owners == np.uint64(owner)]
+                if part.size:
+                    inboxes[owner] = part
+            return inboxes
+        for entry in entries:
+            owner = fingerprint_int(entry >> 1) % self.n_shards
+            inboxes.setdefault(owner, array("Q")).append(entry)
+        return inboxes
+
+    def merge(self, layers: Sequence[Tuple]) -> None:
+        """Fold one round's replies, in shard order, into the counters
+        and the next ``inboxes``, or end the run."""
+        parts: Dict[int, List[Any]] = {}
+        for shard, layer in enumerate(layers):
+            (admitted, transitions, violation, outboxes, covered, skipped,
+             por_counters) = layer
+            self.states += admitted
+            self.transitions += transitions
+            if covered is not None and self.covered is not None:
+                self.covered += covered
+            if self.skipped is not None:
+                self.skipped += skipped
+            if por_counters is not None:
+                self._shard_por[shard] = por_counters
+            if violation is not None and self.violation is None:
+                self.violation = violation
+            for owner, boundary in outboxes.items():
+                parts.setdefault(owner, []).append(boundary)
+        if self.violation is not None:
+            self._end(complete=True)
+            return
+        self.inboxes = {}
+        for owner, owned in parts.items():
+            merged = _concat(owned)
+            if len(merged):
+                self.inboxes[owner] = merged
+        if not self.inboxes:
+            self._end(complete=True)
+        elif self.states >= self.max_states:
+            self._end(complete=False, truncated=self.frontier_size())
+
+    def _por_totals(self) -> Optional[Dict[str, int]]:
+        if self._por_fields is None:
+            return None
+        totals = {key: self._por_base.get(key, 0) for key in self._por_fields}
+        for snapshot in self._shard_por:
+            for key, value in (snapshot or {}).items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def _end(self, complete: bool, truncated: int = 0) -> None:
+        self.result = FastExplorationResult(
+            states=self.states,
+            transitions=self.transitions,
+            complete=complete,
+            violation=self.violation,
+            truncated_transitions=truncated,
+            covered_states=self.covered,
+            symmetry_group_order=self.group_order,
+            recanonicalizations_skipped=self.skipped,
+            por_counters=self._por_totals(),
+        )
+        if self.checkpointer is not None:
+            self.checkpointer.mark_complete(asdict(self.result))
+
+    def open_checkpoint(self) -> Optional[Path]:
+        """A staging directory for a checkpoint after this round, or
+        None when none is due or the run has ended."""
+        if (
+            self.checkpointer is None
+            or self.result is not None
+            or not self.checkpointer.due(self.states)
+        ):
+            return None
+        return self.checkpointer.begin()
+
+    def commit(self, staging: Path) -> None:
+        """Write the frontier and the counters into ``staging``, which
+        holds every shard's visited dump, and seal it."""
+        # One u64 array per owner, never a walk over entries.
+        write_u64_file(staging / "frontier.u64", [
+            array("Q", part) if isinstance(part, list) else part
+            for part in (self.inboxes[owner] for owner in sorted(self.inboxes))
+        ])
+        counters = {
+            "admitted": self.states,
+            "transitions": self.transitions,
+            "covered": self.covered or 0,
+            "skipped": self.skipped or 0,
+            **(self._por_totals() or {}),
+        }
+        self.checkpointer.commit(staging, counters)
+
+
 def explore_sharded(
     inputs: Sequence[int],
     wiring: WiringClass,
@@ -782,13 +1006,13 @@ def explore_sharded(
     :class:`ShardWorkers` set, runs shards 1 … ``jobs``−1 and the
     driver expands shard 0 itself while they work.  A sweep passes one
     set for all its classes; without one, the call opens and closes its
-    own.  A class that fails stops the set's workers.  The driver
-    merges per-shard statistics in shard order and applies the state
-    budget at layer boundaries, so the result is deterministic for a
-    fixed ``jobs`` — and equal to the serial engine's on any exhaustive
-    (non-truncated) run.  ``jobs`` is capped at the host's core count
-    (:func:`effective_jobs`); a host that cannot start a process runs
-    the serial engine instead.
+    own.  A class that fails stops the set's workers.  A
+    :class:`ShardedRun` merges per-shard statistics in shard order and
+    applies the state budget at layer boundaries, so the result is
+    deterministic for a fixed ``jobs`` — and equal to the serial
+    engine's on any exhaustive (non-truncated) run.  ``jobs`` is capped
+    at the host's core count (:func:`effective_jobs`); a host that
+    cannot start a process runs the serial engine instead.
 
     With ``symmetry`` the shards jointly explore the quotient graph:
     workers canonicalize successors before the ownership fingerprint
@@ -880,10 +1104,6 @@ def explore_sharded(
                 f" states into {spec.state_bits} bits"
             )
 
-    use_batch_workers = engine == "batch"
-    if use_batch_workers:
-        import numpy as np
-
     def _died(shard: int) -> RuntimeError:
         hint = (
             " — resume from the checkpoint directory (repro check --resume)"
@@ -894,26 +1114,23 @@ def explore_sharded(
             f"shard {shard} worker died mid-run (pipe closed){hint}"
         )
 
-    def _recv(shard: int):
-        try:
-            return workers.connections[shard].recv()
-        except (EOFError, OSError):
-            # A SIGKILLed worker surfaces as EOF or ECONNRESET depending
-            # on where the pipe read was when the process died.
-            raise _died(shard) from None
-
     def _send(shard: int, message) -> None:
         try:
             workers.connections[shard].send(message)
         except (OSError, BrokenPipeError):
             raise _died(shard) from None
 
-    def _finish(result: FastExplorationResult) -> FastExplorationResult:
-        if checkpointer is not None:
-            checkpointer.mark_complete(asdict(result))
-        for shard in remote:
-            _send(shard, ("end",))
-        return result
+    def _recv(shard: int, tag: str) -> Tuple:
+        try:
+            reply = workers.connections[shard].recv()
+        except (EOFError, OSError):
+            # A SIGKILLed worker surfaces as EOF or ECONNRESET depending
+            # on where the pipe read was when the process died.
+            raise _died(shard) from None
+        if reply[0] != tag:
+            detail = reply[1] if reply[0] == "error" else repr(reply)
+            raise RuntimeError(f"shard {shard} failed: {detail}")
+        return reply[1:]
 
     owned = None
     if workers is None:
@@ -930,206 +1147,43 @@ def explore_sharded(
         # the workers build theirs.
         setup = ClassSetup(*params)
         local = ShardEngine(setup, 0, jobs, store_config=store, por=por)
-
-        states = 0
-        transitions = 0
-        complete = True
-        covered: Optional[int] = 0 if symmetry else None
-        group_order = setup.group_order
-        recanon_skipped: Optional[int] = 0 if symmetry else None
-        violation: Optional[str] = None
-        # POR totals = checkpointed base + each worker's cumulative
-        # snapshot (workers report running totals every layer, so the
-        # latest snapshot per shard is the whole post-resume story).
-        por_keys = (
-            "transitions_pruned", "ample_states", "fully_expanded_states",
-            "cycle_proviso_expansions",
+        run = ShardedRun(
+            spec, jobs, max_states, canonicalizer=setup.canonicalizer,
+            group_order=setup.group_order, por=por,
+            checkpointer=checkpointer, kernel=setup.kernel,
         )
-        por_base: Dict[str, int] = {}
-        shard_por: List[Optional[Dict[str, int]]] = [None] * jobs
-
-        def _por_totals() -> Optional[Dict[str, int]]:
-            if not por:
-                return None
-            totals = {key: por_base.get(key, 0) for key in por_keys}
-            for snapshot in shard_por:
-                if snapshot:
-                    for key, value in snapshot.items():
-                        totals[key] = totals.get(key, 0) + value
-            return totals
-
-        resumed = checkpointer.latest() if checkpointer is not None else None
-        if resumed is not None:
-            states = resumed.counter("admitted")
-            transitions = resumed.counter("transitions")
-            if covered is not None:
-                covered = resumed.counter("covered")
-            if recanon_skipped is not None:
-                recanon_skipped = resumed.counter("skipped")
-            if por:
-                por_base = {
-                    key: int(resumed.counters.get(key, 0)) for key in por_keys
-                }
-            inboxes: Dict[int, Any] = {}
-            if use_batch_workers:
-                # Routed as arrays, as rounds route them.
-                entries = u64_array(resumed.frontier())
-                owners = setup.kernel.fingerprint_many(
-                    entries >> np.uint64(1)
-                ) % np.uint64(jobs)
-                for owner in range(jobs):
-                    part = entries[owners == np.uint64(owner)]
-                    if part.size:
-                        inboxes[owner] = part
-            else:
-                for entry in resumed.frontier():
-                    owner = fingerprint_int(entry >> 1) % jobs
-                    inboxes.setdefault(owner, []).append(entry)
+        run.begin()
+        if run.resumed is not None:
             for shard in remote:
-                path = resumed.directory / f"visited-{shard:03d}.u64"
+                path = run.visited_path(run.resumed.directory, shard)
                 _send(shard, ("load", str(path)))
-            local.load_from(resumed.directory / "visited-000.u64")
+            local.load_from(run.visited_path(run.resumed.directory, 0))
             for shard in remote:
-                reply = _recv(shard)
-                if reply[0] != "loaded":
-                    raise RuntimeError(
-                        f"shard {shard} failed to load its visited dump:"
-                        f" {reply!r}"
-                    )
-        else:
-            initial = spec.initial_state()
-            canonical_bit = 0
-            if setup.canonicalizer is not None:
-                # Field by field: the fused tables are the workers'.
-                initial = setup.canonicalizer.canonical_per_field(initial)
-                canonical_bit = 1
-            inboxes = {
-                fingerprint_int(initial) % jobs: [
-                    (initial << 1) | canonical_bit
-                ]
-            }
-
-        while inboxes:
+                _recv(shard, "loaded")
+        while run.result is None:
             if heartbeat is not None:
                 heartbeat.tick(
-                    states,
-                    sum(len(batch) for batch in inboxes.values()),
-                    transitions,
+                    run.states, run.frontier_size(), run.transitions
                 )
             for shard in remote:
-                _send(shard, ("round", inboxes.get(shard, [])))
-            layers = [local.process_round(inboxes.get(0, []))]
-            for shard in remote:
-                reply = _recv(shard)
-                if reply[0] == "error":
-                    raise RuntimeError(f"shard {shard} failed: {reply[1]}")
-                layers.append(reply[1:])
-            # Merged in shard order, so the result is the same for any
-            # split of the shards between processes.
-            outboxes: Dict[int, List[int]] = {}
-            for shard, layer in enumerate(layers):
-                (admitted, shard_transitions, shard_violation, out,
-                 shard_covered, shard_skipped, shard_por_counters) = layer
-                if shard_por_counters is not None:
-                    shard_por[shard] = shard_por_counters
-                states += admitted
-                transitions += shard_transitions
-                if shard_covered is not None and covered is not None:
-                    covered += shard_covered
-                if recanon_skipped is not None:
-                    recanon_skipped += shard_skipped
-                if shard_violation is not None and violation is None:
-                    violation = shard_violation
-                if use_batch_workers:
-                    # Batch workers ship whole numpy arrays per owner; keep
-                    # them as array parts and concatenate once per round so
-                    # the boundary states never degrade to Python ints.
-                    for owner, boundary in out.items():
-                        outboxes.setdefault(owner, []).append(boundary)
-                else:
-                    for owner, boundary in out.items():
-                        outboxes.setdefault(owner, []).extend(boundary)
-            if violation is not None:
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=True,
-                    violation=violation,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            if use_batch_workers:
-                inboxes = {}
-                for owner, parts in outboxes.items():
-                    merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    if merged.size:
-                        inboxes[owner] = merged
-            else:
-                inboxes = {
-                    owner: batch for owner, batch in outboxes.items() if batch
-                }
-            if states >= max_states and inboxes:
-                complete = False
-                truncated = sum(len(batch) for batch in inboxes.values())
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=False,
-                    truncated_transitions=truncated,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            if (
-                checkpointer is not None
-                and inboxes
-                and checkpointer.due(states)
-            ):
-                staging = checkpointer.begin()
+                _send(shard, ("round", run.inboxes.get(shard, [])))
+            layers = [local.process_round(run.inboxes.get(0, []))]
+            layers += [_recv(shard, "layer") for shard in remote]
+            run.merge(layers)
+            staging = run.open_checkpoint()
+            if staging is not None:
                 for shard in remote:
-                    path = staging / f"visited-{shard:03d}.u64"
+                    path = run.visited_path(staging, shard)
                     _send(shard, ("dump", str(path)))
-                local.dump_to(staging / "visited-000.u64")
+                local.dump_to(run.visited_path(staging, 0))
                 for shard in remote:
-                    reply = _recv(shard)
-                    if reply[0] != "dumped":
-                        raise RuntimeError(
-                            f"shard {shard} failed to dump its visited set:"
-                            f" {reply!r}"
-                        )
-                # One u64 array per owner, never a walk over entries.
-                write_u64_file(
-                    staging / "frontier.u64",
-                    [
-                        inboxes[owner] if use_batch_workers
-                        else array("Q", inboxes[owner])
-                        for owner in sorted(inboxes)
-                    ],
-                )
-                counters = {
-                    "admitted": states,
-                    "transitions": transitions,
-                    "covered": covered if covered is not None else 0,
-                    "skipped": (
-                        recanon_skipped if recanon_skipped is not None else 0
-                    ),
-                }
-                por_totals = _por_totals()
-                if por_totals is not None:
-                    counters.update(por_totals)
-                checkpointer.commit(staging, counters)
+                    _recv(shard, "dumped")
+                run.commit(staging)
                 if _after_checkpoint is not None:
                     _after_checkpoint()
-
-        return _finish(FastExplorationResult(
-            states=states, transitions=transitions, complete=complete,
-            covered_states=covered, symmetry_group_order=group_order,
-            recanonicalizations_skipped=recanon_skipped,
-            por_counters=_por_totals(),
-        ))
+        for shard in remote:
+            _send(shard, ("end",))
+        return run.result
     except BaseException:
         # A round may be half read, so no later class can use these
         # pipes.

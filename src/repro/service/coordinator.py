@@ -12,20 +12,25 @@ frame's ``hello`` names the role):
   submit job specs, poll status, stream progress, cancel, and fetch
   results/counterexamples;
 - the **job runner** task drains the persisted :class:`JobQueue` one
-  job at a time, exploring each canonical wiring class with the
-  distributed equivalent of
-  :func:`repro.checker.parallel.explore_sharded`.
+  job at a time, exploring each canonical wiring class through the
+  same :class:`~repro.checker.parallel.ShardedRun` that
+  :func:`~repro.checker.parallel.explore_sharded` drives over pipes.
+
+This module is that run's socket transport: it assigns shards to
+workers, sends the configure, round, dump and load frames, and handles
+epochs, cancellation and progress.  Everything the driver decides —
+the counters, first-round routing, the merge, the three endings, and
+the checkpoint's frontier and counters — is ``ShardedRun``'s.
 
 Determinism contract: a job fixes its *logical* shard count up front
 (``JobSpec.shards``); states are owned by ``fingerprint % shards``
-exactly as in the pipe engine, workers are assigned shard subsets, and
-the driver merges per-shard layer results in ascending logical-shard
-order — the same order the pipe driver's ``for shard in range(jobs)``
-loop produces.  Inboxes concatenate contributions in sender-shard
-order, violations are taken from the lowest reporting shard, and
-budgets truncate at layer boundaries.  The result: the service verdict
-is bit-identical to a serial or pipe-sharded run of the same spec, no
-matter how many workers served it — or how many died.
+exactly as in the pipe engine, and workers are assigned shard subsets.
+The coordinator hands each round's replies to the run in ascending
+logical-shard order, whichever worker answered first, and the run
+merges them with the pipe driver's code.  The result: the service
+verdict is bit-identical to a pipe-sharded run of the same spec (and to
+a serial one wherever the partition is invisible), no matter how many
+workers served it — or how many died.
 
 Elasticity: the run checkpoints through the PR 4
 :class:`~repro.store.checkpoint.RunCheckpointer` machinery (per-logical
@@ -59,8 +64,7 @@ from repro.checker.fast_snapshot import (
     FastSnapshotSpec,
     canonical_wiring_classes,
 )
-from repro.checker.fingerprint import fingerprint_int
-from repro.checker.parallel import class_key
+from repro.checker.parallel import ShardedRun, class_key
 from repro.checker.symmetry import FastCanonicalizer
 from repro.service.jobs import JobError, JobQueue, JobRecord, JobSpec
 from repro.service.protocol import (
@@ -75,12 +79,6 @@ from repro.store.checkpoint import (
     read_u64_file,
     write_u64_file,
 )
-
-_POR_KEYS = (
-    "transitions_pruned", "ample_states", "fully_expanded_states",
-    "cycle_proviso_expansions",
-)
-
 
 class WorkerDied(RuntimeError):
     """A worker connection failed mid-conversation."""
@@ -524,16 +522,22 @@ class Coordinator:
         canonicalizer = (
             FastCanonicalizer(fast_spec) if spec.symmetry else None
         )
-        n_shards = spec.shards
-        max_states = spec.budget if spec.budget else 10 ** 9
         epoch = 0
 
         while True:  # rollback loop: one iteration per worker epoch
             fleet = await self._acquire_fleet(record)
+            # Every epoch starts from the last committed checkpoint.
+            run = ShardedRun(
+                fast_spec, spec.shards, spec.budget or 10 ** 9,
+                canonicalizer=canonicalizer,
+                group_order=(
+                    canonicalizer.order if canonicalizer is not None else None
+                ),
+                por=spec.por, checkpointer=checkpointer,
+            )
             try:
                 return await self._run_class_epoch(
-                    record, index, fast_spec, canonicalizer,
-                    checkpointer, fleet, epoch, n_shards, max_states,
+                    record, index, run, fleet, epoch
                 )
             except WorkerDied as exc:
                 epoch += 1
@@ -550,15 +554,12 @@ class Coordinator:
         self,
         record: JobRecord,
         index: int,
-        fast_spec: FastSnapshotSpec,
-        canonicalizer: Optional[FastCanonicalizer],
-        checkpointer: RunCheckpointer,
+        run: ShardedRun,
         fleet: List[WorkerHandle],
         epoch: int,
-        n_shards: int,
-        max_states: int,
     ) -> FastExplorationResult:
         spec = record.spec
+        n_shards = run.n_shards
         # Static shard assignment for this epoch: round-robin over the
         # fleet in name order.  The *logical* partition (fingerprint %
         # n_shards) never changes, so any assignment yields identical
@@ -577,8 +578,8 @@ class Coordinator:
             "epoch": epoch,
             "job_id": record.job_id,
             "class_index": index,
-            "inputs": list(fast_spec.inputs),
-            "wiring": [list(perm) for perm in fast_spec.wiring],
+            "inputs": list(run.spec.inputs),
+            "wiring": [list(perm) for perm in run.spec.wiring],
             "n_shards": n_shards,
             "symmetry": spec.symmetry,
             "por": spec.por,
@@ -596,76 +597,24 @@ class Coordinator:
             for worker in fleet
         ))
 
-        states = 0
-        transitions = 0
-        covered: Optional[int] = 0 if spec.symmetry else None
-        group_order = (
-            canonicalizer.order if canonicalizer is not None else None
-        )
-        recanon_skipped: Optional[int] = 0 if spec.symmetry else None
-        violation: Optional[str] = None
-        por_base: Dict[str, int] = {}
-        shard_por: List[Optional[Dict[str, int]]] = [None] * n_shards
-
-        def _por_totals() -> Optional[Dict[str, int]]:
-            if not spec.por:
-                return None
-            totals = {key: por_base.get(key, 0) for key in _POR_KEYS}
-            for snapshot in shard_por:
-                if snapshot:
-                    for key, value in snapshot.items():
-                        totals[key] = totals.get(key, 0) + value
-            return totals
-
-        def _finish(result: FastExplorationResult) -> FastExplorationResult:
-            checkpointer.mark_complete(asdict(result))
-            return result
-
-        inboxes: Dict[int, "array[int]"] = {}
-        resumed = checkpointer.latest()
-        if resumed is not None:
-            states = resumed.counter("admitted")
-            transitions = resumed.counter("transitions")
-            if covered is not None:
-                covered = resumed.counter("covered")
-            if recanon_skipped is not None:
-                recanon_skipped = resumed.counter("skipped")
-            if spec.por:
-                por_base = {
-                    key: int(resumed.counters.get(key, 0))
-                    for key in _POR_KEYS
-                }
-            for entry in resumed.frontier():
-                owner = fingerprint_int(entry >> 1) % n_shards
-                inboxes.setdefault(owner, array("Q")).append(entry)
+        run.begin()
+        if run.resumed is not None:
+            directory = run.resumed.directory
             await asyncio.gather(*(
                 owner_of[shard].request(
                     {"type": "load", "shard": shard},
-                    (read_u64_file(
-                        resumed.directory / f"visited-{shard:03d}.u64"
-                    ),),
+                    (read_u64_file(run.visited_path(directory, shard)),),
                     timeout=self.round_timeout_s,
                 )
                 for shard in range(n_shards)
             ))
-        else:
-            initial = fast_spec.initial_state()
-            canonical_bit = 0
-            if canonicalizer is not None and not canonicalizer.trivial:
-                initial = canonicalizer.canonical_per_field(initial)
-                canonical_bit = 1
-            inboxes = {
-                fingerprint_int(initial) % n_shards: array(
-                    "Q", [(initial << 1) | canonical_bit]
-                )
-            }
 
         seq = 0
-        while inboxes:
+        while run.result is None:
             if self._is_cancelled(record):
                 raise _JobCancelled()
             seq += 1
-            frontier_size = sum(len(batch) for batch in inboxes.values())
+            frontier_size = run.frontier_size()
             replies = await asyncio.gather(*(
                 worker.request(
                     {
@@ -673,93 +622,52 @@ class Coordinator:
                         "shards": assignment[worker.name],
                     },
                     tuple(
-                        inboxes.get(shard, array("Q"))
+                        run.inboxes.get(shard, array("Q"))
                         for shard in assignment[worker.name]
                     ),
                     timeout=self.round_timeout_s,
                 )
                 for worker in fleet
             ))
-            # Merge in ascending *logical shard* order — the exact
-            # order the pipe driver's `for shard in range(jobs)` loop
-            # merges in, so counts, violation choice, and truncation
-            # points are identical by construction.
-            per_shard: Dict[int, Tuple[Dict[str, Any], List["array[int]"]]] = {}
-            for (reply, data) in replies:
-                for shard_result in reply["results"]:
-                    per_shard[int(shard_result["shard"])] = (
-                        shard_result, data
+            layers: Dict[int, Tuple] = {}
+            for reply, data in replies:
+                for layer in reply["results"]:
+                    outboxes = {dest: data[at] for dest, at in layer["outboxes"]}
+                    layers[layer["shard"]] = (
+                        layer["admitted"], layer["transitions"],
+                        layer["violation"], outboxes, layer["covered"],
+                        layer["skipped"], layer["por"],
                     )
-            parts: Dict[int, List["array[int]"]] = {}
             for shard in range(n_shards):
-                if shard not in per_shard:
+                if shard not in layers:
                     raise WorkerDied(
                         f"no worker reported shard {shard} in round {seq}"
                     )
-                shard_result, data = per_shard[shard]
-                states += int(shard_result["admitted"])
-                transitions += int(shard_result["transitions"])
-                if shard_result.get("covered") is not None and covered is not None:
-                    covered += int(shard_result["covered"])
-                if recanon_skipped is not None:
-                    recanon_skipped += int(shard_result.get("skipped") or 0)
-                if shard_result.get("por") is not None:
-                    shard_por[shard] = dict(shard_result["por"])
-                if shard_result.get("violation") and violation is None:
-                    violation = str(shard_result["violation"])
-                for dest, payload_index in shard_result.get("outboxes", []):
-                    parts.setdefault(int(dest), []).append(
-                        data[int(payload_index)]
+            # In logical shard order, whichever worker answered first.
+            run.merge([layers[shard] for shard in range(n_shards)])
+            self._publish_round(
+                record, run.states, run.transitions, frontier_size
+            )
+            staging = run.open_checkpoint()
+            if staging is not None:
+                dumps = await asyncio.gather(*(
+                    worker.request(
+                        {"type": "dump", "shards": assignment[worker.name]},
+                        timeout=self.round_timeout_s,
                     )
-            self._publish_round(record, states, transitions, frontier_size)
-            if violation is not None:
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=True,
-                    violation=violation,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
+                    for worker in fleet
+                    if assignment[worker.name]
                 ))
-            inboxes = {}
-            for dest, contributions in parts.items():
-                merged = array("Q")
-                for contribution in contributions:
-                    merged.extend(contribution)
-                if merged:
-                    inboxes[dest] = merged
-            if states >= max_states and inboxes:
-                truncated = sum(len(batch) for batch in inboxes.values())
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=False,
-                    truncated_transitions=truncated,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            if inboxes and checkpointer.due(states):
-                await self._checkpoint(
-                    checkpointer, owner_of, assignment, fleet, inboxes,
-                    states, transitions, covered, recanon_skipped,
-                    _por_totals(),
-                )
+                for reply, data in dumps:
+                    for keys, shard in zip(data, reply["shards"]):
+                        write_u64_file(run.visited_path(staging, shard), keys)
+                run.commit(staging)
                 self._publish(record.job_id, {
                     "type": "progress", "job_id": record.job_id,
                     "progress": dict(record.progress),
-                    "checkpoint": {"admitted": states, "epoch": epoch},
+                    "checkpoint": {"admitted": run.states, "epoch": epoch},
                 })
-
-        return _finish(FastExplorationResult(
-            states=states, transitions=transitions, complete=True,
-            covered_states=covered, symmetry_group_order=group_order,
-            recanonicalizations_skipped=recanon_skipped,
-            por_counters=_por_totals(),
-        ))
+        return run.result
 
     def _publish_round(
         self,
@@ -799,52 +707,6 @@ class Coordinator:
                 if key != "_at"
             },
         })
-
-    async def _checkpoint(
-        self,
-        checkpointer: RunCheckpointer,
-        owner_of: Dict[int, WorkerHandle],
-        assignment: Dict[str, List[int]],
-        fleet: List[WorkerHandle],
-        inboxes: Dict[int, "array[int]"],
-        states: int,
-        transitions: int,
-        covered: Optional[int],
-        recanon_skipped: Optional[int],
-        por_totals: Optional[Dict[str, int]],
-    ) -> None:
-        staging = checkpointer.begin()
-        dumps = await asyncio.gather(*(
-            worker.request(
-                {"type": "dump", "shards": assignment[worker.name]},
-                timeout=self.round_timeout_s,
-            )
-            for worker in fleet
-            if assignment[worker.name]
-        ))
-        for reply, data in dumps:
-            for position, shard in enumerate(reply["shards"]):
-                write_u64_file(
-                    staging / f"visited-{int(shard):03d}.u64",
-                    iter(data[position]),
-                )
-        write_u64_file(
-            staging / "frontier.u64",
-            (
-                entry
-                for owner in sorted(inboxes)
-                for entry in inboxes[owner]
-            ),
-        )
-        counters: Dict[str, Any] = {
-            "admitted": states,
-            "transitions": transitions,
-            "covered": covered if covered is not None else 0,
-            "skipped": recanon_skipped if recanon_skipped is not None else 0,
-        }
-        if por_totals is not None:
-            counters.update(por_totals)
-        checkpointer.commit(staging, counters)
 
 
 class JobFailed(RuntimeError):

@@ -36,6 +36,7 @@ from repro.service.protocol import (
     ConnectionClosed,
     ProtocolError,
     SyncFrameIO,
+    payload_to_bytes,
 )
 from repro.store.base import StoreConfig
 
@@ -191,16 +192,18 @@ def serve_connection(
                 reply, out_payloads = _round_reply(state, header, payloads)
                 io.send(reply, out_payloads)
             elif kind == "dump":
+                # One payload per shard: its visited set's key arrays.
                 shards = [int(shard) for shard in header["shards"]]
-                keys = [state.engines[shard].visited_keys() for shard in shards]
-                io.send(
-                    {"type": "dumped", "shards": shards,
-                     "counts": [len(part) for part in keys]},
-                    keys,
-                )
+                io.send({"type": "dumped", "shards": shards}, [
+                    b"".join(
+                        payload_to_bytes(chunk)
+                        for chunk in state.engines[shard].seen.key_arrays()
+                    )
+                    for shard in shards
+                ])
             elif kind == "load":
                 shard = int(header["shard"])
-                count = state.engines[shard].load_keys(list(payloads[0]))
+                count = state.engines[shard].seen.load(payloads[0])
                 io.send({"type": "loaded", "shard": shard, "count": count})
             else:
                 io.send({"type": "error",

@@ -3,14 +3,18 @@
 The native kernel's contract is stronger than "same verdict": every
 overridden method — fingerprinting, canonicalization, expansion, the
 visited set, ample-set selection — must be *bit-identical* to the
-numpy implementation on arbitrary inputs (selection on reachable
-frontiers),
-because the exploration loop treats kernels as interchangeable mid-run
-(a sharded job may resume under a different kernel).  The property
-tests below therefore compare raw arrays, not exploration summaries;
-the exhaustive N=2 matrix then checks the composed engine end to end
-(``asdict``-equal for non-POR runs, verdict-conformant under POR,
-mirroring the batch-vs-scalar contract in ``test_batch_engine.py``).
+numpy implementation, because the exploration loop treats kernels as
+interchangeable mid-run (a sharded job may resume under a different
+kernel).  Fingerprints and canonical forms are compared on arbitrary
+words, and so is expansion at N=2.  At N=3 an arbitrary word can carry
+a scan position of m or more, which no run reaches: numpy raises
+``IndexError`` on it and the C reads past the pid's register offsets,
+so N=3 expansion and selection are compared on reachable frontiers.
+The property tests below therefore compare raw arrays, not
+exploration summaries; the exhaustive N=2 matrix then checks the
+composed engine end to end (``asdict``-equal for non-POR runs,
+verdict-conformant under POR, mirroring the batch-vs-scalar contract
+in ``test_batch_engine.py``).
 
 The native kernel is a *soft* capability: no compiler (or
 ``REPRO_NATIVE_DISABLE=1``) must degrade to the numpy kernel with a
@@ -248,6 +252,27 @@ class TestMethodBitIdentity:
         ):
             succ, counts = native_kernel.expand_level(states, selected)
             assert succ.size == int(counts.sum()) > 0
+        # Every N=2 word's scan position is in range, so there both
+        # kernels expand any word as the scalar oracle does, unreachable
+        # phase 3 included (it scans); a selection keeps one pid.
+        for wiring in N2_CLASSES:
+            spec = FastSnapshotSpec([1, 2], wiring)
+            kernels = _kernels(spec)[:2]
+            states = _edge_states(spec, rng)
+            for selected in (
+                None,
+                rng.integers(-3, spec.n + 2, size=states.size, dtype=np.int64),
+            ):
+                picks = [-1] * states.size if selected is None else selected
+                oracle = [
+                    successor
+                    for state, pick in zip(states.tolist(), picks)
+                    for pid, successor in spec.successors(state)
+                    if pick in (-1, pid)
+                ]
+                for kernel in kernels:
+                    succ, _counts = kernel.expand_level(states, selected)
+                    assert succ.tolist() == oracle
 
 
 def _unmix(mixes):

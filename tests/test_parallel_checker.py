@@ -14,6 +14,9 @@ Three contracts, each load-bearing for experiment E4's verdicts:
   ``truncated_transitions`` instead of silently vanishing.
 """
 
+from array import array
+from dataclasses import asdict
+
 import pytest
 
 from repro.checker import Explorer, SystemSpec, parallel
@@ -28,6 +31,7 @@ from repro.checker.fingerprint import (
     splitmix64,
 )
 from repro.checker.parallel import (
+    ShardedRun,
     check_snapshot_classes,
     explore_sharded,
     ordered_parallel_map,
@@ -35,6 +39,7 @@ from repro.checker.parallel import (
 from repro.checker.properties import SNAPSHOT_SAFETY
 from repro.core import SnapshotMachine
 from repro.memory.wiring import WiringAssignment
+from repro.store.checkpoint import RunCheckpointer
 
 #: Class 1 of ``canonical_wiring_classes(3, 3)`` — the single-class
 #: workload for sharded/determinism tests.
@@ -257,7 +262,6 @@ class TestShardedConformance:
         # pickle) and is rebuilt there, to the same result.
         pytest.importorskip("numpy")
         import multiprocessing
-        from dataclasses import asdict
 
         import repro.checker.parallel as parallel_mod
 
@@ -380,7 +384,6 @@ class TestShardedProcessShape:
         self, monkeypatch
     ):
         import multiprocessing
-        from dataclasses import asdict
 
         from repro.service.heartbeat import Heartbeat
 
@@ -494,6 +497,118 @@ def test_forked_workers_import_nothing_the_driver_has_not(grain, tmp_path):
     for modules in workers:
         assert "repro.store.spill" in modules
         assert modules <= at_fork, sorted(modules - at_fork)
+
+
+# ----------------------------------------------------------------------
+# ShardedRun: the driver half both transports share, without processes
+# ----------------------------------------------------------------------
+
+def _layer(admitted, transitions=0, violation=None, outboxes=None, por=None):
+    """A ``ShardEngine.process_round`` reply of a symmetry run that
+    admitted only canonical entries (each covering one state)."""
+    return (admitted, transitions, violation, outboxes or {}, admitted,
+            admitted, por)
+
+
+class TestShardedRun:
+    SPEC = FastSnapshotSpec([1, 2, 3], N3_CLASS)
+
+    def test_the_lowest_reporting_shard_names_the_violation(self, tmp_path):
+        checkpointer = RunCheckpointer(tmp_path, meta={})
+        run = ShardedRun(
+            self.SPEC, 3, 10**9, group_order=2, checkpointer=checkpointer
+        )
+        run.begin()
+        run.merge([
+            _layer(3, 9, outboxes={1: [8, 10]}),
+            _layer(2, 5, "shard 1's"),
+            _layer(4, 7, "shard 2's"),
+        ])
+        result = run.result
+        assert (result.violation, result.complete) == ("shard 1's", True)
+        assert (result.states, result.transitions) == (9, 21)
+        assert result.covered_states == result.recanonicalizations_skipped == 9
+        assert checkpointer.completed_result() == asdict(result)
+
+    def test_a_budget_trip_truncates_at_the_routed_frontier(self):
+        run = ShardedRun(self.SPEC, 2, max_states=5)
+        run.begin()
+        run.merge([_layer(1, 2, outboxes={0: [2], 1: [4]}), _layer(0)])
+        assert run.result is None
+        run.merge([
+            _layer(3, 4, outboxes={0: [6, 8]}),
+            _layer(2, 3, outboxes={0: [10], 1: [12, 14]}),
+        ])
+        result = run.result
+        assert run.inboxes == {0: [6, 8, 10], 1: [12, 14]}
+        assert (result.states, result.complete) == (6, False)
+        assert result.truncated_transitions == 5
+        assert result.covered_states is result.por_counters is None
+
+    def test_a_commit_resumes_to_the_same_counters_and_inboxes(
+        self, tmp_path
+    ):
+        np = pytest.importorskip("numpy")
+        from repro.checker.batch import make_kernel
+
+        owned = {}  # canonical wire entries, by owning shard
+        for state in range(1, 60):
+            owner = fingerprint_int(state) % 3
+            owned.setdefault(owner, []).append((state << 1) | 1)
+        forms = {
+            "numpy": lambda part: np.array(part, dtype=np.uint64),
+            "list": list,
+            "array": lambda part: array("Q", part),
+        }
+        snapshot = {"transitions_pruned": 5, "ample_states": 2,
+                    "fully_expanded_states": 1, "cycle_proviso_expansions": 1}
+        frontiers = []
+        for name, form in forms.items():
+            directory = tmp_path / name
+            run = ShardedRun(
+                self.SPEC, 3, 10**9, group_order=2, por=True,
+                checkpointer=RunCheckpointer(directory, meta={}, every=1),
+            )
+            run.begin()
+            # Each shard sends every owner a third of its entries.
+            run.merge([
+                _layer(shard + 1, 10, outboxes={
+                    owner: form(entries[shard::3])
+                    for owner, entries in owned.items()
+                }, por=snapshot)
+                for shard in range(3)
+            ])
+            assert run.result is None
+            run.commit(run.open_checkpoint())
+            fresh = ShardedRun(
+                self.SPEC, 3, 10**9, group_order=2, por=True,
+                checkpointer=RunCheckpointer(directory, meta={}),
+                kernel=make_kernel(self.SPEC, "numpy") if name == "numpy"
+                else None,
+            )
+            fresh.begin()
+            counts = (fresh.states, fresh.transitions, fresh.covered,
+                      fresh.skipped)
+            assert counts == (run.states, run.transitions, run.covered,
+                              run.skipped) == (6, 30, 6, 6)
+            assert {
+                owner: [int(entry) for entry in part]
+                for owner, part in fresh.inboxes.items()
+            } == {
+                owner: [int(entry) for entry in part]
+                for owner, part in run.inboxes.items()
+            }
+            assert sorted(fresh.inboxes) == sorted(owned)
+            # Nothing after the resume: the totals are the checkpoint's.
+            fresh.merge([_layer(0)] * 3)
+            assert fresh.result.complete
+            assert fresh.result.por_counters == {
+                key: 3 * value for key, value in snapshot.items()
+            }
+            frontiers.append(
+                (fresh.resumed.directory / "frontier.u64").read_bytes()
+            )
+        assert frontiers[0] and frontiers.count(frontiers[0]) == 3
 
 
 # ----------------------------------------------------------------------

@@ -658,7 +658,10 @@ class TestExactKeys:
                     for owner, boundary in reply[3].items():
                         outboxes[owner].extend(int(e) for e in boundary)
                 inboxes = {s: batch for s, batch in outboxes.items() if batch}
-            owned = [set(engine.visited_keys()) for engine in engines]
+            owned = [
+                {int(key) for chunk in engine.seen.key_arrays() for key in chunk}
+                for engine in engines
+            ]
         finally:
             for engine in engines:
                 engine.close()
